@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln
 
 __all__ = [
     "PolyFamily",
@@ -85,6 +84,8 @@ class PolyFamily:
             raise ValueError("laguerre order must exceed -1")
 
     def _log_norm_sq(self, k: int) -> float:
+        from scipy.special import gammaln
+
         if self.kind == "hermite":
             return float(gammaln(k + 1))
         return float(gammaln(k + self.alpha + 1) - gammaln(k + 1) - gammaln(self.alpha + 1))
@@ -100,6 +101,8 @@ class PolyFamily:
         x = np.asarray(x, dtype=float)
         if self.kind == "hermite":
             return np.exp(-x * x / (2 * self.alpha)) / math.sqrt(2 * math.pi * self.alpha)
+        from scipy.special import gammaln
+
         out = np.zeros_like(x)
         pos = x > 0
         out[pos] = np.exp(self.alpha * np.log(x[pos]) - x[pos] - gammaln(self.alpha + 1))

@@ -13,8 +13,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.signal import fftconvolve
-from scipy.special import gammaln
 
 __all__ = [
     "GridConfig",
@@ -35,6 +33,7 @@ __all__ = [
     "convolve_self",
     "rescale",
     "gaussian_regularize",
+    "trapezoid_weights",
     "write_density_file",
 ]
 
@@ -142,9 +141,7 @@ class GridDensity:
 
     def weights(self) -> NDArray[np.float64]:
         """Trapezoid quadrature weights for this grid."""
-        w = np.full(len(self.nodes), self.step)
-        w[0] = w[-1] = self.step / 2
-        return w
+        return trapezoid_weights(len(self.nodes), self.step)
 
     def integral(self, integrand: NDArray[np.float64]) -> float:
         return float(self.weights() @ (self.values * integrand))
@@ -345,6 +342,13 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def trapezoid_weights(count: int, step: float) -> NDArray[np.float64]:
+    """Trapezoid quadrature weights for ``count`` nodes spaced ``step`` apart."""
+    w = np.full(count, step)
+    w[0] = w[-1] = step / 2
+    return w
+
+
 def _normalized(
     nodes: NDArray[np.float64],
     raw_values: NDArray[np.float64],
@@ -353,8 +357,7 @@ def _normalized(
     clamped_mass: float = 0.0,
     warnings: tuple[str, ...] = (),
 ) -> GridDensity:
-    w = np.full(len(nodes), step)
-    w[0] = w[-1] = step / 2
+    w = trapezoid_weights(len(nodes), step)
     mass = float(w @ raw_values)
     if mass <= 0:
         raise ValueError("density has no mass on the grid")
@@ -385,8 +388,7 @@ def build_density(spec: DistributionSpec, cfg: GridConfig | None = None, n_hint:
     pdf = _family_pdf(spec)
     values = pdf(nodes)
     values[values <= cfg.density_floor] = 0.0
-    w = np.full(len(nodes), step)
-    w[0] = w[-1] = step / 2
+    w = trapezoid_weights(len(nodes), step)
     truncated = max(0.0, 1.0 - float(w @ values))
     warns: tuple[str, ...] = ()
     if truncated > cfg.mass_cutoff:
@@ -409,6 +411,8 @@ def _family_pdf(spec: DistributionSpec) -> Callable[[NDArray[np.float64]], NDArr
         shift = beta if p.get("centered", True) else 0.0
 
         def gamma_pdf(x: NDArray[np.float64]) -> NDArray[np.float64]:
+            from scipy.special import gammaln
+
             y = np.asarray(x, dtype=float) + shift
             out = np.zeros_like(y)
             pos = y > 0
@@ -474,8 +478,7 @@ def _load_density_file(path: str, cfg: GridConfig) -> GridDensity:
         raise ValueError(f"{path}: negative density values")
     values = values.copy()
     values[values <= cfg.density_floor] = 0.0
-    w = np.full(len(nodes), step)
-    w[0] = w[-1] = step / 2
+    w = trapezoid_weights(len(nodes), step)
     mass = float(w @ values)
     warns: tuple[str, ...] = ()
     if abs(mass - 1.0) > 1e-6:
@@ -591,6 +594,32 @@ def jst(d: GridDensity) -> JstResult:
     return JstResult(value=value, fisher_info=j, variance=var, uncertainty=unc)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n, the fast real-FFT size."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-n // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_convolve(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Full linear convolution of two real sequences by zero-padded rfft.
+
+    Pads to the length scipy.signal.fftconvolve picks, so both run the same
+    transforms: the FFT_NOISE_REL cut sees the same last bits, and importing
+    scipy.signal (most of the package's start-up time) is avoided.
+    """
+    n = len(a) + len(b) - 1
+    size = _fft_length(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
 def convolve(d1: GridDensity, d2: GridDensity) -> GridDensity:
     """Density of the sum of independent variables with densities d1, d2.
 
@@ -604,7 +633,7 @@ def convolve(d1: GridDensity, d2: GridDensity) -> GridDensity:
     n_out = len(d1.nodes) + len(d2.nodes) - 1
     if n_out > MAX_GRID_NODES:
         raise ValueError(f"grid overflow: convolution would need {n_out} nodes (cap {MAX_GRID_NODES})")
-    raw = fftconvolve(d1.values, d2.values) * d1.step
+    raw = _fft_convolve(d1.values, d2.values) * d1.step
     negative = float(-raw[raw < 0].sum()) * d1.step
     raw[raw < 0] = 0.0
     noise = raw < raw.max() * FFT_NOISE_REL
@@ -654,7 +683,7 @@ def gaussian_regularize(d: GridDensity, delta: float, half_width_sigmas: float =
     warns = d.warnings
     if delta < 4 * d.step:
         warns = warns + (f"regularization width {delta!r} under-resolved by step {d.step!r}",)
-    raw = fftconvolve(d.values, kern) * d.step
+    raw = _fft_convolve(d.values, kern) * d.step
     raw[raw < 0] = 0.0
     raw[raw < raw.max() * FFT_NOISE_REL] = 0.0
     nodes = (d.nodes[0] - m * d.step) + d.step * np.arange(len(d.values) + 2 * m)

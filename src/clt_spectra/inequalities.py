@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .densities import (
     DistributionSpec,
@@ -23,6 +22,7 @@ from .densities import (
     convolve,
     convolve_self,
     jst,
+    trapezoid_weights,
 )
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "theta_upper_from_sigma",
     "theta_moment_parts",
     "theta_moment_parts_quadrature",
-    "theta_upper_from_moments",
     "theta_lower_from_poincare",
     "chain_lower",
     "monotonicity_sequence",
@@ -246,30 +245,6 @@ def theta_moment_parts_quadrature(d: GridDensity, k: int) -> MomentBoundParts:
     return _parts_from_central_moments(m, k, "measured", e_h_sq_override=e_h_sq)
 
 
-def theta_upper_from_moments(theta2: float, moments: MomentSet, k: int, tol: float = 0.0, **ctx) -> BoundReport:
-    parts = theta_moment_parts(moments, k)
-    ctx = dict(ctx)
-    ctx.update(
-        {
-            "k": k,
-            "e_h_sq": parts.e_h_sq,
-            "e_u_sq": parts.e_u_sq,
-            "e_cstar_h_sq": parts.e_cstar_h_sq,
-            "e_cstar_h_sq_direct": parts.e_cstar_h_sq_direct,
-        }
-    )
-    return make_report(
-        f"theta-moment-upper-k{k}",
-        theta2,
-        parts.bound,
-        tol=tol,
-        lhs_kind="measured",
-        rhs_kind="moment-formula",
-        n=2,
-        context=ctx,
-    )
-
-
 def theta_lower_from_poincare(theta2: float, fisher_info: float, poincare_const: float, tol: float = 0.0, **ctx) -> BoundReport:
     """Spectral-gap floor 1/(2 J C_P) <= theta at n = 2.
 
@@ -470,7 +445,14 @@ def gauss_chi2_closed(x, y, rho: float, delta: float) -> float:
 
 
 def gauss_chi2_quad(x, y, rho: float, delta: float, nodes: int = 1200, width: float = 10.0) -> float:
-    """The same divergence by 2-D trapezoid quadrature of integral f^2/g - 1."""
+    """The same divergence by 2-D trapezoid quadrature of integral f^2/g - 1.
+
+    f^2/g is itself an unnormalized Gaussian with precision A / delta^2,
+    A = 2 R^-1 - I (positive definite for |rho| < 1), and mean
+    A^-1 (2 R^-1 x - y). The window is centred there and spans ``width``
+    standard deviations of that Gaussian along each axis, so it holds the
+    mass of the integrand wherever x and y sit.
+    """
     if not abs(rho) < 1:
         raise ValueError("need |rho| < 1")
     if delta <= 0:
@@ -479,24 +461,20 @@ def gauss_chi2_quad(x, y, rho: float, delta: float, nodes: int = 1200, width: fl
     y = np.asarray(y, dtype=float)
     r_inv = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
     det = 1 - rho * rho
-    span = width * delta
-    c0 = np.linspace(min(x[0], y[0]) - span, max(x[0], y[0]) + span, nodes)
-    c1 = np.linspace(min(x[1], y[1]) - span, max(x[1], y[1]) + span, nodes)
-    h0 = c0[1] - c0[0]
-    h1 = c1[1] - c1[0]
+    a_inv = np.linalg.inv(2.0 * r_inv - np.eye(2))
+    centre = a_inv @ (2.0 * r_inv @ x - y)
+    half = width * delta * np.sqrt(np.diag(a_inv))
+    c0 = np.linspace(centre[0] - half[0], centre[0] + half[0], nodes)
+    c1 = np.linspace(centre[1] - half[1], centre[1] + half[1], nodes)
     g0, g1 = np.meshgrid(c0, c1, indexing="ij")
     dx0 = g0 - x[0]
     dx1 = g1 - x[1]
     qf = (r_inv[0, 0] * dx0**2 + 2 * r_inv[0, 1] * dx0 * dx1 + r_inv[1, 1] * dx1**2) / delta**2
-    f = np.exp(-qf / 2) / (2 * math.pi * delta**2 * math.sqrt(det))
-    dy0 = g0 - y[0]
-    dy1 = g1 - y[1]
-    g = np.exp(-(dy0**2 + dy1**2) / (2 * delta**2)) / (2 * math.pi * delta**2)
-    integrand = np.where(g > 0, f * f / np.maximum(g, 1e-300), 0.0)
-    w0 = np.full(nodes, h0)
-    w0[0] = w0[-1] = h0 / 2
-    w1 = np.full(nodes, h1)
-    w1[0] = w1[-1] = h1 / 2
+    qg = ((g0 - y[0]) ** 2 + (g1 - y[1]) ** 2) / delta**2
+    # f^2/g in log space: f and g alone underflow far from x and y
+    integrand = np.exp(qg / 2 - qf) / (2 * math.pi * delta**2 * det)
+    w0 = trapezoid_weights(nodes, c0[1] - c0[0])
+    w1 = trapezoid_weights(nodes, c1[1] - c1[0])
     return float(w0 @ integrand @ w1) - 1.0
 
 
@@ -524,8 +502,10 @@ def de_bruijn_rate(c: float, d: float, n: int) -> float:
 
 def de_bruijn_rate_quad(c: float, d: float, n: int) -> float:
     """The same integral by adaptive quadrature, for cross-checking."""
+    from scipy.integrate import quad
+
     _validate_rate_args(c, d, n)
-    val, _ = _scipy_quad(lambda t: 1.0 / ((1.0 + t) * (1.0 + (n - 1) * (c + t * d))), 0.0, np.inf)
+    val, _ = quad(lambda t: 1.0 / ((1.0 + t) * (1.0 + (n - 1) * (c + t * d))), 0.0, np.inf)
     return float(val)
 
 

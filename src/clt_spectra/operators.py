@@ -77,13 +77,6 @@ class ConditionalKernel:
     row_sum_err: float
     masked_mass: float
 
-    def tau(self) -> NDArray[np.float64]:
-        """Materialize the kernel ratio (0 on masked columns)."""
-        vs = self.total.values
-        out = np.zeros_like(self.table)
-        out[:, self.live_cols] = self.table[:, self.live_cols] / vs[self.live_cols]
-        return out
-
 
 @dataclass
 class SpectrumResult:

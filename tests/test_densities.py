@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import fft, signal, stats
 
+from clt_spectra import densities
 from clt_spectra import (
     DistributionSpec,
     FisherUnavailableError,
@@ -106,6 +107,44 @@ def test_convolution_adds_gamma_shapes():
     # sum of three centered gamma(4) variables is a centered gamma(12)
     ref = stats.gamma.pdf(d3.nodes + 12.0, a=12.0)
     np.testing.assert_allclose(d3.values, ref, atol=2e-6)
+
+
+def test_fft_length_matches_scipy_next_fast_len():
+    sizes = list(range(1, 4097))
+    sizes += np.random.default_rng(0).integers(4097, densities.MAX_GRID_NODES + 1, 2000).tolist()
+    sizes.append(densities.MAX_GRID_NODES)
+    got = [densities._fft_length(n) for n in sizes]
+    want = [fft.next_fast_len(n, real=True) for n in sizes]
+    assert got == want
+
+
+@pytest.mark.parametrize("na,nb", [(3, 5), (512, 73), (1024, 1024), (2047, 1024), (4096, 4096)])
+def test_fft_convolve_matches_scipy_fftconvolve(na, nb):
+    rng = np.random.default_rng(na * nb)
+    a, b = rng.random(na), rng.random(nb)
+    ref = signal.fftconvolve(a, b)
+    got = densities._fft_convolve(a, b)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-15 * ref.max()
+
+
+@pytest.mark.parametrize("spec", [DistributionSpec.gamma(4.0), DistributionSpec.gaussian(1.0)])
+def test_convolve_matches_scipy_fftconvolve(spec, monkeypatch):
+    d = build_density(spec, GridConfig(node_count=1024))
+    ours = convolve_self(d, 3)
+    reg = gaussian_regularize(d, 0.5)
+    monkeypatch.setattr(densities, "_fft_convolve", signal.fftconvolve)
+    ref = convolve_self(d, 3)
+    ref_reg = gaussian_regularize(d, 0.5)
+    assert np.abs(ours.values - ref.values).max() <= 1e-15 * ref.values.max()
+    assert np.abs(reg.values - ref_reg.values).max() <= 1e-15 * ref_reg.values.max()
+
+
+def test_trapezoid_weights():
+    w = densities.trapezoid_weights(5, 0.5)
+    assert w.tolist() == [0.25, 0.5, 0.5, 0.5, 0.25]
+    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=64))
+    assert np.array_equal(d.weights(), densities.trapezoid_weights(64, d.step))
 
 
 def test_score_gaussian_is_linear():

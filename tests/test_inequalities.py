@@ -139,13 +139,29 @@ def test_chi2_closed_special_points():
     assert abs(gauss_chi2_closed((1, 1), (0, 0), 0.5, 1.0) - want) <= 1e-9
 
 
-def test_chi2_closed_vs_quadrature_random():
-    rng = np.random.default_rng(42)
+def _chi2_draws(seed: int):
+    """The 20 (x, y, rho, delta) draws verify_all's chi2 battery makes at seed."""
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, 2)
         y = rng.uniform(-1.0, 1.0, 2)
         rho = float(rng.uniform(-0.6, 0.6))
         delta = float(rng.uniform(0.8, 1.5))
+        yield x, y, rho, delta
+
+
+def test_chi2_closed_vs_quadrature_random():
+    for x, y, rho, delta in _chi2_draws(42):
+        closed = gauss_chi2_closed(x, y, rho, delta)
+        quadv = gauss_chi2_quad(x, y, rho, delta)
+        assert abs(closed - quadv) <= 1e-6 * max(1.0, abs(closed))
+
+
+# Seeds at which a window around x and y (rather than around the mass of
+# f^2/g) cut off the integrand and failed verify_all's 1e-6 tolerance.
+@pytest.mark.parametrize("seed", [6, 13, 59, 106, 109, 112, 114, 115, 116, 118, 120, 2122847536])
+def test_chi2_quadrature_window_holds_the_mass(seed):
+    for x, y, rho, delta in _chi2_draws(seed):
         closed = gauss_chi2_closed(x, y, rho, delta)
         quadv = gauss_chi2_quad(x, y, rho, delta)
         assert abs(closed - quadv) <= 1e-6 * max(1.0, abs(closed))

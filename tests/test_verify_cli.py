@@ -1,6 +1,10 @@
 """Report plumbing, the battery entry points, and the CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,14 @@ def test_cli_thread_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("CLT_SPECTRA_THREADS", "1")
     assert run(["closed-form"]) == 0
     capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, clt_spectra, clt_spectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_all_includes_control():
