@@ -277,7 +277,7 @@ def _cmd_bounds(cfg: RunConfig) -> int:
     spec = cfg.spec
     reports = family_battery(spec, cfg.grid, n_max=cfg.n_max, seed=cfg.seed)
     if cfg.delta is not None:
-        res = subgauss_chi2_bound(spec, cfg.delta, max(cfg.n, 2), seed=cfg.seed)
+        res = subgauss_chi2_bound(spec, cfg.delta, max(cfg.n, 2))
         reports.append(
             make_report(
                 "subgauss-chi2-ceiling",
@@ -424,7 +424,7 @@ def run(argv: list[str]) -> int:
     try:
         cfg = _config_from_args(args)
         return _HANDLERS[cfg.subcommand](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

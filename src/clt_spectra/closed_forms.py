@@ -115,7 +115,9 @@ class PolyFamily:
         support for the polynomial degrees involved, so residuals reflect the
         recurrence and normalization, not truncation.
         """
-        t, w = np.polynomial.legendre.leggauss(nodes)
+        from scipy.special import roots_legendre
+
+        t, w = roots_legendre(nodes)
         if self.kind == "hermite":
             half = 12.0 * math.sqrt(self.alpha) + 2.0 * kmax
             x = t * half

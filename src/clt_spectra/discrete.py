@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec
-from .operators import SpectrumResult, ThetaResult, classify_trivial, theta_from_spectrum
+from .operators import SpectrumResult, ThetaResult, _eigensystem, theta_from_spectrum
 
 __all__ = [
     "DiscretePMF",
@@ -158,43 +158,8 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1, top: int = 8) -> SpectrumResult:
     """Eigen-decomposition of the exact C*C on the S_m support."""
     op = exact_operator(p, n, m)
-    S = op.B @ op.B.T
-    S = 0.5 * (S + S.T)
-    lam, phi = np.linalg.eigh(S)
-    lam = lam[::-1]
-    phi = np.ascontiguousarray(phi[:, ::-1])
-    clamp = max(0.0, float(-lam.min()), float(lam.max() - 1.0))
-    lam = np.clip(lam, 0.0, 1.0)
-
     ay, qy = op.summand.arrays()
-    mu = float(qy @ ay)
-    e_const = np.sqrt(qy)
-    e_const /= np.linalg.norm(e_const)
-    if len(ay) >= 2:
-        e_lin = np.sqrt(qy) * (ay - mu)
-        e_lin /= np.linalg.norm(e_lin)
-        i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e_const, e_lin)
-    else:
-        i_const = max(range(len(lam)), key=lambda k: abs(float(phi[:, k] @ e_const)))
-        c_corr = abs(float(phi[:, i_const] @ e_const))
-        i_lin, l_corr = i_const, 0.0
-        if c_corr < 0.99:
-            raise ValueError(f"trivial-mode classification failed (const {c_corr:.4f})")
-
-    top = min(top, len(lam))
-    funcs = (phi[:, :top] / np.sqrt(qy)[:, None]).T
-    return SpectrumResult(
-        eigenvalues=lam,
-        singular_values=np.sqrt(lam),
-        eigenfunctions=funcs,
-        y_nodes=ay,
-        trivial_indices=(i_const, i_lin),
-        const_corr=c_corr,
-        lin_corr=l_corr,
-        clamp_magnitude=clamp,
-        n=n,
-        m=m,
-    )
+    return _eigensystem(op, qy, ay, top)
 
 
 def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:

@@ -53,6 +53,10 @@ _PROVENANCE = ("measured", "closed-form", "moment-formula")
 # quadrature window above which the integrand is treated as divergent.
 SUBGAUSS_GROWTH_TOL = 1e-3
 
+# theta measured on an exactly degenerate spectrum (a pmf whose pairwise sums
+# never collide has lambda_2 = m/n, theta = 0) can land a few ulps below 0.
+THETA_ROUNDOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -261,11 +265,15 @@ def theta_lower_from_poincare(theta2: float, fisher_info: float, poincare_const:
 
 
 def chain_lower(theta2: float, n: int, m: int) -> float:
-    """Lower bound (1+(n-1) theta2)/(1+(m-1) theta2) - 1 on the (n, m) gap statistic."""
+    """Lower bound (1+(n-1) theta2)/(1+(m-1) theta2) - 1 on the (n, m) gap statistic.
+
+    A theta2 within THETA_ROUNDOFF below 0 is read as 0.
+    """
     if not n > m >= 2:
         raise ValueError(f"need n > m >= 2, got (n, m) = ({n}, {m})")
-    if theta2 < 0:
+    if theta2 < -THETA_ROUNDOFF:
         raise ValueError("theta2 must be nonnegative")
+    theta2 = max(theta2, 0.0)
     return (1.0 + (n - 1) * theta2) / (1.0 + (m - 1) * theta2) - 1.0
 
 
@@ -314,8 +322,7 @@ class SubgaussResult:
     """Regularized chi-square ceiling n/(n-1) E exp((X-X')^2 / ((n-1) delta^2)).
 
     divergent means the pair expectation kept growing when the quadrature
-    window was widened (or the Monte Carlo estimate failed its split-half
-    stability check): the reported value is then window-dependent and only
+    window was widened: the reported value is then window-dependent and only
     the flag is meaningful.
     """
 
@@ -324,7 +331,7 @@ class SubgaussResult:
     t: float
     divergent: bool
     growth: float
-    method: str
+    method: str = "quadrature"
 
 
 def _pair_expectation(d: GridDensity, t: float) -> float:
@@ -335,18 +342,10 @@ def _pair_expectation(d: GridDensity, t: float) -> float:
         return float(wv @ e @ wv)
 
 
-def subgauss_chi2_bound(
-    spec: DistributionSpec,
-    delta: float,
-    n: int,
-    method: str = "quadrature",
-    nodes: int = 2048,
-    seed: int = 42,
-    samples: int = 200_000,
-) -> SubgaussResult:
+def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int, nodes: int = 2048) -> SubgaussResult:
     """Chi-square bound for the delta-regularized n-fold sum of the law spec.
 
-    t = 1/((n-1) delta^2). Quadrature evaluates the double integral on the
+    t = 1/((n-1) delta^2). The double integral is evaluated on the
     law's standard window and again on a 1.5x wider window; relative growth
     beyond SUBGAUSS_GROWTH_TOL flags divergence (for a Gaussian summand this
     trips exactly when 1 - 4 t sigma^2 <= 0). Bounded laws (discrete atoms,
@@ -360,69 +359,24 @@ def subgauss_chi2_bound(
     t = 1.0 / ((n - 1) * delta * delta)
     prefactor = n / (n - 1.0)
 
-    if method == "quadrature":
-        if spec.family == "discrete":
-            atoms = np.asarray(spec.params["atoms"], dtype=float)
-            probs = np.asarray(spec.params["probs"], dtype=float)
-            probs = probs / probs.sum()
-            e = float(probs @ np.exp(t * (atoms[:, None] - atoms[None, :]) ** 2) @ probs)
-            return SubgaussResult(prefactor * e, e, t, False, 0.0, method)
-        if spec.family == "file":
-            d = build_density(spec, GridConfig(node_count=nodes))
-            e = _pair_expectation(d, t)
-            return SubgaussResult(prefactor * e, e, t, False, 0.0, method)
-        base = build_density(spec, GridConfig(node_count=nodes, half_width_sigmas=12.0))
-        wide = build_density(spec, GridConfig(node_count=int(nodes * 1.5), half_width_sigmas=18.0))
-        e_base = _pair_expectation(base, t)
-        e_wide = _pair_expectation(wide, t)
-        if not math.isfinite(e_base) or not math.isfinite(e_wide):
-            return SubgaussResult(math.inf, math.inf, t, True, math.inf, method)
-        growth = e_wide / e_base - 1.0
-        return SubgaussResult(prefactor * e_base, e_base, t, growth > SUBGAUSS_GROWTH_TOL, growth, method)
-
-    if method == "mc":
-        rng = np.random.default_rng(seed)
-        xs = _sample_spec(spec, rng, samples)
-        ys = _sample_spec(spec, rng, samples)
-        with np.errstate(over="ignore"):
-            vals = np.exp(t * (xs - ys) ** 2)
-        half = float(vals[: samples // 2].mean())
-        full = float(vals.mean())
-        if not math.isfinite(full):
-            return SubgaussResult(math.inf, math.inf, t, True, math.inf, method)
-        growth = abs(full / half - 1.0) if half > 0 else math.inf
-        return SubgaussResult(prefactor * full, full, t, growth > 0.5, growth, method)
-
-    raise ValueError(f"method must be 'quadrature' or 'mc', got {method!r}")
-
-
-def _sample_spec(spec: DistributionSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    p = spec.params
-    if spec.family == "gaussian":
-        return rng.normal(0.0, float(p["sigma"]), size)
-    if spec.family == "gamma":
-        x = rng.gamma(float(p["beta"]), 1.0, size)
-        return x - float(p["beta"]) if p.get("centered", True) else x
-    if spec.family == "uniform":
-        return rng.uniform(float(p["a"]), float(p["b"]), size)
     if spec.family == "discrete":
-        atoms = np.asarray(p["atoms"], dtype=float)
-        probs = np.asarray(p["probs"], dtype=float)
-        return rng.choice(atoms, size=size, p=probs / probs.sum())
-    if spec.family == "mixture":
-        comps = p["components"]
-        w = np.array([c[0] for c in comps])
-        w = w / w.sum()
-        idx = rng.choice(len(comps), size=size, p=w)
-        mus = np.array([c[1] for c in comps])[idx]
-        sigmas = np.array([c[2] for c in comps])[idx]
-        return rng.normal(mus, sigmas)
+        atoms = np.asarray(spec.params["atoms"], dtype=float)
+        probs = np.asarray(spec.params["probs"], dtype=float)
+        probs = probs / probs.sum()
+        e = float(probs @ np.exp(t * (atoms[:, None] - atoms[None, :]) ** 2) @ probs)
+        return SubgaussResult(prefactor * e, e, t, False, 0.0)
     if spec.family == "file":
-        d = build_density(spec)
-        cdf = np.cumsum(d.weights() * d.values)
-        cdf = cdf / cdf[-1]
-        return np.interp(rng.uniform(0.0, 1.0, size), cdf, d.nodes)
-    raise ValueError(f"cannot sample family {spec.family!r}")
+        d = build_density(spec, GridConfig(node_count=nodes))
+        e = _pair_expectation(d, t)
+        return SubgaussResult(prefactor * e, e, t, False, 0.0)
+    base = build_density(spec, GridConfig(node_count=nodes, half_width_sigmas=12.0))
+    wide = build_density(spec, GridConfig(node_count=int(nodes * 1.5), half_width_sigmas=18.0))
+    e_base = _pair_expectation(base, t)
+    e_wide = _pair_expectation(wide, t)
+    if not math.isfinite(e_base) or not math.isfinite(e_wide):
+        return SubgaussResult(math.inf, math.inf, t, True, math.inf)
+    growth = e_wide / e_base - 1.0
+    return SubgaussResult(prefactor * e_base, e_base, t, growth > SUBGAUSS_GROWTH_TOL, growth)
 
 
 def gauss_chi2_closed(x, y, rho: float, delta: float) -> float:

@@ -132,10 +132,10 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     ny, nt, ns = len(p_m.nodes), len(p_t.nodes), len(p_n.nodes)
     if ns != ny + nt - 1:
         raise ValueError("grid misalignment: s-grid must be the sumset of the y and partial grids")
-    # table[i, k] = p_t[k - i], a Toeplitz layout from the shared lattice
-    idx = np.arange(ns)[None, :] - np.arange(ny)[:, None]
-    ok = (idx >= 0) & (idx < nt)
-    table = np.where(ok, p_t.values[np.clip(idx, 0, nt - 1)], 0.0)
+    # table[i, k] = p_t[k - i], a Toeplitz layout from the shared lattice: row i
+    # is the length-ns window of the zero-padded p_t that starts at ny - 1 - i
+    padded = np.concatenate((np.zeros(ny - 1), p_t.values, np.zeros(ny - 1)))
+    table = np.lib.stride_tricks.sliding_window_view(padded, ns)[::-1].copy()
 
     wy = p_m.weights()
     ws = p_n.weights()
@@ -164,7 +164,10 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
 
 
 def gram_matrix(kernel: ConditionalKernel) -> NDArray[np.float64]:
-    """Symmetrized discretization of C*C (similar transform, same spectrum)."""
+    """Symmetrized discretization of C*C (similar transform, same spectrum).
+
+    Reads only the factor ``B``, so an exact operator serves as well.
+    """
     S = kernel.B @ kernel.B.T
     return 0.5 * (S + S.T)
 
@@ -215,47 +218,63 @@ def classify_trivial(
     return i_const, i_lin, c_corr, l_corr
 
 
-def spectrum(kernel: ConditionalKernel, top: int = 8) -> SpectrumResult:
-    """Dense eigensolve of the Gram matrix with trivial-mode classification.
+def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int) -> SpectrumResult:
+    """Dense eigensolve of ``gram_matrix(op)`` with trivial-mode classification.
 
-    Eigenvalues are clamped to [0, 1] (clamp magnitude reported). The top
-    ``top`` eigenvectors are mapped back to eigenfunction values on the y-grid
-    through the inverse weight transform; they are orthonormal under
-    sum w_i p_m(y_i) f(y_i) g(y_i).
+    ``op`` is any operator carrying the symmetrizing factor ``B`` and its
+    ``n``, ``m`` (the grid kernel or the exact operator); ``mass`` is the quadrature mass of the S_m
+    law at ``nodes``. Eigenvalues are clamped to [0, 1] (clamp magnitude
+    reported). The top ``top`` eigenvectors are mapped back to eigenfunction
+    values at ``nodes`` through the inverse weight transform; they are
+    orthonormal under sum mass_i f(y_i) g(y_i). A single support point has no
+    linear mode: only the constant is classified and lin_corr is 0.
     """
-    S = gram_matrix(kernel)
+    S = gram_matrix(op)
     lam, phi = np.linalg.eigh(S)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     clamp = max(0.0, float(-lam.min()), float(lam.max() - 1.0))
     lam = np.clip(lam, 0.0, 1.0)
 
-    p_m = kernel.summand
-    wvec = p_m.weights() * p_m.values
-    mu = float(wvec @ p_m.nodes)
-    e_const = np.sqrt(wvec)
+    mu = float(mass @ nodes)
+    e_const = np.sqrt(mass)
     e_const /= np.linalg.norm(e_const)
-    e_lin = np.sqrt(wvec) * (p_m.nodes - mu)
-    e_lin /= np.linalg.norm(e_lin)
-
-    i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e_const, e_lin)
+    if len(nodes) >= 2:
+        e_lin = np.sqrt(mass) * (nodes - mu)
+        e_lin /= np.linalg.norm(e_lin)
+        i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e_const, e_lin)
+    else:
+        i_const = max(range(len(lam)), key=lambda k: abs(float(phi[:, k] @ e_const)))
+        c_corr = abs(float(phi[:, i_const] @ e_const))
+        i_lin, l_corr = i_const, 0.0
+        if c_corr < TRIVIAL_CORR_MIN:
+            raise ValueError(f"trivial-mode classification failed (const {c_corr:.4f})")
 
     top = min(top, len(lam))
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(wvec > 0, 1.0 / np.sqrt(np.where(wvec > 0, wvec, 1.0)), 0.0)
+        inv = np.where(mass > 0, 1.0 / np.sqrt(np.where(mass > 0, mass, 1.0)), 0.0)
     funcs = (phi[:, :top] * inv[:, None]).T
     return SpectrumResult(
         eigenvalues=lam,
         singular_values=np.sqrt(lam),
         eigenfunctions=funcs,
-        y_nodes=p_m.nodes,
+        y_nodes=nodes,
         trivial_indices=(i_const, i_lin),
         const_corr=c_corr,
         lin_corr=l_corr,
         clamp_magnitude=clamp,
-        n=kernel.n,
-        m=kernel.m,
+        n=op.n,
+        m=op.m,
     )
+
+
+def spectrum(kernel: ConditionalKernel, top: int = 8) -> SpectrumResult:
+    """Dense eigensolve of the Gram matrix with trivial-mode classification.
+
+    Eigenfunctions are orthonormal under sum w_i p_m(y_i) f(y_i) g(y_i).
+    """
+    p_m = kernel.summand
+    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, top)
 
 
 def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = None) -> ThetaResult:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clt_spectra import (
     DiscretePMF,
+    chain_lower,
     component_cross_moment,
     convolve_pmf,
     efron_stein,
@@ -153,3 +156,47 @@ def test_projection_equality_quadratic():
     h = (atoms - 3 * mu) ** 2
     lhs, rhs = projection_inequality(h, UNIFORM3, 3, 2)
     assert abs(lhs - rhs) <= 1e-12
+
+
+# Random small pmfs, drawn like the exact-oracle benchmark's: 3-5 atoms that
+# are either distinct integers (colliding sums) or well-separated reals
+# (generic sums), weights from [0.2, 1] normalised.
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+
+@st.composite
+def small_pmfs(draw):
+    d = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        ints = draw(st.lists(st.integers(0, 12), min_size=d, max_size=d, unique=True))
+        atoms = sorted(float(a) for a in ints)
+    else:
+        gaps = draw(st.lists(st.floats(0.5, 3.0), min_size=d - 1, max_size=d - 1))
+        atoms = list(np.cumsum([0.0] + gaps))
+    w = np.asarray(draw(st.lists(st.floats(0.2, 1.0), min_size=d, max_size=d)))
+    return DiscretePMF(tuple(atoms), tuple(w / w.sum()))
+
+
+@PROPERTY_SETTINGS
+@given(small_pmfs())
+def test_property_dks_eigenvalue(pmf):
+    """The mode labelled linear carries eigenvalue m/n."""
+    for n, m in [(2, 1), (3, 1), (3, 2)]:
+        sp = exact_spectrum(pmf, n, m)
+        assert abs(sp.eigenvalues[sp.trivial_indices[1]] - m / n) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(small_pmfs())
+def test_property_theta_nonnegative_and_chain(pmf):
+    thetas = {nm: exact_theta(pmf, *nm).theta for nm in [(2, 1), (3, 1), (3, 2)]}
+    assert all(th >= -1e-12 for th in thetas.values())
+    assert chain_lower(thetas[(2, 1)], 3, 2) <= thetas[(3, 2)] + 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(small_pmfs())
+def test_property_variance_identity(pmf):
+    for k in (2, 3):
+        dec = efron_stein(_poly_h(pmf, k), pmf, k)
+        assert abs(dec.identity_residual) <= 1e-12

@@ -56,6 +56,13 @@ def test_chain_lower_values():
         chain_lower(1.0, 2, 2)
 
 
+def test_chain_lower_reads_roundoff_as_zero():
+    """A Sidon pmf's exact theta2 = 0 can come out a few ulps negative."""
+    assert chain_lower(-2e-16, 3, 2) == 0.0
+    with pytest.raises(ValueError):
+        chain_lower(-1e-6, 3, 2)
+
+
 def test_theta_sigma_ceiling():
     r = theta_upper_from_sigma(1.0, 2.0, n=2)
     assert r.rhs == 1.0 and r.passed

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import clt_spectra.cli
 import clt_spectra.verify
 from clt_spectra import make_report
 from clt_spectra.cli import run
@@ -73,6 +74,15 @@ def test_cli_theta_inf_sentinel(capsys):
     assert json.loads(captured.out)["theta"] == "inf"
 
 
+def test_cli_theta_single_atom(capsys):
+    """A point mass has only the constant mode: no linear mode to classify."""
+    assert run(["theta", "--exact", "--spec", "discrete:0=1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["theta"] == "inf"
+    assert doc["trivial_indices"] == [0, 0]
+    assert doc["diagnostics"]["lin_corr"] == 0.0
+
+
 def test_cli_spectrum_csv(capsys):
     assert run(["spectrum", "--spec", "discrete:0=0.25,1=0.5,2=0.25", "--exact", "--format", "csv"]) == 0
     head = capsys.readouterr().out.split("\n", 1)[0]
@@ -104,6 +114,16 @@ def test_cli_error_exit_codes(capsys):
     assert run(["theta", "--frobnicate"]) == 1
     assert run(["efron-stein", "--spec", "gaussian:sigma=1"]) == 1
     capsys.readouterr()
+
+
+def test_cli_memory_error_exits_1(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError("cannot allocate the dense kernel")
+
+    monkeypatch.setitem(clt_spectra.cli._HANDLERS, "closed-form", exhausted)
+    assert run(["closed-form"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dense kernel" in err
 
 
 def test_cli_bounds_exit_2_on_violation(monkeypatch, capsys):
