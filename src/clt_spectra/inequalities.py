@@ -24,6 +24,7 @@ from .densities import (
     jst,
     trapezoid_weights,
 )
+from .operators import THETA_ROUNDOFF
 
 __all__ = [
     "BoundReport",
@@ -52,10 +53,6 @@ _PROVENANCE = ("measured", "closed-form", "moment-formula")
 # Relative growth of the pair expectation between the base and the widened
 # quadrature window above which the integrand is treated as divergent.
 SUBGAUSS_GROWTH_TOL = 1e-3
-
-# theta measured on an exactly degenerate spectrum (a pmf whose pairwise sums
-# never collide has lambda_2 = m/n, theta = 0) can land a few ulps below 0.
-THETA_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)

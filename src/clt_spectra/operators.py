@@ -57,6 +57,10 @@ TRIVIAL_CORR_MIN = 0.99
 # genuinely distinct neighboring modes sit orders of magnitude further apart.
 CLUSTER_TOL = 1e-8
 
+# theta measured on an exactly degenerate spectrum (a pmf whose pairwise sums
+# never collide has lambda_2 = m/n, theta = 0) can land a few ulps below 0.
+THETA_ROUNDOFF = 1e-12
+
 
 @dataclass
 class ConditionalKernel:
@@ -115,6 +119,24 @@ class TraceResult:
     lower_bound_only: bool
 
 
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _hull(mask: NDArray[np.bool_]) -> slice:
+    """The shortest slice that holds every True entry of ``mask``."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0)
+
+
 def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None = None) -> ConditionalKernel:
     """Assemble the kernel for the m-fold vs n-fold sums of ``base``.
 
@@ -132,6 +154,15 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     ny, nt, ns = len(p_m.nodes), len(p_t.nodes), len(p_n.nodes)
     if ns != ny + nt - 1:
         raise ValueError("grid misalignment: s-grid must be the sumset of the y and partial grids")
+    # table and B, then the Gram matrix of the support block and eigh's copies
+    rows = _hull(p_m.values > 0)
+    h = rows.stop - rows.start
+    need, avail = 8 * (2 * ny * ns + 3 * h * h), _available_bytes()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"grid too large for memory: (n, m) = ({n}, {m}) on {ny} x {ns} nodes needs about "
+            f"{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; use fewer grid nodes (--nodes)"
+        )
     # table[i, k] = p_t[k - i], a Toeplitz layout from the shared lattice: row i
     # is the length-ns window of the zero-padded p_t that starts at ny - 1 - i
     padded = np.concatenate((np.zeros(ny - 1), p_t.values, np.zeros(ny - 1)))
@@ -163,13 +194,17 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     )
 
 
-def gram_matrix(kernel: ConditionalKernel) -> NDArray[np.float64]:
+def gram_matrix(kernel: ConditionalKernel | NDArray[np.float64]) -> NDArray[np.float64]:
     """Symmetrized discretization of C*C (similar transform, same spectrum).
 
-    Reads only the factor ``B``, so an exact operator serves as well.
+    Reads only the factor ``B``, so an exact operator serves as well; a bare
+    array is taken as the factor itself (the spectrum passes a block view).
     """
-    S = kernel.B @ kernel.B.T
-    return 0.5 * (S + S.T)
+    B = kernel if isinstance(kernel, np.ndarray) else kernel.B
+    S = B @ B.T
+    S += S.T
+    S *= 0.5
+    return S
 
 
 def classify_trivial(
@@ -223,24 +258,30 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
 
     ``op`` is any operator carrying the symmetrizing factor ``B`` and its
     ``n``, ``m`` (the grid kernel or the exact operator); ``mass`` is the quadrature mass of the S_m
-    law at ``nodes``. Eigenvalues are clamped to [0, 1] (clamp magnitude
-    reported). The top ``top`` eigenvectors are mapped back to eigenfunction
-    values at ``nodes`` through the inverse weight transform; they are
-    orthonormal under sum mass_i f(y_i) g(y_i). A single support point has no
-    linear mode: only the constant is classified and lin_corr is 0.
+    law at ``nodes``. A row of ``B`` with zero mass is zero, hence an exact
+    null mode, so only the support block is solved: the rows spanning
+    ``mass > 0`` and the columns those rows touch. One zero eigenvalue per
+    row outside the block goes at the tail and the eigenvectors are 0 on
+    those rows, so the result is that of the full matrix. Eigenvalues are clamped
+    to [0, 1] (clamp magnitude reported). The top ``top`` eigenvectors are
+    mapped back to eigenfunction values at ``nodes`` through the inverse
+    weight transform; they are orthonormal under sum mass_i f(y_i) g(y_i). A
+    single support point has no linear mode: only the constant is classified
+    and lin_corr is 0.
     """
-    S = gram_matrix(op)
-    lam, phi = np.linalg.eigh(S)
+    rows = _hull(mass > 0)
+    lam, phi = np.linalg.eigh(gram_matrix(op.B[rows, _hull(op.B[rows].any(axis=0))]))
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     clamp = max(0.0, float(-lam.min()), float(lam.max() - 1.0))
     lam = np.clip(lam, 0.0, 1.0)
+    mass, sub_nodes = mass[rows], nodes[rows]
 
-    mu = float(mass @ nodes)
+    mu = float(mass @ sub_nodes)
     e_const = np.sqrt(mass)
     e_const /= np.linalg.norm(e_const)
-    if len(nodes) >= 2:
-        e_lin = np.sqrt(mass) * (nodes - mu)
+    if np.count_nonzero(mass) >= 2:
+        e_lin = np.sqrt(mass) * (sub_nodes - mu)
         e_lin /= np.linalg.norm(e_lin)
         i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e_const, e_lin)
     else:
@@ -250,10 +291,12 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
         if c_corr < TRIVIAL_CORR_MIN:
             raise ValueError(f"trivial-mode classification failed (const {c_corr:.4f})")
 
-    top = min(top, len(lam))
+    top = min(top, len(nodes))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(mass > 0, 1.0 / np.sqrt(np.where(mass > 0, mass, 1.0)), 0.0)
-    funcs = (phi[:, :top] * inv[:, None]).T
+    funcs = np.zeros((top, len(nodes)))
+    funcs[: len(lam), rows] = (phi[:, :top] * inv[:, None]).T
+    lam = np.concatenate((lam, np.zeros(len(nodes) - len(lam))))
     return SpectrumResult(
         eigenvalues=lam,
         singular_values=np.sqrt(lam),
@@ -278,7 +321,11 @@ def spectrum(kernel: ConditionalKernel, top: int = 8) -> SpectrumResult:
 
 
 def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = None) -> ThetaResult:
-    """Extract theta after removing the constant and linear modes by label, not rank."""
+    """Extract theta after removing the constant and linear modes by label, not rank.
+
+    A theta within THETA_ROUNDOFF below 0 is read as 0; one further below is
+    reported as it is.
+    """
     skip = set(spec.trivial_indices)
     rest = [k for k in range(len(spec.eigenvalues)) if k not in skip]
     lam2 = float(spec.eigenvalues[rest[0]]) if rest else 0.0
@@ -286,6 +333,8 @@ def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = N
         th = math.inf
     else:
         th = spec.m / (spec.n * lam2) - 1.0
+        if -THETA_ROUNDOFF <= th < 0.0:
+            th = 0.0
     diag = {
         "lambda_head": [float(v) for v in spec.eigenvalues[: min(8, len(spec.eigenvalues))]],
         "const_corr": spec.const_corr,

@@ -16,7 +16,8 @@ from clt_spectra import (
     theta_from_spectrum,
     trace_T,
 )
-from clt_spectra.operators import classify_trivial
+from clt_spectra import operators
+from clt_spectra.operators import SpectrumResult, classify_trivial
 
 CFG = GridConfig(node_count=1024)
 
@@ -156,3 +157,67 @@ def test_kernel_row_sums():
     kern = _gaussian_kernel()
     assert kern.row_sum_err <= 1e-6
     assert kern.masked_mass <= 1e-8
+
+
+BLOCK_CASES = [
+    (DistributionSpec.gamma(4.0), 2, 1),
+    (DistributionSpec.gaussian(1.0), 3, 2),
+    (DistributionSpec.gaussian(1.0), 4, 3),
+]
+
+
+@pytest.mark.parametrize("spec,n,m", BLOCK_CASES, ids=["gamma-2-1", "gaussian-3-2", "gaussian-4-3"])
+def test_support_block_solve_matches_full_eigh(spec, n, m):
+    """Solving only the support block of the S_m mass gives the full matrix's answer."""
+    cfg = GridConfig(node_count=512)
+    kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+    mass = kern.summand.weights() * kern.summand.values
+    ny = len(mass)
+    assert (mass == 0).sum() > 0  # the case has zero-mass rows to deflate
+    sp = spectrum(kern)
+
+    lam, phi = np.linalg.eigh(gram_matrix(kern))
+    lam, phi = np.clip(lam[::-1], 0.0, 1.0), phi[:, ::-1]
+    assert len(sp.eigenvalues) == ny
+    assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
+
+    e_const = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass))
+    e_lin = np.sqrt(mass) * (kern.summand.nodes - mass @ kern.summand.nodes)
+    e_lin /= np.linalg.norm(e_lin)
+    assert classify_trivial(lam, phi, e_const, e_lin)[:2] == sp.trivial_indices
+
+    top = len(sp.eigenfunctions)
+    full = phi[:, :top].T  # eigenvectors in the symmetrized basis
+    block = sp.eigenfunctions * np.sqrt(mass)
+    for k in range(top):
+        sign = np.sign(full[k] @ block[k])
+        assert np.linalg.norm(block[k] - sign * full[k]) <= 1e-12
+
+    # Lidskii: the eigenvalue sum is the trace, up to what the clamp to [0, 1]
+    # moved (2.4e-10 at gamma (2, 1), where lambda_0 comes out above 1)
+    assert abs(sp.eigenvalues.sum() - lam.sum()) <= 1e-12
+    assert abs(trace_T(kern).value - sp.eigenvalues.sum()) <= sp.clamp_magnitude + 1e-12
+
+
+def test_build_kernel_refuses_grid_larger_than_memory(monkeypatch):
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 1 << 20)
+    d = build_density(DistributionSpec.gaussian(1.0), CFG)
+    with pytest.raises(ValueError, match="too large for memory"):
+        build_kernel(d, 2, 1, CFG)
+
+
+def test_theta_roundoff_below_zero_reads_as_zero():
+    """A theta a few ulps below 0 is 0; one visibly below 0 is reported as it is."""
+
+    def theta_at(lam2):
+        lam = np.array([1.0, lam2, 0.5]) if lam2 > 0.5 else np.array([1.0, 0.5, lam2])
+        sp = SpectrumResult(
+            eigenvalues=lam, singular_values=np.sqrt(lam), eigenfunctions=np.eye(3), y_nodes=np.arange(3.0),
+            trivial_indices=(0, 2) if lam2 > 0.5 else (0, 1), const_corr=1.0, lin_corr=1.0,
+            clamp_magnitude=0.0, n=2, m=1,
+        )
+        return theta_from_spectrum(sp).theta
+
+    assert theta_at(0.5 + 2e-16) == 0.0
+    assert theta_at(0.5 + 1e-6) == pytest.approx(-2e-6, rel=1e-5)
+    assert theta_at(0.25) == 1.0

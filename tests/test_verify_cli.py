@@ -83,6 +83,19 @@ def test_cli_theta_single_atom(capsys):
     assert doc["diagnostics"]["lin_corr"] == 0.0
 
 
+def test_cli_theta_exact_degenerate_is_zero(capsys):
+    """Atoms 0, 1, 3 never collide pairwise: lambda_2 = m/n exactly and theta is 0, not -4e-16."""
+    assert run(["theta", "--exact", "--spec", "discrete:0=0.5,1=0.25,3=0.25"]) == 0
+    assert json.loads(capsys.readouterr().out)["theta"] == 0.0
+
+
+def test_cli_grid_too_large_for_memory_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(clt_spectra.operators, "_available_bytes", lambda: 1 << 20)
+    assert run(["theta", "--spec", "gaussian:sigma=1", "--nodes", "512"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large for memory" in err
+
+
 def test_cli_spectrum_csv(capsys):
     assert run(["spectrum", "--spec", "discrete:0=0.25,1=0.5,2=0.25", "--exact", "--format", "csv"]) == 0
     head = capsys.readouterr().out.split("\n", 1)[0]
