@@ -8,6 +8,7 @@ grid pipeline is tested against these values.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "laguerre_value",
     "hermite_lambda",
     "laguerre_lambda",
+    "laguerre_lambda_sum",
     "closed_theta",
     "gamma_jst",
     "addition_check_hermite",
@@ -115,9 +117,7 @@ class PolyFamily:
         support for the polynomial degrees involved, so residuals reflect the
         recurrence and normalization, not truncation.
         """
-        from scipy.special import roots_legendre
-
-        t, w = roots_legendre(nodes)
+        t, w = _legendre_rule(nodes)
         if self.kind == "hermite":
             half = 12.0 * math.sqrt(self.alpha) + 2.0 * kmax
             x = t * half
@@ -130,6 +130,20 @@ class PolyFamily:
         vals = np.stack([self.orthonormal_value(k, x) for k in range(kmax + 1)])
         gram = (vals * pw * w) @ vals.T
         return float(np.abs(gram - np.eye(kmax + 1)).max())
+
+
+@functools.lru_cache(maxsize=4)
+def _legendre_rule(nodes: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size.
+
+    The arrays are shared by every caller, so they are made read-only.
+    """
+    from scipy.special import roots_legendre
+
+    t, w = roots_legendre(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def hermite_lambda(n: int, k: int) -> float:
@@ -147,16 +161,38 @@ def laguerre_lambda(beta: float, n: int, k: int) -> float:
     Evaluated as the product of (beta+j)/(beta*n+j) over j < k, which is the
     same ratio without large intermediate binomials.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_gamma_args(beta, n)
     if k < 0:
         raise ValueError("k must be >= 0")
     out = 1.0
     for j in range(k):
         out *= (beta + j) / (beta * n + j)
     return out
+
+
+def laguerre_lambda_sum(beta: float, n: int, terms: int) -> float:
+    """sum(laguerre_lambda(beta, n, k) for k in range(terms)), bit for bit.
+
+    Each term is the previous one times (beta+k)/(beta*n+k), the same float
+    product laguerre_lambda rebuilds from 1 for every k, so the sum costs
+    O(terms) instead of O(terms^2).
+    """
+    _check_gamma_args(beta, n)
+
+    def lambdas():
+        lam = 1.0
+        for j in range(terms):
+            yield lam
+            lam *= (beta + j) / (beta * n + j)
+
+    return sum(lambdas())
+
+
+def _check_gamma_args(beta: float, n: int) -> None:
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if n < 2:
+        raise ValueError("n must be >= 2")
 
 
 def closed_theta(family: str, params: dict | None, n: int) -> float:

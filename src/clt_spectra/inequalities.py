@@ -332,11 +332,20 @@ class SubgaussResult:
 
 
 def _pair_expectation(d: GridDensity, t: float) -> float:
+    """E exp(t (X - X')^2) on the grid of d.
+
+    On a uniform grid exp(t (x_i - x_j)^2) depends only on the lag i - j, so
+    the double sum is its 2N-1 lag values against the autocorrelation of the
+    quadrature-weighted density. The lag offsets are taken as x_k - x_0, not
+    k * step: step = x_1 - x_0 carries a rounding error relative to itself of
+    order eps |x_0| / step, which the squared lags would amplify. An
+    overflowing exponent gives a non-finite result.
+    """
     wv = d.weights() * d.values
-    x = d.nodes
-    with np.errstate(over="ignore"):
-        e = np.exp(t * (x[:, None] - x[None, :]) ** 2)
-        return float(wv @ e @ wv)
+    offsets = d.nodes - d.nodes[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(t * offsets**2)
+        return float(np.concatenate((e[:0:-1], e)) @ np.correlate(wv, wv, "full"))
 
 
 def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int, nodes: int = 2048) -> SubgaussResult:
@@ -417,16 +426,20 @@ def gauss_chi2_quad(x, y, rho: float, delta: float, nodes: int = 1200, width: fl
     half = width * delta * np.sqrt(np.diag(a_inv))
     c0 = np.linspace(centre[0] - half[0], centre[0] + half[0], nodes)
     c1 = np.linspace(centre[1] - half[1], centre[1] + half[1], nodes)
-    g0, g1 = np.meshgrid(c0, c1, indexing="ij")
-    dx0 = g0 - x[0]
-    dx1 = g1 - x[1]
-    qf = (r_inv[0, 0] * dx0**2 + 2 * r_inv[0, 1] * dx0 * dx1 + r_inv[1, 1] * dx1**2) / delta**2
-    qg = ((g0 - y[0]) ** 2 + (g1 - y[1]) ** 2) / delta**2
-    # f^2/g in log space: f and g alone underflow far from x and y
-    integrand = np.exp(qg / 2 - qf) / (2 * math.pi * delta**2 * det)
+    dx0 = c0 - x[0]
+    dx1 = c1 - x[1]
+    # f^2/g in log space (f and g alone underflow far from x and y): the
+    # exponent qg/2 - qf is a term in c0, a term in c1 and a rank-one cross term
+    d2 = delta * delta
+    e0 = ((c0 - y[0]) ** 2 / 2 - r_inv[0, 0] * dx0**2) / d2
+    e1 = ((c1 - y[1]) ** 2 / 2 - r_inv[1, 1] * dx1**2) / d2
+    expo = np.multiply.outer(dx0 * (-2 * r_inv[0, 1] / d2), dx1)
+    expo += e0[:, None]
+    expo += e1
+    np.exp(expo, out=expo)
     w0 = trapezoid_weights(nodes, c0[1] - c0[0])
     w1 = trapezoid_weights(nodes, c1[1] - c1[0])
-    return float(w0 @ integrand @ w1) - 1.0
+    return float(w0 @ expo @ w1) / (2 * math.pi * d2 * det) - 1.0
 
 
 def eigen_tail_asymptote(var_x: float, delta: float) -> float:

@@ -15,8 +15,10 @@ from clt_spectra import (
     hermite_lambda,
     hermite_value,
     laguerre_lambda,
+    laguerre_lambda_sum,
     laguerre_value,
 )
+from clt_spectra.closed_forms import _legendre_rule
 
 
 def test_hermite_matches_scipy():
@@ -39,6 +41,20 @@ def test_laguerre_matches_scipy():
 def test_orthonormality(kind, alpha):
     fam = PolyFamily(kind, alpha)
     assert fam.orthonormality_residual(kmax=8) <= 1e-8
+
+
+def test_legendre_rule_is_read_only():
+    t, w = _legendre_rule(2000)
+    assert not t.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert _legendre_rule(2000)[1] is w
+
+
+@pytest.mark.parametrize("kind,alpha", [("hermite", 1.0), ("laguerre", 3.0)])
+def test_orthonormality_residual_repeats(kind, alpha):
+    fam = PolyFamily(kind, alpha)
+    assert fam.orthonormality_residual() == fam.orthonormality_residual()
 
 
 def test_hermite_addition_random():
@@ -89,8 +105,17 @@ def test_gamma_eigenvalues_sum_to_trace():
     lambda_k = 840/((k+4)(k+5)(k+6)(k+7)), so the tail past 4000 terms is
     about 840/(3 K^3) = 4.4e-9.
     """
-    total = sum(laguerre_lambda(4.0, 2, k) for k in range(4000))
+    total = laguerre_lambda_sum(4.0, 2, 4000)
     assert abs(total - 7.0 / 3.0) <= 1e-8
+
+
+@pytest.mark.parametrize("beta", [2, 4.0, 7.5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_laguerre_lambda_sum_is_the_termwise_sum(beta, n):
+    """Bit for bit at every length, so a shifted term or count shows."""
+    terms = [laguerre_lambda(beta, n, k) for k in range(400)]
+    for count in range(len(terms) + 1):
+        assert laguerre_lambda_sum(beta, n, count) == sum(terms[:count]), count
 
 
 def test_hermite_eigenvalues_sum_to_trace():

@@ -26,6 +26,8 @@ from clt_spectra import (
     theta_moment_parts_quadrature,
     theta_upper_from_sigma,
 )
+from clt_spectra.densities import trapezoid_weights
+from clt_spectra.inequalities import _pair_expectation
 
 
 def test_make_report_orientation():
@@ -130,6 +132,32 @@ def test_subgauss_matches_closed_form(n, closed):
     assert abs(res.exp_factor - closed) / closed <= 0.01
 
 
+def _dense_pair_expectation(d, t):
+    """wv @ exp(t (x_i - x_j)^2) @ wv with the full N x N matrix."""
+    wv = d.weights() * d.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(wv @ np.exp(t * (d.nodes[:, None] - d.nodes[None, :]) ** 2) @ wv)
+
+
+@pytest.mark.parametrize(
+    "spec,half_width",
+    [(DistributionSpec.gaussian(1.0), 12.0), (DistributionSpec.gaussian(0.7), 18.0), (DistributionSpec.uniform(-1.0, 1.0), 6.0)],
+)
+def test_pair_expectation_matches_dense_sum(spec, half_width):
+    d = build_density(spec, GridConfig(node_count=301, half_width_sigmas=half_width))
+    for t in (0.05, 0.2, 0.25, 1.0 / 3.0):
+        want = _dense_pair_expectation(d, t)
+        assert math.isfinite(want)
+        assert abs(_pair_expectation(d, t) - want) <= 1e-12 * abs(want), t
+
+
+def test_pair_expectation_overflow_is_not_finite():
+    """An overflowing exponent must stay visible so that the divergence flag is set."""
+    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=301, half_width_sigmas=18.0))
+    assert not math.isfinite(_dense_pair_expectation(d, 20.0))
+    assert not math.isfinite(_pair_expectation(d, 20.0))
+
+
 def test_subgauss_discrete_always_finite():
     spec = DistributionSpec.discrete([0.0, 1.0], [0.5, 0.5])
     res = subgauss_chi2_bound(spec, 0.5, 2)
@@ -172,6 +200,42 @@ def test_chi2_quadrature_window_holds_the_mass(seed):
         closed = gauss_chi2_closed(x, y, rho, delta)
         quadv = gauss_chi2_quad(x, y, rho, delta)
         assert abs(closed - quadv) <= 1e-6 * max(1.0, abs(closed))
+
+
+def _meshgrid_chi2_quad(x, y, rho, delta, nodes=1200, width=10.0):
+    """gauss_chi2_quad with the full meshgrid exponent, kept as the reference."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r_inv = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
+    det = 1 - rho * rho
+    a_inv = np.linalg.inv(2.0 * r_inv - np.eye(2))
+    centre = a_inv @ (2.0 * r_inv @ x - y)
+    half = width * delta * np.sqrt(np.diag(a_inv))
+    c0 = np.linspace(centre[0] - half[0], centre[0] + half[0], nodes)
+    c1 = np.linspace(centre[1] - half[1], centre[1] + half[1], nodes)
+    g0, g1 = np.meshgrid(c0, c1, indexing="ij")
+    dx0 = g0 - x[0]
+    dx1 = g1 - x[1]
+    qf = (r_inv[0, 0] * dx0**2 + 2 * r_inv[0, 1] * dx0 * dx1 + r_inv[1, 1] * dx1**2) / delta**2
+    qg = ((g0 - y[0]) ** 2 + (g1 - y[1]) ** 2) / delta**2
+    integrand = np.exp(qg / 2 - qf) / (2 * math.pi * delta**2 * det)
+    w0 = trapezoid_weights(nodes, c0[1] - c0[0])
+    w1 = trapezoid_weights(nodes, c1[1] - c1[0])
+    return float(w0 @ integrand @ w1) - 1.0
+
+
+@pytest.mark.parametrize("seed", [6, 59, 106])
+def test_chi2_quadrature_matches_meshgrid_formula(seed):
+    """Relative error as the chi2 battery measures it, |q - ref| / max(|ref|, 1).
+
+    Both sides run on 600 x 600 nodes, a quarter of the default work: the
+    two forms differ only in the arithmetic at each node, not in the nodes
+    or weights.
+    """
+    for x, y, rho, delta in _chi2_draws(seed):
+        want = _meshgrid_chi2_quad(x, y, rho, delta, nodes=600)
+        got = gauss_chi2_quad(x, y, rho, delta, nodes=600)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (x, y, rho, delta)
 
 
 def test_de_bruijn_rate():
