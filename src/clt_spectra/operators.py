@@ -13,16 +13,18 @@ next eigenvalue lambda_2 defines the gap statistic
     theta = m / (n * lambda_2) - 1 >= 0.
 
 Everything is discretized on the shared lattice built by densities.convolve,
-so s - y lands exactly on a node of the S_{n-m} grid and tau is a table
-lookup. The eigenproblem is solved on the symmetrized Gram matrix
-B B^T with B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)),
-which is similar to the discretized C*C and keeps eigenvectors orthonormal in
-the weighted inner product.
+so s_k - y_i lands exactly on node k - i of the S_{n-m} grid: the kernel is
+Toeplitz, and C, C* and the trace are O(N) convolutions against p_{S_{n-m}}.
+The eigenproblem is solved on the symmetrized Gram matrix B B^T with
+B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)), which is
+similar to the discretized C*C and keeps eigenvectors orthonormal in the
+weighted inner product; B is the one dense array and is built only when read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,8 +68,10 @@ THETA_ROUNDOFF = 1e-12
 class ConditionalKernel:
     """Discretized kernel linking the S_m grid (rows) to the S_n grid (columns).
 
-    ``table[i, k]`` holds p_{S_{n-m}}(s_k - y_i); tau is ``table / p_n`` where
-    p_n is positive and 0 on masked columns.
+    Holds O(N) data only: the three laws and the factors ``dy`` = sqrt(w_y p_m)
+    and ``ds`` = sqrt(w_s / p_n), 0 on masked columns. ``table[i, k]`` =
+    p_{S_{n-m}}(s_k - y_i) is a read-only Toeplitz view over p_t, and the dense
+    factor ``B`` = dy table ds is built on first read (memory-checked) and kept.
     """
 
     summand: GridDensity  # law of S_m, the y-grid
@@ -75,11 +79,35 @@ class ConditionalKernel:
     partial: GridDensity  # law of S_{n-m}
     n: int
     m: int
-    table: NDArray[np.float64]
-    B: NDArray[np.float64]
+    dy: NDArray[np.float64]
+    ds: NDArray[np.float64]
     live_cols: NDArray[np.bool_]
     row_sum_err: float
     masked_mass: float
+
+    @property
+    def table(self) -> NDArray[np.float64]:
+        # row i is the length-ns window of the zero-padded p_t that starts at ny - 1 - i
+        pad = np.zeros(len(self.dy) - 1)
+        padded = np.concatenate((pad, self.partial.values, pad))
+        return np.lib.stride_tricks.sliding_window_view(padded, len(self.ds))[::-1]
+
+    @cached_property
+    def B(self) -> NDArray[np.float64]:
+        ny, ns = len(self.dy), len(self.ds)
+        # B, then on the h-row support block the Gram matrix, eigh's copy of it,
+        # its 2 h^2 workspace and its eigenvectors (within 5% of the peak RSS)
+        rows = _hull(self.summand.values > 0)
+        h = rows.stop - rows.start
+        need, avail = 8 * (ny * ns + 5 * h * h), _available_bytes()
+        if avail is not None and need > avail:
+            raise ValueError(
+                f"grid too large for memory: (n, m) = ({self.n}, {self.m}) on {ny} x {ns} nodes needs about "
+                f"{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; use fewer grid nodes (--nodes)"
+            )
+        B = self.dy[:, None] * self.table
+        B *= self.ds
+        return B
 
 
 @dataclass
@@ -119,16 +147,32 @@ class TraceResult:
     lower_bound_only: bool
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="ascii") as fh:
+        return fh.read()
+
+
 def _available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    """Bytes left to allocate, or None where it cannot be read.
+
+    MemAvailable from /proc/meminfo, capped by the cgroup v2 room
+    memory.max - memory.current where a limit is set.
+    """
+    avail = None
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
+        for line in _read("/proc/meminfo").splitlines():
+            if line.startswith("MemAvailable:"):
+                avail = int(line.split()[1]) * 1024
+    except (OSError, ValueError):
         pass
-    return None
+    try:
+        limit = _read("/sys/fs/cgroup/memory.max").strip()
+        if limit != "max":
+            room = int(limit) - int(_read("/sys/fs/cgroup/memory.current"))
+            avail = room if avail is None else min(avail, room)
+    except (OSError, ValueError):
+        pass
+    return avail
 
 
 def _hull(mask: NDArray[np.bool_]) -> slice:
@@ -154,29 +198,13 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     ny, nt, ns = len(p_m.nodes), len(p_t.nodes), len(p_n.nodes)
     if ns != ny + nt - 1:
         raise ValueError("grid misalignment: s-grid must be the sumset of the y and partial grids")
-    # table and B, then the Gram matrix of the support block and eigh's copies
-    rows = _hull(p_m.values > 0)
-    h = rows.stop - rows.start
-    need, avail = 8 * (2 * ny * ns + 3 * h * h), _available_bytes()
-    if avail is not None and need > avail:
-        raise ValueError(
-            f"grid too large for memory: (n, m) = ({n}, {m}) on {ny} x {ns} nodes needs about "
-            f"{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; use fewer grid nodes (--nodes)"
-        )
-    # table[i, k] = p_t[k - i], a Toeplitz layout from the shared lattice: row i
-    # is the length-ns window of the zero-padded p_t that starts at ny - 1 - i
-    padded = np.concatenate((np.zeros(ny - 1), p_t.values, np.zeros(ny - 1)))
-    table = np.lib.stride_tricks.sliding_window_view(padded, ns)[::-1].copy()
-
-    wy = p_m.weights()
     ws = p_n.weights()
     live = p_n.values > cfg.density_floor
-    inv_sqrt = np.zeros(ns)
-    inv_sqrt[live] = np.sqrt(ws[live] / p_n.values[live])
-    B = np.sqrt(wy * p_m.values)[:, None] * table * inv_sqrt[None, :]
+    ds = np.zeros(ns)
+    ds[live] = np.sqrt(ws[live] / p_n.values[live])
 
     # Row-stochasticity on rows that carry weight: sum_k ws_k p_t(s_k - y_i) = 1
-    row_sums = table @ ws
+    row_sums = np.correlate(ws, p_t.values, "valid")
     weighted_rows = p_m.values > 0
     row_sum_err = float(np.abs(row_sums[weighted_rows] - 1.0).max()) if weighted_rows.any() else 0.0
     masked_mass = float((ws * p_n.values)[~live].sum())
@@ -186,8 +214,8 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
         partial=p_t,
         n=n,
         m=m,
-        table=table,
-        B=B,
+        dy=np.sqrt(p_m.weights() * p_m.values),
+        ds=ds,
         live_cols=live,
         row_sum_err=row_sum_err,
         masked_mass=masked_mass,
@@ -358,12 +386,13 @@ def theta(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None = None, 
 
 
 def trace_T(kernel: ConditionalKernel) -> TraceResult:
-    """Quadrature trace of C*C; equals the Frobenius norm of the B factor.
+    """Quadrature trace of C*C, ||B||_F^2, summed row by row without building B.
 
     If masked columns carried visible p_n mass the quadrature undershoots and
     only a lower bound is claimed.
     """
-    value = float((kernel.B * kernel.B).sum())
+    # direct, not FFT: ds^2 spans up to 1e14 and FFT roundoff would swamp the small terms
+    value = float((kernel.dy**2 * np.correlate(kernel.ds**2, kernel.partial.values**2, "valid")).sum())
     lower_only = kernel.masked_mass > 1e-9
     return TraceResult(value=value, chi2=value - 1.0, masked_mass=kernel.masked_mass, lower_bound_only=lower_only)
 
@@ -381,7 +410,7 @@ def apply_C(kernel: ConditionalKernel, f: NDArray[np.float64] | GridFunction) ->
     if fv.shape != kernel.summand.nodes.shape:
         raise ValueError("f must be sampled on the kernel's y-grid")
     p_m = kernel.summand
-    num = (p_m.weights() * p_m.values * fv) @ kernel.table
+    num = np.convolve(p_m.weights() * p_m.values * fv, kernel.partial.values)
     out = np.zeros(len(kernel.total.nodes))
     live = kernel.live_cols
     out[live] = num[live] / kernel.total.values[live]
@@ -396,5 +425,5 @@ def apply_Cstar(kernel: ConditionalKernel, g: NDArray[np.float64] | GridFunction
         gv = np.asarray(g, dtype=float)
     if gv.shape != kernel.total.nodes.shape:
         raise ValueError("g must be sampled on the kernel's s-grid")
-    out = kernel.table @ (kernel.total.weights() * gv)
+    out = np.correlate(kernel.total.weights() * gv, kernel.partial.values, "valid")
     return GridFunction(kernel.summand.nodes, out, np.ones(len(out), dtype=bool))

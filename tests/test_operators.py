@@ -203,7 +203,95 @@ def test_build_kernel_refuses_grid_larger_than_memory(monkeypatch):
     monkeypatch.setattr(operators, "_available_bytes", lambda: 1 << 20)
     d = build_density(DistributionSpec.gaussian(1.0), CFG)
     with pytest.raises(ValueError, match="too large for memory"):
-        build_kernel(d, 2, 1, CFG)
+        build_kernel(d, 2, 1, CFG).B
+
+
+def _fake_reads(monkeypatch, files):
+    def read(path):
+        if path not in files:
+            raise OSError(path)
+        return files[path]
+
+    monkeypatch.setattr(operators, "_read", read)
+
+
+MEMINFO = "MemTotal:       8000000 kB\nMemAvailable:   4000000 kB\n"
+
+
+def test_available_bytes_takes_cgroup_limit_below_meminfo(monkeypatch):
+    _fake_reads(monkeypatch, {
+        "/proc/meminfo": MEMINFO,
+        "/sys/fs/cgroup/memory.max": "3000000000\n",
+        "/sys/fs/cgroup/memory.current": "1000000000\n",
+    })
+    assert operators._available_bytes() == 2_000_000_000
+
+
+def test_available_bytes_ignores_unlimited_cgroup(monkeypatch):
+    _fake_reads(monkeypatch, {
+        "/proc/meminfo": MEMINFO,
+        "/sys/fs/cgroup/memory.max": "max\n",
+        "/sys/fs/cgroup/memory.current": "1000000000\n",
+    })
+    assert operators._available_bytes() == 4_000_000 * 1024
+
+
+def test_available_bytes_unreadable(monkeypatch):
+    _fake_reads(monkeypatch, {"/proc/meminfo": MEMINFO})
+    assert operators._available_bytes() == 4_000_000 * 1024
+    _fake_reads(monkeypatch, {})
+    assert operators._available_bytes() is None
+
+
+CONVOLUTION_CASES = [
+    (DistributionSpec.gaussian(1.0), 2, 1),
+    (DistributionSpec.gamma(4.0), 3, 2),
+]
+
+
+@pytest.mark.parametrize("spec,n,m", CONVOLUTION_CASES, ids=["gaussian-2-1", "gamma-3-2"])
+def test_convolution_consumers_match_dense_kernel(monkeypatch, spec, n, m):
+    """trace_T, apply_C, apply_Cstar and row_sum_err agree with the dense B/table forms, without building B."""
+    cfg = GridConfig(node_count=512)
+    kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+    rng = np.random.default_rng(7)
+    f = np.polyval(rng.standard_normal(3), kern.summand.nodes / 3.0)
+    g = np.polyval(rng.standard_normal(3), kern.total.nodes / 3.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(operators, "_available_bytes", lambda: 1 << 20)
+        tr = trace_T(kern).value
+        cf = apply_C(kern, f)
+        cstar_g = apply_Cstar(kern, g)
+        row_sum_err = kern.row_sum_err
+    assert "B" not in vars(kern)
+
+    B, table = kern.B, kern.table
+    wy, ws = kern.summand.weights(), kern.total.weights()
+    live = kern.live_cols
+    ref_tr = float((B * B).sum())
+    ref_cf = np.zeros(len(ws))
+    ref_cf[live] = ((wy * kern.summand.values * f) @ table)[live] / kern.total.values[live]
+    ref_cstar_g = table @ (ws * g)
+    ref_rows = table @ ws
+    ref_row_sum_err = float(np.abs(ref_rows[kern.summand.values > 0] - 1.0).max())
+
+    assert abs(tr - ref_tr) <= 1e-12 * ref_tr
+    assert np.abs(cf.values - ref_cf).max() <= 1e-12 * np.abs(ref_cf).max()
+    assert np.array_equal(cf.valid, live)
+    assert np.abs(cstar_g.values - ref_cstar_g).max() <= 1e-12 * np.abs(ref_cstar_g).max()
+    assert abs(row_sum_err - ref_row_sum_err) <= 1e-12 * np.abs(ref_rows).max()
+
+
+def test_table_is_a_read_only_toeplitz_view():
+    kern = _gaussian_kernel()
+    table, p_t = kern.table, kern.partial.values
+    assert not table.flags.writeable
+    assert table.base is not None
+    ny, ns = len(kern.summand.nodes), len(kern.total.nodes)
+    assert table.shape == (ny, ns)
+    for i in (0, 1, ny // 2, ny - 1):
+        assert np.array_equal(table[i, i : i + len(p_t)], p_t)
+        assert not table[i, :i].any() and not table[i, i + len(p_t) :].any()
 
 
 def test_theta_roundoff_below_zero_reads_as_zero():

@@ -186,6 +186,31 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_trace_fine_grid_runs_in_linear_memory():
+    """The trace needs no N^2 kernel: 16384 nodes (a dense B of about 4 GiB) run in under 200 MB.
+
+    The child reads its peak RSS from VmHWM: Linux carries ru_maxrss over
+    fork and exec, so there it would include this test process's own peak.
+    """
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("peak RSS is read from /proc/self/status")
+    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from clt_spectra.cli import run\n"
+        "rc = run(['trace', '--spec', 'gaussian:sigma=1', '--nodes', '16384'])\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+        "print(hwm[0].split()[1], file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert abs(json.loads(out.stdout)["trace"] - 2.0) <= 1e-3
+    peak_kib = int(out.stderr.strip().splitlines()[-1])
+    assert peak_kib < 200 * 1024
+
+
 def test_verify_all_includes_control():
     reports = verify_all(n_max=2)
     names = [r.name for r in reports]
