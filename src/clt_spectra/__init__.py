@@ -6,9 +6,33 @@ built from it, standardized Fisher information along the convolution
 semigroup, and a battery of inequalities tying the two together. Closed
 Hermite/Laguerre eigenvalue families and an exact finite-support pipeline
 serve as oracles for the grid numerics.
+
+CLT_SPECTRA_THREADS=k caps the BLAS and OpenMP thread pools at k. It is read
+here, before the first numpy import, because those pools are sized when the
+libraries load; a library variable set explicitly (OPENBLAS_NUM_THREADS, ...)
+takes precedence.
 """
 
-from .closed_forms import (
+import os as _os
+import sys as _sys
+
+
+def _apply_thread_cap() -> None:
+    raw = _os.environ.get("CLT_SPECTRA_THREADS")
+    if not raw:
+        return
+    try:
+        cap = max(1, int(raw))
+    except ValueError:
+        print(f"warning: ignoring non-integer CLT_SPECTRA_THREADS={raw!r}", file=_sys.stderr)
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(var, str(cap))
+
+
+_apply_thread_cap()
+
+from .closed_forms import (  # noqa: E402  (the thread cap must precede numpy)
     PolyFamily,
     addition_check_hermite,
     addition_check_laguerre,

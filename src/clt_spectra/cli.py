@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -25,27 +24,6 @@ SUBCOMMANDS = (
     "closed-form",
     "efron-stein",
 )
-
-
-def _apply_thread_cap() -> None:
-    # CLT_SPECTRA_THREADS caps BLAS/FFT worker pools; best effort when
-    # threadpoolctl is absent (env vars only affect late-loading libraries).
-    raw = os.environ.get("CLT_SPECTRA_THREADS")
-    if not raw:
-        return
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer CLT_SPECTRA_THREADS={raw!r}", file=sys.stderr)
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(cap)
-    except Exception:
-        pass
 
 
 @dataclass(frozen=True)
@@ -414,7 +392,6 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,6 +19,8 @@ The eigenproblem is solved on the symmetrized Gram matrix B B^T with
 B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)), which is
 similar to the discretized C*C and keeps eigenvectors orthonormal in the
 weighted inner product; B is the one dense array and is built only when read.
+When a pivoted Cholesky certifies the Gram matrix as numerically low-rank
+(gaussian summands: eigenvalues (m/n)^k), only its r x r core is diagonalized.
 """
 from __future__ import annotations
 
@@ -58,6 +60,21 @@ TRIVIAL_CORR_MIN = 0.99
 # Eigenvalues closer than this are one degenerate cluster for classification;
 # genuinely distinct neighboring modes sit orders of magnitude further apart.
 CLUSTER_TOL = 1e-8
+
+# Rank probe: a pivoted Cholesky of the Gram matrix S (Harbrecht, Peters &
+# Schneider, Appl. Numer. Math. 62, 2012) stops once the diagonal of the Schur
+# complement E = S - L^T L sums to at most RANK_TRACE_TOL * trace(S), which
+# bounds every eigenvalue error (Weyl) and the eigenvalue sum by trace(E). It
+# gives up after RANK_PROBE_MAX pivots or a quarter of the block, where the
+# r x r core would no longer be much cheaper than the dense solve.
+RANK_PROBE_MAX = 128
+RANK_TRACE_TOL = 64 * np.finfo(float).eps
+
+# An eigenfunction value f(y_i) = phi_i / sqrt(mass_i) is written as 0 where
+# mass_i is below this fraction of the largest mass: there the roundoff of the
+# unit eigenvector phi, of order eps, divided by sqrt(mass_i) is at least of
+# order 1 / sqrt(max mass) and swamps values of unit size (the constant mode).
+EIGENFUNCTION_MASS_FLOOR = np.finfo(float).eps ** 2
 
 # theta measured on an exactly degenerate spectrum (a pmf whose pairwise sums
 # never collide has lambda_2 = m/n, theta = 0) can land a few ulps below 0.
@@ -248,8 +265,10 @@ def classify_trivial(
     returns an arbitrary rotation of the eigenspace and no single vector
     aligns with the linear target. Eigenvalues are therefore grouped into
     near-equal clusters and the correlation is taken against the cluster's
-    span; the reported index is the best-aligned member, the rest of the
-    cluster stays non-trivial.
+    span. The reported index is the cluster's highest index (for the linear
+    mode, the highest one the constant mode has not taken), which does not
+    depend on the rotation; the rest of the cluster stays non-trivial, so
+    theta reads the largest eigenvalue the cluster has left.
 
     ``lam`` must be descending, ``phi`` its eigenvector columns, the targets
     unit vectors in the symmetrized basis.
@@ -262,17 +281,15 @@ def classify_trivial(
 
     def pick(coef):
         best = max(clusters, key=lambda cl: float(np.sum(coef[cl] ** 2)))
-        corr = float(np.sqrt(np.sum(coef[best] ** 2)))
-        rep = max(best, key=lambda i: abs(float(coef[i])))
-        return best, rep, corr
+        return best, float(np.sqrt(np.sum(coef[best] ** 2)))
 
-    cl_const, i_const, c_corr = pick(coef_const)
-    cl_lin, i_lin, l_corr = pick(coef_lin)
-    if i_const == i_lin:
-        rest = [i for i in cl_lin if i != i_const]
-        if not rest:
-            raise ValueError("constant and linear modes collapsed onto one eigenvector")
-        i_lin = max(rest, key=lambda i: abs(float(coef_lin[i])))
+    cl_const, c_corr = pick(coef_const)
+    cl_lin, l_corr = pick(coef_lin)
+    i_const = cl_const[-1]
+    rest = [i for i in cl_lin if i != i_const]
+    if not rest:
+        raise ValueError("constant and linear modes collapsed onto one eigenvector")
+    i_lin = rest[-1]
     if c_corr < TRIVIAL_CORR_MIN or l_corr < TRIVIAL_CORR_MIN:
         raise ValueError(
             f"trivial-mode classification failed: const corr {c_corr:.4f} at {i_const}, "
@@ -281,8 +298,46 @@ def classify_trivial(
     return i_const, i_lin, c_corr, l_corr
 
 
+def _low_rank_factor(S: NDArray[np.float64]) -> NDArray[np.float64] | None:
+    """Rows of L with S = L^T L + E, trace(E) <= RANK_TRACE_TOL * trace(S), or None.
+
+    Diagonally pivoted Cholesky: each step takes the largest remaining
+    diagonal entry of the PSD Schur complement E as pivot. None when more
+    than min(RANK_PROBE_MAX, h // 4) pivots would be needed.
+    """
+    h = len(S)
+    d = S.diagonal().copy()  # diag(E)
+    tol = RANK_TRACE_TOL * d.sum()
+    L = np.empty((min(RANK_PROBE_MAX, h // 4), h))
+    for k in range(len(L)):
+        if d.sum() <= tol:
+            return L[:k]
+        p = int(np.argmax(d))
+        col = S[p] - L[:k, p] @ L[:k]
+        col /= math.sqrt(d[p])
+        L[k] = col
+        d -= col * col
+    return L if d.sum() <= tol else None
+
+
+def _eigh_psd(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Ascending eigenpairs of the PSD ``S``; on a certified low rank r, only the top r.
+
+    With S ~ L^T L and L^T = Q R, the eigenpairs of L^T L are those of the
+    r x r core R R^T = W diag(lam) W^T with eigenvectors Q W; by Weyl each
+    eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left out
+    included (taken as 0). Otherwise the dense ``eigh``.
+    """
+    L = _low_rank_factor(S)
+    if L is None:
+        return np.linalg.eigh(S)
+    Q, R = np.linalg.qr(L.T)
+    lam, W = np.linalg.eigh(R @ R.T)
+    return lam, Q @ W
+
+
 def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int) -> SpectrumResult:
-    """Dense eigensolve of ``gram_matrix(op)`` with trivial-mode classification.
+    """Eigensolve of ``gram_matrix(op)`` with trivial-mode classification.
 
     ``op`` is any operator carrying the symmetrizing factor ``B`` and its
     ``n``, ``m`` (the grid kernel or the exact operator); ``mass`` is the quadrature mass of the S_m
@@ -290,15 +345,18 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     null mode, so only the support block is solved: the rows spanning
     ``mass > 0`` and the columns those rows touch. One zero eigenvalue per
     row outside the block goes at the tail and the eigenvectors are 0 on
-    those rows, so the result is that of the full matrix. Eigenvalues are clamped
+    those rows, so the result is that of the full matrix. A block certified
+    numerically low-rank is solved on its r x r core and its h - r smallest
+    eigenvalues are exact zeros as well (``_eigh_psd``). Eigenvalues are clamped
     to [0, 1] (clamp magnitude reported). The top ``top`` eigenvectors are
     mapped back to eigenfunction values at ``nodes`` through the inverse
-    weight transform; they are orthonormal under sum mass_i f(y_i) g(y_i). A
+    weight transform; they are orthonormal under sum mass_i f(y_i) g(y_i),
+    and 0 where mass_i is below EIGENFUNCTION_MASS_FLOOR times the largest. A
     single support point has no linear mode: only the constant is classified
     and lin_corr is 0.
     """
     rows = _hull(mass > 0)
-    lam, phi = np.linalg.eigh(gram_matrix(op.B[rows, _hull(op.B[rows].any(axis=0))]))
+    lam, phi = _eigh_psd(gram_matrix(op.B[rows, _hull(op.B[rows].any(axis=0))]))
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     clamp = max(0.0, float(-lam.min()), float(lam.max() - 1.0))
@@ -320,10 +378,10 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
             raise ValueError(f"trivial-mode classification failed (const {c_corr:.4f})")
 
     top = min(top, len(nodes))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(mass > 0, 1.0 / np.sqrt(np.where(mass > 0, mass, 1.0)), 0.0)
+    kept = mass >= EIGENFUNCTION_MASS_FLOOR * mass.max()
+    inv = 1.0 / np.sqrt(mass[kept])
     funcs = np.zeros((top, len(nodes)))
-    funcs[: len(lam), rows] = (phi[:, :top] * inv[:, None]).T
+    funcs[: len(lam), rows.start + np.flatnonzero(kept)] = (phi[kept, :top] * inv[:, None]).T
     lam = np.concatenate((lam, np.zeros(len(nodes) - len(lam))))
     return SpectrumResult(
         eigenvalues=lam,

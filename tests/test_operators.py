@@ -128,20 +128,22 @@ def test_classify_trivial_plain():
 def test_classify_trivial_degenerate_rotation():
     """A repeated eigenvalue lets the solver rotate the eigenbasis arbitrarily.
 
-    The linear mode must still be recovered from inside the rotated cluster
-    and the leftover cluster member must stay non-trivial.
+    The linear mode must still be recovered from inside the rotated cluster,
+    the leftover cluster member must stay non-trivial, and the reported index
+    must not depend on the rotation (it did when the best-aligned member was
+    reported: 1 at angle 0.3, 2 at angle 1.2).
     """
     lam = np.array([1.0, 0.5, 0.5, 0.125])
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0, 0.0])
-    c, s = np.cos(0.3), np.sin(0.3)
-    phi = np.eye(4)
-    phi[:, 1] = [0.0, c, s, 0.0]
-    phi[:, 2] = [0.0, -s, c, 0.0]
-    i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e0, e1)
-    assert i_const == 0
-    assert i_lin in (1, 2)
-    assert l_corr >= 0.9999
+    for angle in (0.3, 1.2):
+        c, s = np.cos(angle), np.sin(angle)
+        phi = np.eye(4)
+        phi[:, 1] = [0.0, c, s, 0.0]
+        phi[:, 2] = [0.0, -s, c, 0.0]
+        i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e0, e1)
+        assert (i_const, i_lin) == (0, 2)
+        assert l_corr >= 0.9999
 
 
 def test_classify_trivial_rejects_garbage():
@@ -197,6 +199,102 @@ def test_support_block_solve_matches_full_eigh(spec, n, m):
     # moved (2.4e-10 at gamma (2, 1), where lambda_0 comes out above 1)
     assert abs(sp.eigenvalues.sum() - lam.sum()) <= 1e-12
     assert abs(trace_T(kern).value - sp.eigenvalues.sum()) <= sp.clamp_magnitude + 1e-12
+
+
+def _block_gram(op, mass):
+    """The support-block Gram matrix ``_eigensystem`` solves."""
+    rows = operators._hull(mass > 0)
+    return gram_matrix(op.B[rows, operators._hull(op.B[rows].any(axis=0))])
+
+
+def test_low_rank_factor_bounds_the_spectrum():
+    """On a PSD matrix with eigenvalues 2^-k the probe stops at the trace tolerance, and Weyl holds."""
+    h = 400
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((h, h)))
+    lam = 0.5 ** np.arange(h)
+    S = (q * lam) @ q.T
+    L = operators._low_rank_factor(S)
+    assert L is not None
+    r = len(L)
+    tail = float(np.trace(S) - np.trace(L @ L.T))  # trace(E)
+    assert 0.0 <= tail <= operators.RANK_TRACE_TOL * np.trace(S)
+    # the best rank-r truncation meeting the tolerance needs 46 terms; pivoting costs a few more
+    assert 46 <= r <= 56
+    ritz = np.concatenate((np.linalg.eigvalsh(L @ L.T)[::-1][:r], np.zeros(h - r)))
+    assert np.all(ritz <= lam + 1e-15) and np.all(lam <= ritz + tail + 1e-15)
+    # a full-rank matrix exhausts the pivot cap
+    assert operators._low_rank_factor(np.diag(np.linspace(1.0, 2.0, h))) is None
+
+
+LOW_RANK_CASES = [(2, 1), (3, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("n,m", LOW_RANK_CASES, ids=["2-1", "3-2", "4-3"])
+def test_certified_low_rank_solve_matches_eigh(n, m):
+    """Gaussian Gram blocks have numerical rank about log eps / log(m/n): the r x r core gives eigh's answer."""
+    kern = _gaussian_kernel(n, m)
+    mass = kern.summand.weights() * kern.summand.values
+    h = len(_block_gram(kern, mass))
+    assert operators._low_rank_factor(_block_gram(kern, mass)) is not None
+    sp = spectrum(kern)
+    nonzero = np.count_nonzero(sp.eigenvalues)
+    assert nonzero < h // 4
+    assert not sp.eigenvalues[nonzero:].any()  # the tail is exact zeros
+
+    lam, phi = np.linalg.eigh(gram_matrix(kern))
+    lam, phi = np.clip(lam[::-1], 0.0, 1.0), phi[:, ::-1]
+    assert len(sp.eigenvalues) == len(lam)
+    assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
+
+    e_const = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass))
+    e_lin = np.sqrt(mass) * (kern.summand.nodes - mass @ kern.summand.nodes)
+    e_lin /= np.linalg.norm(e_lin)
+    assert classify_trivial(lam, phi, e_const, e_lin)[:2] == sp.trivial_indices
+
+    # eigenfunction values below the mass floor are written as 0 on either branch
+    kept = mass >= operators.EIGENFUNCTION_MASS_FLOOR * mass.max()
+    block = sp.eigenfunctions * np.sqrt(mass)
+    for k in range(8):
+        sign = np.sign(phi[:, k] @ block[k])
+        assert np.linalg.norm(block[k] - sign * phi[:, k] * kept) <= 1e-12
+    assert abs(sp.eigenvalues.sum() - trace_T(kern).value) <= 1e-12
+
+
+def _exact_12_atom_operator():
+    from clt_spectra import DiscretePMF, parse_spec
+    from clt_spectra.discrete import exact_operator
+
+    spec = parse_spec(
+        "discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,8.88=0.08,"
+        "9.5=0.07,9.97=0.07"
+    )
+    op = exact_operator(DiscretePMF.from_spec(spec), 5, 4)
+    ay, qy = op.summand.arrays()
+    return op, qy, ay
+
+
+def _gamma_2048_kernel():
+    cfg = GridConfig(node_count=2048)
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg), 2, 1, cfg)
+    return kern, kern.summand.weights() * kern.summand.values, kern.summand.nodes
+
+
+@pytest.mark.parametrize("make", [_gamma_2048_kernel, _exact_12_atom_operator], ids=["gamma-2048-2-1", "exact-12-5-4"])
+def test_full_rank_block_keeps_the_dense_eigh(make):
+    """Gamma (polynomially decaying) and exact operators fail the rank probe and keep eigh's bytes."""
+    op, mass, nodes = make()
+    S = _block_gram(op, mass)
+    assert operators._low_rank_factor(S) is None
+    sp = operators._eigensystem(op, mass, nodes, 8)
+
+    rows = operators._hull(mass > 0)
+    lam, phi = np.linalg.eigh(S)
+    lam = np.clip(lam[::-1], 0.0, 1.0)
+    assert np.array_equal(sp.eigenvalues, np.concatenate((lam, np.zeros(len(nodes) - len(lam)))))
+    kept = mass[rows] >= operators.EIGENFUNCTION_MASS_FLOOR * mass.max()
+    ref = np.zeros((8, len(nodes)))
+    ref[:, rows.start + np.flatnonzero(kept)] = (phi[:, ::-1][kept, :8] * (1.0 / np.sqrt(mass[rows][kept]))[:, None]).T
+    assert np.array_equal(sp.eigenfunctions, ref)
 
 
 def test_build_kernel_refuses_grid_larger_than_memory(monkeypatch):

@@ -102,6 +102,43 @@ def test_cli_spectrum_csv(capsys):
     assert head.startswith("node,")
 
 
+def test_cli_spectrum_csv_zeroes_cells_below_the_mass_floor(capsys):
+    """Eigenfunction cells below the mass floor read 0; roundoff over sqrt(mass) printed up to 4.4e16 there."""
+    import numpy as np
+
+    from clt_spectra.operators import EIGENFUNCTION_MASS_FLOOR, build_kernel
+
+    argv = ["spectrum", "--spec", "gaussian:sigma=1", "--nodes", "512", "--format", "csv"]
+    assert run(argv) == 0
+    table = np.array([[float(x) for x in ln.split(",")] for ln in capsys.readouterr().out.splitlines()[1:]])
+    cfg = clt_spectra.cli._config_from_args(clt_spectra.cli.build_parser().parse_args(argv))
+    p_m = build_kernel(clt_spectra.cli._base_density(cfg), cfg.n, cfg.m, cfg.grid).summand
+    assert np.array_equal(table[:, 0], p_m.nodes)
+    mass = p_m.weights() * p_m.values
+    below = mass < EIGENFUNCTION_MASS_FLOOR * mass.max()
+    assert below.any() and (mass[below] > 0).any()
+    cells = table[:, 1:]
+    assert np.array_equal(cells == 0, np.repeat(below[:, None], cells.shape[1], axis=1))
+    assert np.abs(cells).max() < 1e8
+
+
+def test_cli_thread_cap_env_sets_the_blas_threads():
+    """CLT_SPECTRA_THREADS=1 gives the bytes of OPENBLAS_NUM_THREADS=1 (it once left the default pool in place).
+
+    The 12-atom exact operator at (5, 4) printed different bytes at 1 and 2 BLAS threads.
+    """
+    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("CLT_SPECTRA_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    spec = ("discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,"
+            "8.88=0.08,9.5=0.07,9.97=0.07")
+    cmd = [sys.executable, "-m", "clt_spectra.cli", "theta", "--exact", "--n", "5", "--m", "4", "--spec", spec]
+    capped = subprocess.run(cmd, env=dict(base, CLT_SPECTRA_THREADS="1"), capture_output=True, check=True).stdout
+    pinned = subprocess.run(cmd, env=dict(base, OPENBLAS_NUM_THREADS="1"), capture_output=True, check=True).stdout
+    assert capped == pinned
+
+
 def test_cli_exact_trace(capsys):
     assert run(["trace", "--spec", "discrete:0=0.25,1=0.5,2=0.25", "--exact"]) == 0
     doc = json.loads(capsys.readouterr().out)
