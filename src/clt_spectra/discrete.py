@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec
-from .operators import SpectrumResult, ThetaResult, _eigensystem, theta_from_spectrum
+from .operators import SpectrumResult, ThetaResult, _eigensystem, _hull, theta_from_spectrum
 
 __all__ = [
     "DiscretePMF",
@@ -78,17 +78,25 @@ class DiscretePMF:
 
 
 def _coalesce(atoms: NDArray[np.float64], probs: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Sorted atoms with every atom within ATOM_TOL of its group's first atom merged into that group.
+
+    A gap above ATOM_TOL always starts a group; only a run of closer atoms
+    spanning more than ATOM_TOL is split atom by atom. ``np.bincount`` sums
+    each group's probabilities in sorted order, as a running sum would.
+    """
     order = np.argsort(atoms, kind="stable")
     a, p = atoms[order], probs[order]
-    keep_a = [a[0]]
-    keep_p = [p[0]]
-    for x, q in zip(a[1:], p[1:]):
-        if x - keep_a[-1] <= ATOM_TOL:
-            keep_p[-1] += q
-        else:
-            keep_a.append(x)
-            keep_p.append(q)
-    return np.asarray(keep_a), np.asarray(keep_p)
+    starts = np.concatenate(([True], np.diff(a) > ATOM_TOL))
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(a)) - 1
+    wide = a[last] - a[first] > ATOM_TOL
+    for i, j in zip(first[wide], last[wide]):
+        head = a[i]
+        for t in range(i + 1, j + 1):
+            if a[t] - head > ATOM_TOL:
+                starts[t] = True
+                head = a[t]
+    return a[starts], np.bincount(np.cumsum(starts) - 1, weights=p)
 
 
 def convolve_pmf(p: DiscretePMF, q: DiscretePMF) -> DiscretePMF:
@@ -134,6 +142,10 @@ class ExactOperator:
     C: NDArray[np.float64]  # (|S_n|, |S_m|): forward conditional expectation
     Cstar: NDArray[np.float64]  # (|S_m|, |S_n|): adjoint
     B: NDArray[np.float64]  # symmetrizing factor, gram = B B^T
+
+    def support_block(self, rows: slice) -> NDArray[np.float64]:
+        """``B[rows, cols]``, cols the hull of the columns those rows touch."""
+        return self.B[rows, _hull(self.B[rows].any(axis=0))]
 
 
 def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:

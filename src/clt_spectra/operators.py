@@ -18,9 +18,13 @@ Toeplitz, and C, C* and the trace are O(N) convolutions against p_{S_{n-m}}.
 The eigenproblem is solved on the symmetrized Gram matrix B B^T with
 B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)), which is
 similar to the discretized C*C and keeps eigenvectors orthonormal in the
-weighted inner product; B is the one dense array and is built only when read.
-When a pivoted Cholesky certifies the Gram matrix as numerically low-rank
-(gaussian summands: eigenvalues (m/n)^k), only its r x r core is diagonalized.
+weighted inner product. The solve builds only the block of B that carries
+S_m mass; the full B is built only when read. One pivoted Cholesky probe of
+the Gram block picks the solver: when it certifies the block as numerically
+low-rank (gaussian summands: eigenvalues (m/n)^k), only its r x r core is
+diagonalized; when its remainder is small enough for a short subspace
+iteration (gamma summands), all eigenvalues come from eigvalsh and only the
+top K eigenvectors from a Rayleigh-Ritz step; otherwise the dense eigh runs.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .densities import GridConfig, GridDensity, GridFunction, convolve, convolve_self
+from .densities import GridConfig, GridDensity, GridFunction, _fft_convolve, convolve, convolve_self
 
 __all__ = [
     "ConditionalKernel",
@@ -69,6 +73,27 @@ CLUSTER_TOL = 1e-8
 # r x r core would no longer be much cheaper than the dense solve.
 RANK_PROBE_MAX = 128
 RANK_TRACE_TOL = 64 * np.finfo(float).eps
+
+# Top-K Ritz path: after j probe pivots S = L^T L + E with L^T L of rank j, so
+# by Weyl every eigenvalue past the j-th is at most trace(E). The span of L^T
+# is then within an angle of about trace(E) / lambda_K of the top K
+# eigenvectors, and each product with S shrinks that angle by the same factor:
+# the start and RITZ_MAXIT - 1 products reach eps once
+# trace(E) <= RITZ_GATE * lambda_K. The result is kept only when every Ritz
+# residual, and the distance of each Ritz value to eigvalsh's, is at most
+# RITZ_RESID_TOL * lambda_max, the level eigh itself reaches (about 6 eps on
+# the grid blocks).
+RITZ_MAXIT = 6
+RITZ_GATE = np.finfo(float).eps ** (1.0 / RITZ_MAXIT)
+RITZ_RESID_TOL = 32 * np.finfo(float).eps
+
+# The support-block solve needs about 8 (h cols + SOLVE_SQUARES h^2) bytes
+# on its worst (dense eigh) path: the h x cols block, then the Gram matrix,
+# eigh's copy of it, its 2 h^2 workspace and its eigenvectors (the block is
+# freed before eigh). Within 2% of the measured peak-RSS rise for gamma
+# beta=1 at (3,2) and (4,3) on 2048 nodes and uniform (4,3) on 4096 nodes,
+# 10% above it for gamma beta=1 at (2,1) on 3072 nodes.
+SOLVE_SQUARES = 4
 
 # An eigenfunction value f(y_i) = phi_i / sqrt(mass_i) is written as 0 where
 # mass_i is below this fraction of the largest mass: there the roundoff of the
@@ -111,20 +136,36 @@ class ConditionalKernel:
 
     @cached_property
     def B(self) -> NDArray[np.float64]:
-        ny, ns = len(self.dy), len(self.ds)
-        # B, then on the h-row support block the Gram matrix, eigh's copy of it,
-        # its 2 h^2 workspace and its eigenvectors (within 5% of the peak RSS)
-        rows = _hull(self.summand.values > 0)
-        h = rows.stop - rows.start
-        need, avail = 8 * (ny * ns + 5 * h * h), _available_bytes()
-        if avail is not None and need > avail:
-            raise ValueError(
-                f"grid too large for memory: (n, m) = ({self.n}, {self.m}) on {ny} x {ns} nodes needs about "
-                f"{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; use fewer grid nodes (--nodes)"
-            )
+        self._check_memory(len(self.dy), len(self.ds), 8 * len(self.dy) * len(self.ds))
         B = self.dy[:, None] * self.table
         B *= self.ds
         return B
+
+    def support_block(self, rows: slice) -> NDArray[np.float64]:
+        """``B[rows, cols]`` as a C-contiguous array, without building B.
+
+        ``cols`` is the hull of the columns those rows touch: k is touched
+        when ds_k != 0 and p_t(s_k - y_i) dy_i != 0 for some row i, which the
+        convolution of the two non-zero patterns counts exactly. The values
+        are B's elementwise products, so they equal B's bit for bit.
+        """
+        hits = _fft_convolve((self.dy[rows] > 0).astype(float), (self.partial.values > 0).astype(float))
+        touched = (hits > 0.5) & (self.ds[rows.start : rows.start + len(hits)] != 0)
+        span = _hull(touched)
+        cols = slice(rows.start + span.start, rows.start + span.stop)
+        h, c = rows.stop - rows.start, cols.stop - cols.start
+        self._check_memory(h, c, 8 * (h * c + SOLVE_SQUARES * h * h))
+        block = self.dy[rows, None] * self.table[rows, cols]
+        block *= self.ds[cols]
+        return block
+
+    def _check_memory(self, rows: int, cols: int, need: int) -> None:
+        avail = _available_bytes()
+        if avail is not None and need > avail:
+            raise ValueError(
+                f"grid too large for memory: (n, m) = ({self.n}, {self.m}) with a {rows} x {cols} kernel block needs "
+                f"about {need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; use fewer grid nodes (--nodes)"
+            )
 
 
 @dataclass
@@ -141,6 +182,8 @@ class SpectrumResult:
     clamp_magnitude: float
     n: int
     m: int
+    solver: str = "dense"  # "low-rank", "ritz" or "dense" (see _eigh_psd)
+    k: int = 0  # eigenvectors computed: r, K or the block size
 
 
 @dataclass
@@ -243,13 +286,12 @@ def gram_matrix(kernel: ConditionalKernel | NDArray[np.float64]) -> NDArray[np.f
     """Symmetrized discretization of C*C (similar transform, same spectrum).
 
     Reads only the factor ``B``, so an exact operator serves as well; a bare
-    array is taken as the factor itself (the spectrum passes a block view).
+    array is taken as the factor itself (the spectrum passes its support
+    block). numpy computes ``B @ B.T`` of a C-contiguous B with syrk and
+    mirrors the triangle, so S is exactly symmetric.
     """
     B = kernel if isinstance(kernel, np.ndarray) else kernel.B
-    S = B @ B.T
-    S += S.T
-    S *= 0.5
-    return S
+    return B @ B.T
 
 
 def classify_trivial(
@@ -298,56 +340,114 @@ def classify_trivial(
     return i_const, i_lin, c_corr, l_corr
 
 
-def _low_rank_factor(S: NDArray[np.float64]) -> NDArray[np.float64] | None:
-    """Rows of L with S = L^T L + E, trace(E) <= RANK_TRACE_TOL * trace(S), or None.
+def _low_rank_factor(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Rows of L with S = L^T L + E, and trace(E) after each pivot.
 
     Diagonally pivoted Cholesky: each step takes the largest remaining
-    diagonal entry of the PSD Schur complement E as pivot. None when more
-    than min(RANK_PROBE_MAX, h // 4) pivots would be needed.
+    diagonal entry of the PSD Schur complement E as pivot. It stops once
+    trace(E) <= RANK_TRACE_TOL * trace(S) (certified low rank) or after
+    min(RANK_PROBE_MAX, h // 4) pivots. ``traces[j]`` is trace(E) after the
+    first j rows of L, so ``traces[0]`` = trace(S) and ``traces[-1]`` goes
+    with all of L.
     """
     h = len(S)
     d = S.diagonal().copy()  # diag(E)
-    tol = RANK_TRACE_TOL * d.sum()
+    traces = [d.sum()]
     L = np.empty((min(RANK_PROBE_MAX, h // 4), h))
     for k in range(len(L)):
-        if d.sum() <= tol:
-            return L[:k]
+        if traces[-1] <= RANK_TRACE_TOL * traces[0]:
+            return L[:k], np.array(traces)
         p = int(np.argmax(d))
         col = S[p] - L[:k, p] @ L[:k]
         col /= math.sqrt(d[p])
         L[k] = col
         d -= col * col
-    return L if d.sum() <= tol else None
+        traces.append(d.sum())
+    return L, np.array(traces)
 
 
-def _eigh_psd(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Ascending eigenpairs of the PSD ``S``; on a certified low rank r, only the top r.
+def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
+    """Eigenvectors the Ritz path computes, for the ascending spectrum ``lam``.
 
-    With S ~ L^T L and L^T = Q R, the eigenpairs of L^T L are those of the
+    The smallest K >= ``top`` that covers the first two eigenvalue clusters
+    (the constant mode and the m/n cluster) and ends at a gap larger than
+    CLUSTER_TOL, so ``classify_trivial`` sees whole clusters.
+    """
+    desc = lam[::-1]
+    ends = np.flatnonzero(desc[:-1] - desc[1:] > CLUSTER_TOL)[1:] + 1
+    j = int(np.searchsorted(ends, top))
+    return int(ends[j]) if j < len(ends) else len(lam)
+
+
+def _ritz(S: NDArray[np.float64], Q: NDArray[np.float64], lam: NDArray[np.float64], k: int) -> NDArray[np.float64] | None:
+    """Top ``k`` eigenvectors of S (ascending), or None when they fail the checks.
+
+    Starting from the orthonormal columns ``Q``: RITZ_MAXIT - 1 products with
+    S, each orthonormalized, then a Rayleigh-Ritz step. ``lam`` is the
+    ascending eigvalsh spectrum. The top ``k`` Ritz values must match it and
+    every residual ||S v - theta v|| must be at most RITZ_RESID_TOL * lam_max;
+    otherwise the subspace missed an eigenvector or has not converged.
+    """
+    for _ in range(RITZ_MAXIT - 1):
+        Q = np.linalg.qr(S @ Q)[0]
+    SQ = S @ Q
+    ritz, W = np.linalg.eigh(Q.T @ SQ)
+    W, ritz = W[:, -k:], ritz[-k:]
+    V = Q @ W
+    resid = np.linalg.norm(SQ @ W - V * ritz, axis=0)
+    tol = RITZ_RESID_TOL * lam[-1]
+    if resid.max() > tol or np.abs(ritz - lam[-k:]).max() > tol:
+        return None
+    return V
+
+
+def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], NDArray[np.float64], str]:
+    """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, and the solver used.
+
+    One pivoted Cholesky probe S = L^T L + E decides. Certified low rank
+    ("low-rank"): with L^T = Q R, the eigenpairs of L^T L are those of the
     r x r core R R^T = W diag(lam) W^T with eigenvectors Q W; by Weyl each
     eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left out
-    included (taken as 0). Otherwise the dense ``eigh``.
+    included (taken as 0), and only the r are returned. A remainder
+    trace(E) <= RITZ_GATE * lambda_K ("ritz"): all h eigenvalues from
+    eigvalsh and the top K (``_ritz_count``) eigenvectors from ``_ritz``,
+    started on the fewest probe rows whose remainder passes the gate. The
+    gate reads lambda_K off L^T L, a lower bound. Otherwise, or when the
+    Ritz checks fail, the dense eigh ("dense").
     """
-    L = _low_rank_factor(S)
-    if L is None:
-        return np.linalg.eigh(S)
-    Q, R = np.linalg.qr(L.T)
-    lam, W = np.linalg.eigh(R @ R.T)
-    return lam, Q @ W
+    L, traces = _low_rank_factor(S)
+    if traces[-1] <= RANK_TRACE_TOL * traces[0]:
+        Q, R = np.linalg.qr(L.T)
+        lam, W = np.linalg.eigh(R @ R.T)
+        return lam, Q @ W, "low-rank"
+    core = np.linalg.eigvalsh(L @ L.T)
+    if len(L) > top and traces[-1] <= RITZ_GATE * core[-top]:
+        lam = np.linalg.eigvalsh(S)
+        k = _ritz_count(lam, top)
+        if k < len(L) and traces[-1] <= RITZ_GATE * core[-k]:
+            pivots = max(k + 1, int(np.argmax(traces <= RITZ_GATE * core[-k])))
+            V = _ritz(S, np.linalg.qr(L[:pivots].T)[0], lam, k)
+            if V is not None:
+                return lam, V, "ritz"
+    lam, phi = np.linalg.eigh(S)
+    return lam, phi, "dense"
 
 
 def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int) -> SpectrumResult:
     """Eigensolve of ``gram_matrix(op)`` with trivial-mode classification.
 
-    ``op`` is any operator carrying the symmetrizing factor ``B`` and its
-    ``n``, ``m`` (the grid kernel or the exact operator); ``mass`` is the quadrature mass of the S_m
-    law at ``nodes``. A row of ``B`` with zero mass is zero, hence an exact
-    null mode, so only the support block is solved: the rows spanning
-    ``mass > 0`` and the columns those rows touch. One zero eigenvalue per
-    row outside the block goes at the tail and the eigenvectors are 0 on
-    those rows, so the result is that of the full matrix. A block certified
-    numerically low-rank is solved on its r x r core and its h - r smallest
-    eigenvalues are exact zeros as well (``_eigh_psd``). Eigenvalues are clamped
+    ``op`` is any operator that gives the support block of its symmetrizing
+    factor ``B`` (``support_block``) and carries its ``n``, ``m`` (the grid
+    kernel or the exact operator); ``mass`` is the quadrature mass of the
+    S_m law at ``nodes``. A row of ``B`` with zero mass is zero, hence an
+    exact null mode, so only the support block is solved: the rows spanning
+    ``mass > 0`` and the columns those rows touch (a grid kernel builds just
+    that block). One zero eigenvalue per row outside the block goes at the
+    tail and the eigenvectors are 0 on those rows, so the result is that of
+    the full matrix. A block certified numerically low-rank is solved on its
+    r x r core and its h - r smallest eigenvalues are exact zeros as well;
+    the Ritz path computes only the top K eigenvectors (``_eigh_psd``).
+    Classification runs on the eigenvectors computed. Eigenvalues are clamped
     to [0, 1] (clamp magnitude reported). The top ``top`` eigenvectors are
     mapped back to eigenfunction values at ``nodes`` through the inverse
     weight transform; they are orthonormal under sum mass_i f(y_i) g(y_i),
@@ -356,9 +456,11 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     and lin_corr is 0.
     """
     rows = _hull(mass > 0)
-    lam, phi = _eigh_psd(gram_matrix(op.B[rows, _hull(op.B[rows].any(axis=0))]))
+    top = min(top, len(nodes))
+    lam, phi, solver = _eigh_psd(gram_matrix(op.support_block(rows)), top)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
+    k = phi.shape[1]
     clamp = max(0.0, float(-lam.min()), float(lam.max() - 1.0))
     lam = np.clip(lam, 0.0, 1.0)
     mass, sub_nodes = mass[rows], nodes[rows]
@@ -369,19 +471,18 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     if np.count_nonzero(mass) >= 2:
         e_lin = np.sqrt(mass) * (sub_nodes - mu)
         e_lin /= np.linalg.norm(e_lin)
-        i_const, i_lin, c_corr, l_corr = classify_trivial(lam, phi, e_const, e_lin)
+        i_const, i_lin, c_corr, l_corr = classify_trivial(lam[:k], phi, e_const, e_lin)
     else:
-        i_const = max(range(len(lam)), key=lambda k: abs(float(phi[:, k] @ e_const)))
+        i_const = max(range(k), key=lambda j: abs(float(phi[:, j] @ e_const)))
         c_corr = abs(float(phi[:, i_const] @ e_const))
         i_lin, l_corr = i_const, 0.0
         if c_corr < TRIVIAL_CORR_MIN:
             raise ValueError(f"trivial-mode classification failed (const {c_corr:.4f})")
 
-    top = min(top, len(nodes))
     kept = mass >= EIGENFUNCTION_MASS_FLOOR * mass.max()
     inv = 1.0 / np.sqrt(mass[kept])
     funcs = np.zeros((top, len(nodes)))
-    funcs[: len(lam), rows.start + np.flatnonzero(kept)] = (phi[kept, :top] * inv[:, None]).T
+    funcs[:k, rows.start + np.flatnonzero(kept)] = (phi[kept, :top] * inv[:, None]).T
     lam = np.concatenate((lam, np.zeros(len(nodes) - len(lam))))
     return SpectrumResult(
         eigenvalues=lam,
@@ -394,6 +495,8 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
         clamp_magnitude=clamp,
         n=op.n,
         m=op.m,
+        solver=solver,
+        k=k,
     )
 
 
@@ -427,6 +530,8 @@ def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = N
         "lin_corr": spec.lin_corr,
         "clamp_magnitude": spec.clamp_magnitude,
         "trivial_indices": list(spec.trivial_indices),
+        "solver": spec.solver,
+        "k": spec.k,
     }
     if extra_diagnostics:
         diag.update(extra_diagnostics)

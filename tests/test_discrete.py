@@ -19,6 +19,7 @@ from clt_spectra import (
     pmf_power,
     projection_inequality,
 )
+from clt_spectra.discrete import ATOM_TOL, _coalesce
 
 UNIFORM3 = DiscretePMF((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
 EQUAL3 = DiscretePMF((0.0, 1.0, 2.0), (1 / 3, 1 / 3, 1 / 3))
@@ -47,6 +48,39 @@ def test_convolve_pmf_merges_colliding_sums():
     atoms, probs = r.arrays()
     assert len(atoms) == 4
     assert abs(probs.sum() - 1.0) <= 1e-15
+
+
+def _coalesce_by_running_sum(atoms, probs):
+    """Reference: walk the sorted atoms, adding each to the group of the first atom it lies within ATOM_TOL of."""
+    order = np.argsort(atoms, kind="stable")
+    keep_a, keep_p = [], []
+    for x, q in zip(atoms[order], probs[order]):
+        if keep_a and x - keep_a[-1] <= ATOM_TOL:
+            keep_p[-1] += q
+        else:
+            keep_a.append(x)
+            keep_p.append(q)
+    return np.asarray(keep_a), np.asarray(keep_p)
+
+
+def test_coalesce_matches_running_sum():
+    """Groups start at their first atom, so a chain spaced just under ATOM_TOL splits every second atom; sums keep their bytes."""
+    chain = 3.0 + 0.9 * ATOM_TOL * np.arange(10)
+    atoms, probs = _coalesce(chain, np.full(10, 0.1))
+    assert np.array_equal(atoms, chain[::2])
+    assert np.array_equal(probs, np.full(5, 0.1 + 0.1))
+
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        k = int(rng.integers(2, 25))
+        a = np.sort(rng.choice(60, size=k, replace=False) * (0.1 if trial % 2 else 0.37))
+        p = rng.dirichlet(np.ones(k))
+        sums, prods = (a[:, None] + a[None, :]).ravel(), (p[:, None] * p[None, :]).ravel()
+        if trial % 3 == 0:  # a chain inside the sum support
+            sums = np.concatenate((sums, sums[0] + 0.9 * ATOM_TOL * np.arange(1, 8)))
+            prods = np.concatenate((prods, np.full(7, prods[0])))
+        got, want = _coalesce(sums, prods), _coalesce_by_running_sum(sums, prods)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_equal_weight_gram_closed_form():

@@ -213,8 +213,8 @@ def test_low_rank_factor_bounds_the_spectrum():
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((h, h)))
     lam = 0.5 ** np.arange(h)
     S = (q * lam) @ q.T
-    L = operators._low_rank_factor(S)
-    assert L is not None
+    L, traces = operators._low_rank_factor(S)
+    assert traces[-1] <= operators.RANK_TRACE_TOL * np.trace(S)
     r = len(L)
     tail = float(np.trace(S) - np.trace(L @ L.T))  # trace(E)
     assert 0.0 <= tail <= operators.RANK_TRACE_TOL * np.trace(S)
@@ -223,7 +223,9 @@ def test_low_rank_factor_bounds_the_spectrum():
     ritz = np.concatenate((np.linalg.eigvalsh(L @ L.T)[::-1][:r], np.zeros(h - r)))
     assert np.all(ritz <= lam + 1e-15) and np.all(lam <= ritz + tail + 1e-15)
     # a full-rank matrix exhausts the pivot cap
-    assert operators._low_rank_factor(np.diag(np.linspace(1.0, 2.0, h))) is None
+    S = np.diag(np.linspace(1.0, 2.0, h))
+    L, traces = operators._low_rank_factor(S)
+    assert len(L) == h // 4 and traces[-1] > operators.RANK_TRACE_TOL * np.trace(S)
 
 
 LOW_RANK_CASES = [(2, 1), (3, 2), (4, 3)]
@@ -234,9 +236,11 @@ def test_certified_low_rank_solve_matches_eigh(n, m):
     """Gaussian Gram blocks have numerical rank about log eps / log(m/n): the r x r core gives eigh's answer."""
     kern = _gaussian_kernel(n, m)
     mass = kern.summand.weights() * kern.summand.values
-    h = len(_block_gram(kern, mass))
-    assert operators._low_rank_factor(_block_gram(kern, mass)) is not None
+    S = _block_gram(kern, mass)
+    h = len(S)
+    assert operators._low_rank_factor(S)[1][-1] <= operators.RANK_TRACE_TOL * np.trace(S)
     sp = spectrum(kern)
+    assert sp.solver == "low-rank"
     nonzero = np.count_nonzero(sp.eigenvalues)
     assert nonzero < h // 4
     assert not sp.eigenvalues[nonzero:].any()  # the tail is exact zeros
@@ -279,13 +283,15 @@ def _gamma_2048_kernel():
     return kern, kern.summand.weights() * kern.summand.values, kern.summand.nodes
 
 
-@pytest.mark.parametrize("make", [_gamma_2048_kernel, _exact_12_atom_operator], ids=["gamma-2048-2-1", "exact-12-5-4"])
+@pytest.mark.parametrize("make", [_exact_12_atom_operator], ids=["exact-12-5-4"])
 def test_full_rank_block_keeps_the_dense_eigh(make):
-    """Gamma (polynomially decaying) and exact operators fail the rank probe and keep eigh's bytes."""
+    """Exact operators fail the rank probe and the Ritz gate, and keep eigh's bytes."""
     op, mass, nodes = make()
     S = _block_gram(op, mass)
-    assert operators._low_rank_factor(S) is None
+    tail = operators._low_rank_factor(S)[1][-1]
+    assert tail > operators.RITZ_GATE * np.trace(S)
     sp = operators._eigensystem(op, mass, nodes, 8)
+    assert (sp.solver, sp.k) == ("dense", len(S))
 
     rows = operators._hull(mass > 0)
     lam, phi = np.linalg.eigh(S)
@@ -295,6 +301,83 @@ def test_full_rank_block_keeps_the_dense_eigh(make):
     ref = np.zeros((8, len(nodes)))
     ref[:, rows.start + np.flatnonzero(kept)] = (phi[:, ::-1][kept, :8] * (1.0 / np.sqrt(mass[rows][kept]))[:, None]).T
     assert np.array_equal(sp.eigenfunctions, ref)
+
+
+def test_gamma_block_takes_the_ritz_path():
+    """A gamma block fails the rank probe but passes the Ritz gate: eigvalsh plus top-K Ritz vectors give eigh's answer."""
+    kern, mass, nodes = _gamma_2048_kernel()
+    S = _block_gram(kern, mass)
+    assert operators._low_rank_factor(S)[1][-1] > operators.RANK_TRACE_TOL * np.trace(S)
+    sp = spectrum(kern)
+    assert sp.solver == "ritz" and 8 <= sp.k < operators.RANK_PROBE_MAX
+
+    lam, block_phi = np.linalg.eigh(S)
+    lam = np.concatenate((np.clip(lam[::-1], 0.0, 1.0), np.zeros(len(mass) - len(lam))))
+    phi = np.zeros((len(mass), len(S)))
+    phi[operators._hull(mass > 0)] = block_phi[:, ::-1]
+    assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
+
+    e_const = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass))
+    e_lin = np.sqrt(mass) * (nodes - mass @ nodes)
+    e_lin /= np.linalg.norm(e_lin)
+    assert classify_trivial(lam[: len(S)], phi, e_const, e_lin)[:2] == sp.trivial_indices
+
+    kept = mass >= operators.EIGENFUNCTION_MASS_FLOOR * mass.max()
+    block = sp.eigenfunctions * np.sqrt(mass)
+    for k in range(8):
+        sign = np.sign(phi[:, k] @ block[k])
+        assert np.linalg.norm(block[k] - sign * phi[:, k] * kept) <= 1e-12
+    assert abs(sp.eigenvalues.sum() - trace_T(kern).value) <= sp.clamp_magnitude + 1e-12
+
+
+def _psd_with_spectrum(lam, seed=5):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lam), len(lam))))
+    return gram_matrix(q * np.sqrt(lam)), q
+
+
+def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
+    """A remainder the probe cannot shrink (flat, or a cluster wider than the probe) keeps eigh's bytes; fast decay takes the Ritz path."""
+    h = 600
+    flat = np.diag(np.linspace(1.0, 2.0, h))
+    degenerate, _ = _psd_with_spectrum(np.concatenate((np.full(h // 2, 0.5), np.zeros(h - h // 2))))
+    for S in (flat, degenerate):
+        lam, phi, solver = operators._eigh_psd(S, 8)
+        ref_lam, ref_phi = np.linalg.eigh(S)
+        assert solver == "dense"
+        assert np.array_equal(lam, ref_lam) and np.array_equal(phi, ref_phi)
+
+    lam_true = (1.0 + np.arange(h)) ** -6.0
+    S, _ = _psd_with_spectrum(lam_true)
+    lam, phi, solver = operators._eigh_psd(S, 8)
+    assert solver == "ritz" and phi.shape == (h, 8)
+    assert np.abs(lam - np.sort(lam_true)).max() <= 1e-15
+    assert np.linalg.norm(S @ phi - phi * lam[-8:], axis=0).max() <= operators.RITZ_RESID_TOL * lam[-1]
+    assert np.abs(phi.T @ phi - np.eye(8)).max() <= 1e-14
+
+
+def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector():
+    """A start block orthogonal to the 4th eigenvector converges to exact eigenvectors (small residuals)
+    with Ritz values that skip lambda_3, which only the eigvalsh cross-check catches."""
+    h, k = 200, 8
+    lam_true = 0.9 ** np.arange(h)
+    S, q = _psd_with_spectrum(lam_true)
+    lam = np.linalg.eigvalsh(S)
+    V = operators._ritz(S, q[:, : k + 1], lam, k)
+    assert V is not None
+    assert operators._ritz(S, q[:, [j for j in range(k + 2) if j != 3]], lam, k) is None
+
+
+def test_support_block_is_the_contiguous_slice_of_B():
+    """The kernel builds the support block from dy, table and ds with B's bytes, and its Gram matrix is exactly symmetric."""
+    for spec, n, m in BLOCK_CASES:
+        cfg = GridConfig(node_count=512)
+        kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+        rows = operators._hull(kern.summand.values > 0)
+        block = kern.support_block(rows)
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, kern.B[rows, operators._hull(kern.B[rows].any(axis=0))])
+        S = gram_matrix(block)
+        assert np.array_equal(S, S.T)
 
 
 def test_build_kernel_refuses_grid_larger_than_memory(monkeypatch):

@@ -223,6 +223,45 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_grid_and_exact_spectra_load_no_scipy(tmp_path):
+    """The eigensolve is numpy-only: grid and --exact spectrum/theta runs import no scipy module on any of its three paths.
+
+    The gamma density is read from a file, since building it calls scipy's gammaln.
+    """
+    from clt_spectra import DistributionSpec, GridConfig, build_density, write_density_file
+
+    gamma_file = tmp_path / "gamma4.txt"
+    write_density_file(str(gamma_file), build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=512)))
+    argvs = [
+        [cmd, *spec]
+        for cmd in ("spectrum", "theta")
+        for spec in (
+            ["--spec", "gaussian:sigma=1", "--nodes", "512"],
+            ["--spec", "uniform:a=-1,b=1", "--nodes", "512"],
+            ["--spec", f"file:{gamma_file}", "--nodes", "512"],
+            ["--exact", "--spec", "discrete:0=0.2,1=0.3,2.5=0.1,4=0.4", "--n", "4", "--m", "3"],
+        )
+    ]
+    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from clt_spectra.cli import run\n"
+        "solvers = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert run(argv) == 0, argv\n"
+        "    solvers.append(json.loads(out.getvalue())['diagnostics']['solver'])\n"
+        "print(json.dumps([solvers, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    solvers, scipy_modules = json.loads(out.stdout)
+    assert solvers == ["low-rank", "dense", "ritz", "dense"] * 2
+    assert scipy_modules == []
+
+
 def test_cli_trace_fine_grid_runs_in_linear_memory():
     """The trace needs no N^2 kernel: 16384 nodes (a dense B of about 4 GiB) run in under 200 MB.
 
