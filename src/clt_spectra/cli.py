@@ -185,7 +185,7 @@ def _spectrum_pair(cfg: RunConfig):
         sp = exact_spectrum(DiscretePMF.from_spec(cfg.spec), cfg.n, cfg.m)
     else:
         d = _base_density(cfg)
-        sp = spectrum(build_kernel(d, cfg.n, cfg.m, cfg.grid))
+        sp = spectrum(build_kernel(d, cfg.n, cfg.m))
     return sp, theta_from_spectrum(sp)
 
 
@@ -201,32 +201,24 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_theta(cfg: RunConfig) -> int:
-    from .report import json_document, theta_document
+    from .report import _csv_num, json_document, theta_document
 
     _, th = _spectrum_pair(cfg)
     if math.isinf(th.theta):
         print("warning: no nontrivial eigenvalue above sentinel; theta reported as \"inf\"", file=sys.stderr)
     if cfg.format == "csv":
-        text = "n,m,theta,lambda2\n" + f"{th.n},{th.m},{_num(th.theta)},{_num(th.lambda2)}\n"
+        text = "n,m,theta,lambda2\n" + f"{th.n},{th.m},{_csv_num(th.theta)},{_csv_num(th.lambda2)}\n"
         _emit(text, cfg.output)
     else:
         _emit(json_document(theta_document(th)), cfg.output)
     return 0
 
 
-def _num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
 def _cmd_trace(cfg: RunConfig) -> int:
     import numpy as np
 
     from .operators import TraceResult, build_kernel, trace_T
-    from .report import json_document, trace_document
+    from .report import _csv_num, json_document, trace_document
 
     if cfg.exact:
         from .discrete import DiscretePMF, exact_operator
@@ -238,10 +230,10 @@ def _cmd_trace(cfg: RunConfig) -> int:
         tr = TraceResult(value=value, chi2=value - 1.0, masked_mass=0.0, lower_bound_only=False)
     else:
         d = _base_density(cfg)
-        tr = trace_T(build_kernel(d, cfg.n, cfg.m, cfg.grid))
+        tr = trace_T(build_kernel(d, cfg.n, cfg.m))
     if cfg.format == "csv":
         text = "n,m,trace,chi2,lower_bound_only\n" + \
-            f"{cfg.n},{cfg.m},{_num(tr.value)},{_num(tr.chi2)},{str(tr.lower_bound_only).lower()}\n"
+            f"{cfg.n},{cfg.m},{_csv_num(tr.value)},{_csv_num(tr.chi2)},{str(tr.lower_bound_only).lower()}\n"
         _emit(text, cfg.output)
     else:
         _emit(json_document(trace_document(tr, cfg.n, cfg.m)), cfg.output)
@@ -282,7 +274,7 @@ def _cmd_monotonicity(cfg: RunConfig) -> int:
     from .report import json_document, reports_document, sanitize
 
     d = _base_density(cfg)
-    th = theta(d, 2, 1, cfg.grid)
+    th = theta(d, 2, 1)
     seq = monotonicity_sequence(d, th.theta, cfg.n_max)
     reports = monotonicity_reports(seq)
     if cfg.format == "csv":
@@ -306,7 +298,7 @@ def _cmd_verify_all(cfg: RunConfig) -> int:
 
 def _cmd_closed_form(cfg: RunConfig) -> int:
     from .closed_forms import closed_theta, hermite_lambda, laguerre_lambda
-    from .report import json_document
+    from .report import _csv_num, json_document
 
     if cfg.spec_given:
         fam = cfg.spec.family
@@ -339,8 +331,8 @@ def _cmd_closed_form(cfg: RunConfig) -> int:
         for entry in entries:
             for n in n_values:
                 for k, v in enumerate(entry["lambda"][str(n)]):
-                    lines.append(f"{entry['family']},{n},{k},{_num(v)},lambda")
-                lines.append(f"{entry['family']},{n},,{_num(entry['theta'][str(n)])},theta")
+                    lines.append(f"{entry['family']},{n},{k},{_csv_num(v)},lambda")
+                lines.append(f"{entry['family']},{n},,{_csv_num(entry['theta'][str(n)])},theta")
         _emit("\n".join(lines) + "\n", cfg.output)
     else:
         _emit(json_document({"command": "closed-form", "families": entries}), cfg.output)
@@ -351,7 +343,7 @@ def _cmd_efron_stein(cfg: RunConfig) -> int:
     from math import comb
 
     from .discrete import DiscretePMF, efron_stein, pmf_power
-    from .report import json_document
+    from .report import _csv_num, json_document
 
     if cfg.spec.family != "discrete":
         raise ValueError("efron-stein works on discrete specs")
@@ -362,7 +354,7 @@ def _cmd_efron_stein(cfg: RunConfig) -> int:
     dec = efron_stein(h, p, k)
     rows = [(r, comb(k, r), dec.component_sq[r]) for r in sorted(dec.component_sq)]
     if cfg.format == "csv":
-        lines = ["r,choose,second_moment"] + [f"{r},{c},{_num(v)}" for r, c, v in rows]
+        lines = ["r,choose,second_moment"] + [f"{r},{c},{_csv_num(v)}" for r, c, v in rows]
         _emit("\n".join(lines) + "\n", cfg.output)
     else:
         payload = {

@@ -56,6 +56,13 @@ INVALID_MASS_FRACTION = 1e-3
 # Hard cap on convolution output length.
 MAX_GRID_NODES = 1 << 17
 
+# Density values at or below this are exact zeros: in a freshly built or
+# loaded density, in the kernel's p_n columns and in the score's window.
+DENSITY_FLOOR = 1e-300
+
+# Mass outside the grid above this attaches a warning to a built density.
+MASS_CUTOFF = 1e-12
+
 
 class ScoreUndefinedError(ValueError):
     """Density has zeros strictly inside its positive window."""
@@ -74,26 +81,16 @@ class GridConfig:
     half_width_sigmas
         Half-width of the grid in units of sigma * sqrt(n_hint) around the
         mean.
-    mass_cutoff
-        Maximum tolerated mass outside the grid before a warning is attached.
-    density_floor
-        Values at or below this are treated as exact zeros.
     """
 
     node_count: int = 1024
     half_width_sigmas: float = 12.0
-    mass_cutoff: float = 1e-12
-    density_floor: float = 1e-300
 
     def __post_init__(self) -> None:
         if self.node_count < 16:
             raise ValueError(f"node_count must be >= 16, got {self.node_count}")
-        if not 0.0 < self.mass_cutoff < 1e-3:
-            raise ValueError(f"mass_cutoff must lie in (0, 1e-3), got {self.mass_cutoff}")
         if self.half_width_sigmas <= 0:
             raise ValueError("half_width_sigmas must be positive")
-        if self.density_floor <= 0:
-            raise ValueError("density_floor must be positive")
 
 
 @dataclass
@@ -376,7 +373,7 @@ def build_density(spec: DistributionSpec, cfg: GridConfig | None = None, n_hint:
     if n_hint < 1:
         raise ValueError("n_hint must be >= 1")
     if spec.family == "file":
-        return _load_density_file(str(spec.params["path"]), cfg)
+        return _load_density_file(str(spec.params["path"]))
     mean, sigma = spec.mean_and_sigma()
     if sigma <= 0:
         raise ValueError("distribution must have positive variance")
@@ -384,15 +381,15 @@ def build_density(spec: DistributionSpec, cfg: GridConfig | None = None, n_hint:
     nodes = np.linspace(mean - half, mean + half, cfg.node_count)
     step = float(nodes[1] - nodes[0])
     if spec.family == "discrete":
-        return _discrete_spikes(spec, nodes, step, cfg)
+        return _discrete_spikes(spec, nodes, step)
     pdf = _family_pdf(spec)
     values = pdf(nodes)
-    values[values <= cfg.density_floor] = 0.0
+    values[values <= DENSITY_FLOOR] = 0.0
     w = trapezoid_weights(len(nodes), step)
     truncated = max(0.0, 1.0 - float(w @ values))
     warns: tuple[str, ...] = ()
-    if truncated > cfg.mass_cutoff:
-        warns = (f"mass {truncated:.3e} outside grid exceeds cutoff {cfg.mass_cutoff:.1e}",)
+    if truncated > MASS_CUTOFF:
+        warns = (f"mass {truncated:.3e} outside grid exceeds cutoff {MASS_CUTOFF:.1e}",)
     return _normalized(nodes, values, step, truncated_mass=truncated, warnings=warns)
 
 
@@ -444,9 +441,7 @@ def _family_pdf(spec: DistributionSpec) -> Callable[[NDArray[np.float64]], NDArr
     raise ValueError(f"no pdf for family {spec.family!r}")
 
 
-def _discrete_spikes(
-    spec: DistributionSpec, nodes: NDArray[np.float64], step: float, cfg: GridConfig
-) -> GridDensity:
+def _discrete_spikes(spec: DistributionSpec, nodes: NDArray[np.float64], step: float) -> GridDensity:
     atoms = np.asarray(spec.params["atoms"], dtype=float)
     probs = np.asarray(spec.params["probs"], dtype=float)
     if (probs <= 0).any():
@@ -461,7 +456,7 @@ def _discrete_spikes(
     return _normalized(nodes, values, step)
 
 
-def _load_density_file(path: str, cfg: GridConfig) -> GridDensity:
+def _load_density_file(path: str) -> GridDensity:
     data = np.loadtxt(path, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"{path}: expected two whitespace-separated columns (node, value)")
@@ -477,7 +472,7 @@ def _load_density_file(path: str, cfg: GridConfig) -> GridDensity:
     if values.min() < 0:
         raise ValueError(f"{path}: negative density values")
     values = values.copy()
-    values[values <= cfg.density_floor] = 0.0
+    values[values <= DENSITY_FLOOR] = 0.0
     w = trapezoid_weights(len(nodes), step)
     mass = float(w @ values)
     warns: tuple[str, ...] = ()
@@ -515,7 +510,7 @@ def moments(d: GridDensity, kmax: int = 4) -> MomentSet:
     return MomentSet(raw, central, var, skew, sigma_stat)
 
 
-def score(d: GridDensity, floor: float | None = None) -> GridFunction:
+def score(d: GridDensity) -> GridFunction:
     """Score function rho = (log p)' by central differences of log-density.
 
     The score is marked invalid outside the positive window, at the window's
@@ -528,11 +523,10 @@ def score(d: GridDensity, floor: float | None = None) -> GridFunction:
     ScoreUndefinedError
         If the density has zeros strictly inside its positive window.
     """
-    floor = 1e-300 if floor is None else floor
-    i0, i1 = d.positive_window(floor)
+    i0, i1 = d.positive_window(DENSITY_FLOOR)
     inside = d.values[i0 : i1 + 1]
-    if (inside <= floor).any():
-        bad = np.nonzero(inside <= floor)[0] + i0
+    if (inside <= DENSITY_FLOOR).any():
+        bad = np.nonzero(inside <= DENSITY_FLOOR)[0] + i0
         raise ScoreUndefinedError(
             f"density vanishes inside its positive window at nodes "
             f"[{bad.min()}..{bad.max()}] (x in [{d.nodes[bad.min()]:.6g}, {d.nodes[bad.max()]:.6g}])"

@@ -9,14 +9,14 @@ hosts the Efron-Stein (ANOVA) decomposition of functions of a sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec
-from .operators import SpectrumResult, ThetaResult, _eigensystem, _hull, theta_from_spectrum
+from .operators import SOLVE_SQUARES, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
+from .operators import _check_memory, _eigensystem, _hull
 
 __all__ = [
     "DiscretePMF",
@@ -124,12 +124,17 @@ def pmf_power(p: DiscretePMF, n: int) -> DiscretePMF:
     return out
 
 
-def _lookup(support: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Indices of ``values`` in a sorted support, -1 where absent (tolerance ATOM_TOL)."""
-    idx = np.searchsorted(support, values - ATOM_TOL)
-    idx = np.clip(idx, 0, len(support) - 1)
-    hit = np.abs(support[idx] - values) <= ATOM_TOL
-    return np.where(hit, idx, -1)
+def _sum_index(a: NDArray[np.float64], b: NDArray[np.float64], support: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Index in the sorted ``support`` of every a_i + b_j, shape a.shape + b.shape.
+
+    A sum matches the support atom within ATOM_TOL of it; a sum with none
+    raises, since the support was built to hold every such sum.
+    """
+    sums = np.add.outer(a, b)
+    idx = np.minimum(np.searchsorted(support, sums - ATOM_TOL), len(support) - 1)
+    if (np.abs(support[idx] - sums) > ATOM_TOL).any():
+        raise ValueError("sum support mismatch; atom coalescing produced an inconsistent lattice")
+    return idx
 
 
 @dataclass
@@ -139,9 +144,15 @@ class ExactOperator:
     partial: DiscretePMF  # S_{n-m}
     n: int
     m: int
-    C: NDArray[np.float64]  # (|S_n|, |S_m|): forward conditional expectation
-    Cstar: NDArray[np.float64]  # (|S_m|, |S_n|): adjoint
+    Cstar: NDArray[np.float64]  # (|S_m|, |S_n|): adjoint, Cstar[i, k] = P(S_{n-m} = s_k - y_i)
     B: NDArray[np.float64]  # symmetrizing factor, gram = B B^T
+
+    @property
+    def C(self) -> NDArray[np.float64]:
+        """(|S_n|, |S_m|): forward conditional expectation, C[k, i] = P(S_m = y_i | S_n = s_k)."""
+        _, qy = self.summand.arrays()
+        _, qn = self.total.arrays()
+        return (self.Cstar * qy[:, None]).T / qn[:, None]
 
     def support_block(self, rows: slice) -> NDArray[np.float64]:
         """``B[rows, cols]``, cols the hull of the columns those rows touch."""
@@ -149,6 +160,12 @@ class ExactOperator:
 
 
 def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
+    """The exact operators between S_m and S_n.
+
+    The table P(S_{n-m} = s_k - y_i) is scattered: atom t_j of S_{n-m} goes
+    to row i, column y_i + t_j. Refused beforehand when the table, B and the
+    dense eigensolve of ``exact_spectrum`` would not fit in available memory.
+    """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
     pm = pmf_power(p, m)
@@ -157,21 +174,21 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
     ay, qy = pm.arrays()
     at, qt = pt.arrays()
     an, qn = pn.arrays()
-    # table[i, k] = P(S_{n-m} = s_k - y_i)
-    diffs = an[None, :] - ay[:, None]
-    idx = _lookup(at, diffs.ravel()).reshape(diffs.shape)
-    table = np.where(idx >= 0, qt[np.clip(idx, 0, len(at) - 1)], 0.0)
-    C = (table * qy[:, None]).T / qn[:, None]  # (ns, ny)
-    Cstar = table  # (ny, ns)
-    B = np.sqrt(qy)[:, None] * table / np.sqrt(qn)[None, :]
-    return ExactOperator(summand=pm, total=pn, partial=pt, n=n, m=m, C=C, Cstar=Cstar, B=B)
+    ny, ns = len(ay), len(an)
+    need = 8 * (2 * ny * ns + SOLVE_SQUARES * ny * ny)
+    _check_memory("exact operator", n, m, ny, ns, need, "use fewer atoms or a smaller n")
+    table = np.zeros((ny, ns))
+    table[np.arange(ny)[:, None], _sum_index(ay, at, an)] = qt
+    B = np.sqrt(qy)[:, None] * table
+    B /= np.sqrt(qn)[None, :]
+    return ExactOperator(summand=pm, total=pn, partial=pt, n=n, m=m, Cstar=table, B=B)
 
 
-def exact_spectrum(p: DiscretePMF, n: int, m: int = 1, top: int = 8) -> SpectrumResult:
+def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     """Eigen-decomposition of the exact C*C on the S_m support."""
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()
-    return _eigensystem(op, qy, ay, top)
+    return _eigensystem(op, qy, ay, SPECTRUM_HEAD)
 
 
 def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:
@@ -203,22 +220,9 @@ class ESDecomposition:
     identity_residual: float
 
 
-def _conditional_tables(h: NDArray[np.float64], p: DiscretePMF, k: int) -> list[NDArray[np.float64]]:
-    """g_t over the S_t support, g_t(v) = E h(v + S_{k-t}), for t = 0..k."""
-    powers = [pmf_power(p, t) for t in range(k + 1)]
-    a_k, _ = powers[k].arrays()
-    if len(h) != len(a_k):
-        raise ValueError(f"h must be tabulated on the S_{k} support ({len(a_k)} atoms, got {len(h)})")
-    tables = []
-    for t in range(k + 1):
-        at, _ = powers[t].arrays()
-        ar, pr = powers[k - t].arrays()
-        sums = at[:, None] + ar[None, :]
-        idx = _lookup(a_k, sums.ravel()).reshape(sums.shape)
-        if (idx < 0).any():
-            raise ValueError("sum support mismatch; atom coalescing produced an inconsistent lattice")
-        tables.append((h[idx] * pr[None, :]).sum(axis=1))
-    return tables
+def _axis(v: NDArray[np.float64], i: int, r: int) -> NDArray[np.float64]:
+    """``v`` laid along axis i of an r-axis product grid."""
+    return v.reshape((1,) * i + (len(v),) + (1,) * (r - i - 1))
 
 
 def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecomposition:
@@ -226,10 +230,12 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
 
     h is a value table on the S_k support. It is centered internally (the
     subtracted mean is recorded); components of order >= 1 are unaffected by
-    centering. Components are built by inclusion-exclusion over conditioning
-    subsets: every conditional expectation of h(S_k) given a subset of the
-    summands is a function of that subset's partial sum alone, which is what
-    makes the table route exact.
+    centering. With G_k = h(y_1 + ... + y_k) on the product grid (one sum
+    lookup) and G_r = E[G_{r+1}] over its last argument, G_r is
+    E[h(S_k) | Y_1..Y_r], and the order-r component is the Hoeffding product
+    (I - E_1)...(I - E_r) G_r, E_i the expectation over argument i. Every
+    reduction multiplies elementwise and sums, so the result does not depend
+    on the BLAS kernel or its thread count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -238,33 +244,28 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
     if d**k > PRODUCT_SPACE_CAP:
         raise ValueError(f"product space {d}^{k} exceeds cap {PRODUCT_SPACE_CAP}")
     h = np.asarray(h, dtype=float)
-    g = _conditional_tables(h, p, k)
-    mean = float(g[0][0])
-    g = [gt - mean for gt in g]
+    ak, qk = pmf_power(p, k).arrays()
+    if len(h) != len(ak):
+        raise ValueError(f"h must be tabulated on the S_{k} support ({len(ak)} atoms, got {len(h)})")
+    mean = float((h * qk).sum())
     h_cent = h - mean
 
-    powers = [pmf_power(p, t) for t in range(k + 1)]
+    lead = np.zeros(())  # y_1 + ... + y_{k-1} on the product grid
+    for _ in range(k - 1):
+        lead = np.add.outer(lead, a)
+    G = [h_cent[_sum_index(lead, a, ak)]]  # G_k, ..., G_1
+    for r in range(k, 1, -1):
+        G.append((G[-1] * _axis(prob, r - 1, r)).sum(axis=-1))
+
     components: dict[int, NDArray[np.float64]] = {}
     component_sq: dict[int, float] = {}
     for r in range(1, k + 1):
-        comp = np.zeros((d,) * r)
-        # atom value along each tensor axis
-        axes = [a.reshape((1,) * i + (d,) + (1,) * (r - i - 1)) for i in range(r)]
-        for t in range(r + 1):
-            sign = (-1) ** (r - t)
-            for subset in combinations(range(r), t):
-                s = np.zeros((1,) * r)
-                for i in subset:
-                    s = s + axes[i]
-                at, _ = powers[t].arrays()
-                idx = _lookup(at, s.ravel()).reshape(s.shape)
-                if (idx < 0).any():
-                    raise ValueError("partial sum missing from coalesced support")
-                comp = comp + sign * np.broadcast_to(g[t][idx], (d,) * r)
-        components[r] = comp
+        comp = G[k - r]
         weight = np.ones((1,) * r)
         for i in range(r):
-            weight = weight * prob.reshape((1,) * i + (d,) + (1,) * (r - i - 1))
+            comp = comp - (comp * _axis(prob, i, r)).sum(axis=i, keepdims=True)
+            weight = weight * _axis(prob, i, r)
+        components[r] = comp
         component_sq[r] = float((weight * comp * comp).sum())
         if r >= 2:
             # exchangeability of the components follows from h being a
@@ -272,8 +273,7 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
             if not np.allclose(comp, np.swapaxes(comp, 0, 1), atol=1e-10):
                 raise AssertionError("order component is not symmetric in its arguments")
 
-    _, pk = powers[k].arrays()
-    total = float(pk @ h_cent**2)
+    total = float((qk * h_cent**2).sum())
     ssum = sum(comb(k, r) * component_sq[r] for r in range(1, k + 1))
     return ESDecomposition(
         k=k,
@@ -312,7 +312,7 @@ def component_cross_moment(
     comp_t = dec.components[t][tuple(grids[pos[s]] for s in args_t)]
     weight = np.ones((1,) * u)
     for i in range(u):
-        weight = weight * prob.reshape((1,) * i + (d,) + (1,) * (u - i - 1))
+        weight = weight * _axis(prob, i, u)
     return float((weight * comp_r * comp_t).sum())
 
 
@@ -341,16 +341,12 @@ def projection_inequality(h: NDArray[np.float64], p: DiscretePMF, k: int, l: int
 
     a1, q1 = p.arrays()
     akm1, qkm1 = pmf_power(p, k - 1).arrays()
-    sums = a1[:, None] + akm1[None, :]
-    idx = _lookup(ak, sums.ravel()).reshape(sums.shape)
-    h1 = (hc[idx] * qkm1[None, :]).sum(axis=1)
+    h1 = (hc[_sum_index(a1, akm1, ak)] * qkm1).sum(axis=1)
     e_h1_sq = float(q1 @ h1**2)
 
     al, ql = pmf_power(p, l).arrays()
     akl, qkl = pmf_power(p, k - l).arrays()
-    sums2 = al[:, None] + akl[None, :]
-    idx2 = _lookup(ak, sums2.ravel()).reshape(sums2.shape)
-    hhat = (hc[idx2] * qkl[None, :]).sum(axis=1)
+    hhat = (hc[_sum_index(al, akl, ak)] * qkl).sum(axis=1)
     e_hhat_sq = float(ql @ hhat**2)
 
     rhs = k * e_h1_sq + (k * (k - 1) / (l * (l - 1))) * (e_hhat_sq - l * e_h1_sq)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .densities import GridConfig, GridDensity, GridFunction, _fft_convolve, convolve, convolve_self
+from .densities import DENSITY_FLOOR, GridConfig, GridDensity, GridFunction, _fft_convolve, convolve, convolve_self
 
 __all__ = [
     "ConditionalKernel",
@@ -101,6 +101,11 @@ SOLVE_SQUARES = 4
 # order 1 / sqrt(max mass) and swamps values of unit size (the constant mode).
 EIGENFUNCTION_MASS_FLOOR = np.finfo(float).eps ** 2
 
+# Eigenfunctions a spectrum maps back to node values, and eigenvalues the theta
+# diagnostics and the spectrum document show: theta reads lambda_2, and the
+# head leaves room for a degenerate m/n cluster above it.
+SPECTRUM_HEAD = 8
+
 # theta measured on an exactly degenerate spectrum (a pmf whose pairwise sums
 # never collide has lambda_2 = m/n, theta = 0) can land a few ulps below 0.
 THETA_ROUNDOFF = 1e-12
@@ -160,12 +165,7 @@ class ConditionalKernel:
         return block
 
     def _check_memory(self, rows: int, cols: int, need: int) -> None:
-        avail = _available_bytes()
-        if avail is not None and need > avail:
-            raise ValueError(
-                f"grid too large for memory: (n, m) = ({self.n}, {self.m}) with a {rows} x {cols} kernel block needs "
-                f"about {need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; use fewer grid nodes (--nodes)"
-            )
+        _check_memory("grid", self.n, self.m, rows, cols, need, "use fewer grid nodes (--nodes)")
 
 
 @dataclass
@@ -235,6 +235,16 @@ def _available_bytes() -> int | None:
     return avail
 
 
+def _check_memory(what: str, n: int, m: int, rows: int, cols: int, need: int, remedy: str) -> None:
+    """Refuse, before allocating, ``need`` bytes for a rows x cols block of an (n, m) operator beyond what is available."""
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"{what} too large for memory: (n, m) = ({n}, {m}) with a {rows} x {cols} kernel block needs "
+            f"about {need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; {remedy}"
+        )
+
+
 def _hull(mask: NDArray[np.bool_]) -> slice:
     """The shortest slice that holds every True entry of ``mask``."""
     idx = np.flatnonzero(mask)
@@ -247,10 +257,11 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     Requires 1 <= m < n. The s-grid is the full sumset lattice of the y-grid
     and the S_{n-m} grid, which guarantees every row of tau integrates to 1
     against p_n (up to the renormalization of the convolved factors).
+    ``cfg`` is not read: the kernel lives on the grids of ``base``, and
+    columns where p_n is at most DENSITY_FLOOR are masked.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
-    cfg = cfg or GridConfig()
     p_m = convolve_self(base, m)
     p_t = convolve_self(base, n - m)
     p_n = convolve(p_m, p_t)
@@ -259,7 +270,7 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     if ns != ny + nt - 1:
         raise ValueError("grid misalignment: s-grid must be the sumset of the y and partial grids")
     ws = p_n.weights()
-    live = p_n.values > cfg.density_floor
+    live = p_n.values > DENSITY_FLOOR
     ds = np.zeros(ns)
     ds[live] = np.sqrt(ws[live] / p_n.values[live])
 
@@ -500,13 +511,14 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     )
 
 
-def spectrum(kernel: ConditionalKernel, top: int = 8) -> SpectrumResult:
+def spectrum(kernel: ConditionalKernel) -> SpectrumResult:
     """Dense eigensolve of the Gram matrix with trivial-mode classification.
 
-    Eigenfunctions are orthonormal under sum w_i p_m(y_i) f(y_i) g(y_i).
+    The top SPECTRUM_HEAD eigenfunctions are kept; they are orthonormal under
+    sum w_i p_m(y_i) f(y_i) g(y_i).
     """
     p_m = kernel.summand
-    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, top)
+    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD)
 
 
 def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = None) -> ThetaResult:
@@ -525,7 +537,7 @@ def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = N
         if -THETA_ROUNDOFF <= th < 0.0:
             th = 0.0
     diag = {
-        "lambda_head": [float(v) for v in spec.eigenvalues[: min(8, len(spec.eigenvalues))]],
+        "lambda_head": [float(v) for v in spec.eigenvalues[:SPECTRUM_HEAD]],
         "const_corr": spec.const_corr,
         "lin_corr": spec.lin_corr,
         "clamp_magnitude": spec.clamp_magnitude,
@@ -538,10 +550,10 @@ def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = N
     return ThetaResult(theta=th, lambda2=lam2, n=spec.n, m=spec.m, diagnostics=diag)
 
 
-def theta(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None = None, top: int = 8) -> ThetaResult:
+def theta(base: GridDensity, n: int, m: int = 1) -> ThetaResult:
     """End-to-end theta for the (n, m) pair built from a summand density."""
-    kernel = build_kernel(base, n, m, cfg)
-    spec = spectrum(kernel, top=top)
+    kernel = build_kernel(base, n, m)
+    spec = spectrum(kernel)
     return theta_from_spectrum(
         spec,
         extra_diagnostics={"row_sum_err": kernel.row_sum_err, "masked_mass": kernel.masked_mass},

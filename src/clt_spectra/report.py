@@ -14,7 +14,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .inequalities import BoundReport
-from .operators import SpectrumResult, ThetaResult, TraceResult
+from .operators import SPECTRUM_HEAD, SpectrumResult, ThetaResult, TraceResult
 
 __all__ = [
     "SCHEMA",
@@ -123,10 +123,10 @@ def reports_csv(reports: Iterable[BoundReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_document(spec: SpectrumResult, theta: ThetaResult | None = None, top: int = 8) -> dict:
+def spectrum_document(spec: SpectrumResult, theta: ThetaResult | None = None) -> dict:
     doc = {
-        "eigenvalues": spec.eigenvalues[: min(top, len(spec.eigenvalues))],
-        "singular_values": spec.singular_values[: min(top, len(spec.singular_values))],
+        "eigenvalues": spec.eigenvalues[:SPECTRUM_HEAD],
+        "singular_values": spec.singular_values[:SPECTRUM_HEAD],
         "trivial_indices": list(spec.trivial_indices),
         "n": spec.n,
         "m": spec.m,

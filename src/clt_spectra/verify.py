@@ -145,7 +145,7 @@ def family_battery(
         pairs += [(4, 1), (4, 3)]
     thetas = {}
     for n, m in pairs:
-        kern = build_kernel(d, n, m, cfg)
+        kern = build_kernel(d, n, m)
         sp = spectrum(kern)
         th = theta_from_spectrum(sp)
         lam0 = float(sp.eigenvalues[sp.trivial_indices[0]])
@@ -380,7 +380,7 @@ def _trace_reports(kern, sp, spec: DistributionSpec, cfg: GridConfig, fam) -> li
             node_count=min(2 * cfg.node_count, 3072),
         )
         d_wide = build_density(spec, wide_cfg)
-        tr_wide = trace_T(build_kernel(d_wide, 2, 1, wide_cfg))
+        tr_wide = trace_T(build_kernel(d_wide, 2, 1))
         reports.append(
             make_report(
                 "trace-domain-convergence",
@@ -723,7 +723,7 @@ def chi2_battery(seed: int = 42, cfg: GridConfig | None = None) -> list[BoundRep
     ceiling = eigen_tail_asymptote(1.0, 2.0)
     reg = build_density(DistributionSpec.gaussian(math.sqrt(5.0)), cfg)
     for n in (3, 4):
-        kern = build_kernel(reg, n, 1, cfg)
+        kern = build_kernel(reg, n, 1)
         th = theta_from_spectrum(spectrum(kern))
         reports.append(
             make_report(
@@ -826,7 +826,7 @@ def negative_control(cfg: GridConfig | None = None) -> BoundReport:
     """A deliberately violated bound; the harness requires this one to fail."""
     cfg = cfg or GridConfig()
     d = build_density(DistributionSpec.gaussian(1.0), cfg)
-    th = theta_from_spectrum(spectrum(build_kernel(d, 2, 1, cfg)))
+    th = theta_from_spectrum(spectrum(build_kernel(d, 2, 1)))
     sig = moments(d, kmax=2).sigma_stat
     return make_report(
         "negative-control-inflated-theta",

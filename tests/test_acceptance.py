@@ -60,12 +60,12 @@ def test_01_gaussian_spectrum_is_geometric():
 def test_02_theta_closed_forms():
     """theta(2) is 1 for Gaussian and beta/(beta+1) for gamma; theta(3) Gaussian is 2."""
     d = build_density(GAUSS, CFG1024)
-    assert abs(theta(d, 2, 1, CFG1024).theta - 1.0) <= 0.02
-    assert abs(theta(d, 3, 1, CFG1024).theta - 2.0) <= 0.06
+    assert abs(theta(d, 2, 1).theta - 1.0) <= 0.02
+    assert abs(theta(d, 3, 1).theta - 2.0) <= 0.06
     for beta in (1.0, 2.0, 4.0):
         db = build_density(DistributionSpec.gamma(beta), CFG1024)
         want = beta / (beta + 1.0)
-        assert abs(theta(db, 2, 1, CFG1024).theta - want) <= 0.02 * want, beta
+        assert abs(theta(db, 2, 1).theta - want) <= 0.02 * want, beta
 
 
 def test_03_gaussian_trace():
@@ -101,7 +101,7 @@ def test_06_gamma_fisher_chain():
     """Gamma(4): J_st(S_n) = 2/(4n-2) within 1%, both bounds hold, products non-increasing."""
     cfg = GridConfig(node_count=4096)
     d = build_density(DistributionSpec.gamma(4.0), cfg)
-    th2 = theta(d, 2, 1, cfg).theta
+    th2 = theta(d, 2, 1).theta
     ms = moments(d, kmax=4)
     jst_y = jst(d).value
     values = {}

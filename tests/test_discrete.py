@@ -1,6 +1,7 @@
 """Exact finite-support operators and the variance decomposition."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,15 +17,24 @@ from clt_spectra import (
     exact_operator,
     exact_spectrum,
     exact_theta,
+    parse_spec,
     pmf_power,
     projection_inequality,
 )
+from clt_spectra import operators
+from clt_spectra.cli import run
 from clt_spectra.discrete import ATOM_TOL, _coalesce
+from clt_spectra.verify import PMF_LATTICE4, PMF_SIDON4, PMF_SKEW3, PMF_UNIFORM3
 
 UNIFORM3 = DiscretePMF((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
 EQUAL3 = DiscretePMF((0.0, 1.0, 2.0), (1 / 3, 1 / 3, 1 / 3))
 SKEW3 = DiscretePMF((0.0, 1.0, 3.0), (0.5, 0.3, 0.2))
 SIDON4 = DiscretePMF((0.0, 1.0, 2.5, 4.0), (0.28, 0.16, 0.31, 0.25))
+NONLATTICE12_SPEC = (
+    "discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,8.88=0.08,"
+    "9.5=0.07,9.97=0.07"
+)
+NONLATTICE12 = DiscretePMF.from_spec(parse_spec(NONLATTICE12_SPEC))
 
 
 def test_pmf_validation():
@@ -130,6 +140,45 @@ def test_sidon_degeneracy():
     assert abs(th.lambda2 - 0.5) <= 1e-12
 
 
+def _difference_table(p, n, m):
+    """Reference: P(S_{n-m} = s_k - y_i), every difference s_k - y_i looked up in the S_{n-m} support."""
+    pm, pt = pmf_power(p, m), pmf_power(p, n - m)
+    ay, _ = pm.arrays()
+    at, qt = pt.arrays()
+    an, _ = convolve_pmf(pm, pt).arrays()
+    diffs = an[None, :] - ay[:, None]
+    idx = np.clip(np.searchsorted(at, diffs - ATOM_TOL), 0, len(at) - 1)
+    return np.where(np.abs(at[idx] - diffs) <= ATOM_TOL, qt[idx], 0.0)
+
+
+EXACT_CASES = [(NONLATTICE12, 5, 4)] + [
+    (pmf, n, m)
+    for pmf in (PMF_UNIFORM3, PMF_SKEW3, PMF_LATTICE4, PMF_SIDON4)
+    for n, m in ((2, 1), (3, 2), (5, 4))
+]
+
+
+@pytest.mark.parametrize("pmf, n, m", EXACT_CASES)
+def test_scattered_operator_matches_difference_table(pmf, n, m):
+    """Scattering each S_{n-m} atom into its sum column gives the difference lookup's table, C and B bit for bit."""
+    op = exact_operator(pmf, n, m)
+    table = _difference_table(pmf, n, m)
+    _, qy = op.summand.arrays()
+    _, qn = op.total.arrays()
+    assert np.array_equal(op.Cstar, table)
+    assert np.array_equal(op.C, (table * qy[:, None]).T / qn[:, None])
+    assert np.array_equal(op.B, np.sqrt(qy)[:, None] * table / np.sqrt(qn)[None, :])
+
+
+def test_exact_operator_refuses_beyond_memory(monkeypatch, capsys):
+    """The table, B and the eigensolve are checked against available memory before they are allocated; the CLI exits 1."""
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 1 << 20)
+    with pytest.raises(ValueError, match="exact operator too large for memory"):
+        exact_operator(NONLATTICE12, 5, 4)
+    assert run(["theta", "--exact", "--spec", NONLATTICE12_SPEC, "--n", "5", "--m", "4"]) == 1
+    assert "too large for memory" in capsys.readouterr().err
+
+
 def test_exact_adjointness():
     op = exact_operator(SKEW3, 3, 2)
     _, probs_n = op.total.arrays()
@@ -155,6 +204,53 @@ def test_variance_identity(pmf, k):
     """Var h(S_k) = sum_r C(k,r) E h_r^2 with machine-precision residual."""
     dec = efron_stein(_poly_h(pmf, k), pmf, k)
     assert abs(dec.identity_residual) <= 1e-12
+
+
+def _subset_efron_stein(h, p, k):
+    """Reference: the mean and components by inclusion-exclusion over every conditioning subset.
+
+    g_t(v) = E h(v + S_{k-t}) - Eh on the S_t support, and the order-r
+    component is sum over subsets T of the r arguments of
+    (-1)^(r - |T|) g_|T|(sum of the arguments in T).
+    """
+    powers = [pmf_power(p, t).arrays() for t in range(k + 1)]
+    a, _ = p.arrays()
+    ak = powers[k][0]
+    d = len(a)
+
+    def index(support, values):
+        idx = np.clip(np.searchsorted(support, values - ATOM_TOL), 0, len(support) - 1)
+        assert (np.abs(support[idx] - values) <= ATOM_TOL).all()
+        return idx
+
+    g = [(h[index(ak, at[:, None] + ar[None, :])] * pr).sum(axis=1) for (at, _), (ar, pr) in zip(powers, powers[::-1])]
+    mean = float(g[0][0])
+    components = {}
+    for r in range(1, k + 1):
+        comp = np.zeros((d,) * r)
+        for t in range(r + 1):
+            for subset in combinations(range(r), t):
+                s = np.zeros((1,) * r)
+                for i in subset:
+                    s = s + a.reshape((1,) * i + (d,) + (1,) * (r - i - 1))
+                comp = comp + (-1) ** (r - t) * (g[t][index(powers[t][0], s)] - mean)
+        components[r] = comp
+    return mean, components
+
+
+@pytest.mark.parametrize("pmf", [EQUAL3, SKEW3, SIDON4, PMF_LATTICE4], ids=["equal3", "skew3", "sidon4", "lattice4"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_product_form_matches_subset_sum(pmf, k):
+    """The Hoeffding product (I - E_1)...(I - E_r) G_r gives the subset inclusion-exclusion components."""
+    rng = np.random.default_rng(k)
+    for h in (_poly_h(pmf, k), rng.uniform(-1.0, 1.0, len(pmf_power(pmf, k).atoms))):
+        dec = efron_stein(h, pmf, k)
+        mean, components = _subset_efron_stein(h, pmf, k)
+        assert abs(dec.mean_shift - mean) <= 1e-14
+        assert sorted(dec.components) == sorted(components)
+        for r, comp in components.items():
+            assert dec.components[r].shape == comp.shape
+            assert np.abs(dec.components[r] - comp).max() <= 1e-14
 
 
 def test_component_orthogonality():

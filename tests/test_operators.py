@@ -51,8 +51,8 @@ def test_trivial_modes_flagged():
 
 def test_theta_gaussian_values():
     d = build_density(DistributionSpec.gaussian(1.0), CFG)
-    assert abs(theta(d, 2, 1, CFG).theta - 1.0) <= 0.02
-    assert abs(theta(d, 3, 1, CFG).theta - 2.0) <= 0.06
+    assert abs(theta(d, 2, 1).theta - 1.0) <= 0.02
+    assert abs(theta(d, 3, 1).theta - 2.0) <= 0.06
 
 
 def test_adjointness():

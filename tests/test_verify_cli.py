@@ -122,21 +122,31 @@ def test_cli_spectrum_csv_zeroes_cells_below_the_mass_floor(capsys):
     assert np.abs(cells).max() < 1e8
 
 
+def _cli_stdout(argv, **env):
+    """Stdout of the CLI in a fresh interpreter, with no thread variable set beyond ``env``."""
+    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("CLT_SPECTRA_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "clt_spectra.cli", *argv]
+    return subprocess.run(cmd, env=dict(base, **env), capture_output=True, check=True).stdout
+
+
 def test_cli_thread_cap_env_sets_the_blas_threads():
     """CLT_SPECTRA_THREADS=1 gives the bytes of OPENBLAS_NUM_THREADS=1 (it once left the default pool in place).
 
     The 12-atom exact operator at (5, 4) printed different bytes at 1 and 2 BLAS threads.
     """
-    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("CLT_SPECTRA_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     spec = ("discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,"
             "8.88=0.08,9.5=0.07,9.97=0.07")
-    cmd = [sys.executable, "-m", "clt_spectra.cli", "theta", "--exact", "--n", "5", "--m", "4", "--spec", spec]
-    capped = subprocess.run(cmd, env=dict(base, CLT_SPECTRA_THREADS="1"), capture_output=True, check=True).stdout
-    pinned = subprocess.run(cmd, env=dict(base, OPENBLAS_NUM_THREADS="1"), capture_output=True, check=True).stdout
-    assert capped == pinned
+    argv = ["theta", "--exact", "--n", "5", "--m", "4", "--spec", spec]
+    assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, OPENBLAS_NUM_THREADS="1")
+
+
+def test_cli_efron_stein_bytes_do_not_depend_on_threads():
+    """The decomposition reduces by elementwise products and sums, never through BLAS."""
+    argv = ["efron-stein", "--spec", "discrete:0=0.5,1=0.3,3=0.2", "--n", "5"]
+    assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, CLT_SPECTRA_THREADS="2")
 
 
 def test_cli_exact_trace(capsys):
