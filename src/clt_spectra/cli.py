@@ -11,43 +11,27 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
-SUBCOMMANDS = (
-    "density",
-    "spectrum",
-    "theta",
-    "trace",
-    "bounds",
-    "monotonicity",
-    "verify-all",
-    "closed-form",
-    "efron-stein",
+import numpy as np
+
+from . import verify
+from .closed_forms import closed_theta, hermite_lambda, laguerre_lambda
+from .densities import (
+    DistributionSpec,
+    FisherUnavailableError,
+    GridConfig,
+    ScoreUndefinedError,
+    build_density,
+    gaussian_regularize,
+    jst,
+    parse_spec,
+    write_density_file,
 )
+from .discrete import DiscretePMF, efron_stein, exact_operator, exact_spectrum, pmf_power
+from .inequalities import make_report, monotonicity_reports, monotonicity_sequence, subgauss_chi2_bound
+from .operators import TraceResult, build_kernel, spectrum, theta, theta_from_spectrum, trace_T
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: which subcommand, on what distribution, how."""
-
-    subcommand: str
-    spec: "DistributionSpec | None"
-    grid: "GridConfig"
-    n: int
-    m: int
-    output: str | None
-    format: str
-    seed: int
-    exact: bool
-    delta: float | None
-    n_max: int
-    spec_given: bool
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
+# report is imported inside the commands that emit: it loads json, which start-up does not need
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,8 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
         "Fisher-information functionals, and the bound battery around them.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS + ("verify",):
-        p = sub.add_parser(name, help=f"{name} subcommand")
+    for name in _HANDLERS:
+        p = sub.add_parser(name, aliases=["verify"] if name == "verify-all" else [], help=f"{name} subcommand")
+        p.set_defaults(subcommand=name)
         p.add_argument("--spec", default=None, help="distribution, e.g. gaussian:sigma=1, gamma:beta=4, "
                        "uniform:a=-1,b=1, discrete:0=0.5,1=0.5, file:PATH")
         p.add_argument("--n", type=int, default=2, help="number of summands (default 2)")
@@ -77,36 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    from .densities import DistributionSpec, GridConfig, parse_spec
-
-    sub = args.subcommand
-    if sub == "verify":
-        sub = "verify-all"
-    spec_given = args.spec is not None
-    if spec_given:
-        spec = parse_spec(args.spec)
-    elif sub in ("verify-all", "closed-form"):
-        spec = None
-    else:
-        spec = DistributionSpec.gaussian(1.0)
-    grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
-    return RunConfig(
-        subcommand=sub,
-        spec=spec,
-        grid=grid,
-        n=args.n,
-        m=args.m,
-        output=args.output,
-        format=args.format,
-        seed=args.seed,
-        exact=args.exact,
-        delta=args.delta,
-        n_max=args.n_max,
-        spec_given=spec_given,
-    )
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -115,13 +70,17 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _base_density(cfg: RunConfig):
-    from .densities import build_density, gaussian_regularize
-
-    d = build_density(cfg.spec, cfg.grid, n_hint=max(cfg.n, 1))
-    if cfg.delta is not None:
-        d = gaussian_regularize(d, cfg.delta)
+def _base_density(args):
+    d = build_density(args.spec, args.grid, n_hint=max(args.n, 1))
+    if args.delta is not None:
+        d = gaussian_regularize(d, args.delta)
     return d
+
+
+def _exact_pmf(args):
+    if args.spec.family != "discrete":
+        raise ValueError("--exact requires a discrete spec")
+    return DiscretePMF.from_spec(args.spec)
 
 
 def _exit_code_for(reports) -> int:
@@ -138,26 +97,25 @@ def emit_table(reports, fmt: str) -> str:
     return json_document(reports_document(reports))
 
 
-def _cmd_density(cfg: RunConfig) -> int:
-    from .densities import FisherUnavailableError, ScoreUndefinedError, jst, write_density_file
+def _cmd_density(args) -> int:
     from .report import json_document, sanitize
 
-    d = _base_density(cfg)
-    if cfg.output is not None:
-        write_density_file(cfg.output, d)
+    d = _base_density(args)
+    if args.output is not None:
+        write_density_file(args.output, d)
     jst_value = None
     try:
         jst_value = jst(d).value
     except (FisherUnavailableError, ScoreUndefinedError, ValueError):
         pass
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = [f"{x:.17g} {v:.17g}" for x, v in zip(d.nodes, d.values)]
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     payload = {
         "command": "density",
-        "family": cfg.spec.family,
-        "params": sanitize(cfg.spec.params),
+        "family": args.spec.family,
+        "params": sanitize(args.spec.params),
         "node_count": len(d.nodes),
         "step": d.step,
         "mean": d.mean(),
@@ -167,94 +125,77 @@ def _cmd_density(cfg: RunConfig) -> int:
         "clamped_mass": d.clamped_mass,
         "warnings": list(d.warnings),
         "jst": jst_value,
-        "output": cfg.output,
+        "output": args.output,
     }
     sys.stdout.write(json_document(payload))
     return 0
 
 
-def _spectrum_pair(cfg: RunConfig):
-    from .discrete import DiscretePMF, exact_spectrum
-    from .operators import build_kernel, spectrum, theta_from_spectrum
-
-    if cfg.exact:
-        if cfg.spec.family != "discrete":
-            raise ValueError("--exact requires a discrete spec")
-        if cfg.delta is not None:
-            raise ValueError("--delta requires the grid pipeline; drop --exact")
-        sp = exact_spectrum(DiscretePMF.from_spec(cfg.spec), cfg.n, cfg.m)
-    else:
-        d = _base_density(cfg)
-        sp = spectrum(build_kernel(d, cfg.n, cfg.m))
-    return sp, theta_from_spectrum(sp)
+def _spectrum(args):
+    if not args.exact:
+        return spectrum(build_kernel(_base_density(args), args.n, args.m))
+    pmf = _exact_pmf(args)
+    if args.delta is not None:
+        raise ValueError("--delta requires the grid pipeline; drop --exact")
+    return exact_spectrum(pmf, args.n, args.m)
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _cmd_spectrum(args) -> int:
     from .report import eigenfunction_csv, json_document, spectrum_document
 
-    sp, th = _spectrum_pair(cfg)
-    if cfg.format == "csv":
-        _emit(eigenfunction_csv(sp), cfg.output)
+    sp = _spectrum(args)
+    if args.format == "csv":
+        _emit(eigenfunction_csv(sp), args.output)
     else:
-        _emit(json_document(spectrum_document(sp, th)), cfg.output)
+        _emit(json_document(spectrum_document(sp, theta_from_spectrum(sp))), args.output)
     return 0
 
 
-def _cmd_theta(cfg: RunConfig) -> int:
+def _cmd_theta(args) -> int:
     from .report import _csv_num, json_document, theta_document
 
-    _, th = _spectrum_pair(cfg)
+    th = theta_from_spectrum(_spectrum(args))
     if math.isinf(th.theta):
         print("warning: no nontrivial eigenvalue above sentinel; theta reported as \"inf\"", file=sys.stderr)
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = "n,m,theta,lambda2\n" + f"{th.n},{th.m},{_csv_num(th.theta)},{_csv_num(th.lambda2)}\n"
-        _emit(text, cfg.output)
+        _emit(text, args.output)
     else:
-        _emit(json_document(theta_document(th)), cfg.output)
+        _emit(json_document(theta_document(th)), args.output)
     return 0
 
 
-def _cmd_trace(cfg: RunConfig) -> int:
-    import numpy as np
-
-    from .operators import TraceResult, build_kernel, trace_T
+def _cmd_trace(args) -> int:
     from .report import _csv_num, json_document, trace_document
 
-    if cfg.exact:
-        from .discrete import DiscretePMF, exact_operator
-
-        if cfg.spec.family != "discrete":
-            raise ValueError("--exact requires a discrete spec")
-        op = exact_operator(DiscretePMF.from_spec(cfg.spec), cfg.n, cfg.m)
+    if args.exact:
+        op = exact_operator(_exact_pmf(args), args.n, args.m)
         value = float(np.sum(op.B**2))
         tr = TraceResult(value=value, chi2=value - 1.0, masked_mass=0.0, lower_bound_only=False)
     else:
-        d = _base_density(cfg)
-        tr = trace_T(build_kernel(d, cfg.n, cfg.m))
-    if cfg.format == "csv":
+        d = _base_density(args)
+        tr = trace_T(build_kernel(d, args.n, args.m))
+    if args.format == "csv":
         text = "n,m,trace,chi2,lower_bound_only\n" + \
-            f"{cfg.n},{cfg.m},{_csv_num(tr.value)},{_csv_num(tr.chi2)},{str(tr.lower_bound_only).lower()}\n"
-        _emit(text, cfg.output)
+            f"{args.n},{args.m},{_csv_num(tr.value)},{_csv_num(tr.chi2)},{str(tr.lower_bound_only).lower()}\n"
+        _emit(text, args.output)
     else:
-        _emit(json_document(trace_document(tr, cfg.n, cfg.m)), cfg.output)
+        _emit(json_document(trace_document(tr, args.n, args.m)), args.output)
     return 0
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    from .inequalities import make_report, subgauss_chi2_bound
-    from .verify import family_battery
-
-    spec = cfg.spec
-    reports = family_battery(spec, cfg.grid, n_max=cfg.n_max, seed=cfg.seed)
-    if cfg.delta is not None:
-        res = subgauss_chi2_bound(spec, cfg.delta, max(cfg.n, 2))
+def _cmd_bounds(args) -> int:
+    spec = args.spec
+    reports = verify.family_battery(spec, args.grid, n_max=args.n_max, seed=args.seed)
+    if args.delta is not None:
+        res = subgauss_chi2_bound(spec, args.delta, max(args.n, 2))
         reports.append(
             make_report(
                 "subgauss-chi2-ceiling",
                 0.0,
                 0.0,
                 tol=0.0,
-                n=max(cfg.n, 2),
+                n=max(args.n, 2),
                 context={
                     "value": res.value,
                     "exp_factor": res.exp_factor,
@@ -264,98 +205,89 @@ def _cmd_bounds(cfg: RunConfig) -> int:
                 },
             )
         )
-    _emit(emit_table(reports, cfg.format), cfg.output)
+    _emit(emit_table(reports, args.format), args.output)
     return _exit_code_for(reports)
 
 
-def _cmd_monotonicity(cfg: RunConfig) -> int:
-    from .inequalities import monotonicity_reports, monotonicity_sequence
-    from .operators import theta
+def _cmd_monotonicity(args) -> int:
     from .report import json_document, reports_document, sanitize
 
-    d = _base_density(cfg)
+    d = _base_density(args)
     th = theta(d, 2, 1)
-    seq = monotonicity_sequence(d, th.theta, cfg.n_max)
+    seq = monotonicity_sequence(d, th.theta, args.n_max)
     reports = monotonicity_reports(seq)
-    if cfg.format == "csv":
-        _emit(emit_table(reports, "csv"), cfg.output)
+    if args.format == "csv":
+        _emit(emit_table(reports, "csv"), args.output)
     else:
         payload = reports_document(reports)
         payload["sequence"] = sanitize([[n, a] for n, a in seq])
         payload["theta2"] = th.theta
-        _emit(json_document(payload), cfg.output)
+        _emit(json_document(payload), args.output)
     return _exit_code_for(reports)
 
 
-def _cmd_verify_all(cfg: RunConfig) -> int:
-    from .verify import verify_all
-
-    spec = cfg.spec if cfg.spec_given else None
-    reports = verify_all(spec, cfg.grid, n_max=cfg.n_max, seed=cfg.seed)
-    _emit(emit_table(reports, cfg.format), cfg.output)
+def _cmd_verify_all(args) -> int:
+    reports = verify.verify_all(args.spec, args.grid, n_max=args.n_max, seed=args.seed)
+    _emit(emit_table(reports, args.format), args.output)
     return _exit_code_for(reports)
 
 
-def _cmd_closed_form(cfg: RunConfig) -> int:
-    from .closed_forms import closed_theta, hermite_lambda, laguerre_lambda
+def _cmd_closed_form(args) -> int:
     from .report import _csv_num, json_document
 
-    if cfg.spec_given:
-        fam = cfg.spec.family
+    if args.spec is not None:
+        fam = args.spec.family
         if fam == "gaussian":
             families = [("gaussian", None)]
         elif fam == "gamma":
-            families = [("gamma", float(cfg.spec.params["beta"]))]
+            families = [("gamma", float(args.spec.params["beta"]))]
         else:
             raise ValueError("closed-form tables exist for gaussian and gamma families only")
     else:
         families = [("gaussian", None), ("gamma", 4.0)]
-    n_values = list(range(2, max(4, cfg.n) + 1))
+    n_values = list(range(2, max(4, args.n) + 1))
     entries = []
     for fam, beta in families:
         lam = {}
-        theta = {}
+        thetas = {}
         for n in n_values:
             if fam == "gaussian":
                 lam[str(n)] = [hermite_lambda(n, k) for k in range(7)]
-                theta[str(n)] = closed_theta("gaussian", None, n)
+                thetas[str(n)] = closed_theta("gaussian", None, n)
             else:
                 lam[str(n)] = [laguerre_lambda(beta, n, k) for k in range(7)]
-                theta[str(n)] = closed_theta("gamma", {"beta": beta}, n)
-        entry = {"family": fam, "lambda": lam, "theta": theta}
+                thetas[str(n)] = closed_theta("gamma", {"beta": beta}, n)
+        entry = {"family": fam, "lambda": lam, "theta": thetas}
         if beta is not None:
             entry["beta"] = beta
         entries.append(entry)
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["family,n,k,value,kind"]
         for entry in entries:
             for n in n_values:
                 for k, v in enumerate(entry["lambda"][str(n)]):
                     lines.append(f"{entry['family']},{n},{k},{_csv_num(v)},lambda")
                 lines.append(f"{entry['family']},{n},,{_csv_num(entry['theta'][str(n)])},theta")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit(json_document({"command": "closed-form", "families": entries}), cfg.output)
+        _emit(json_document({"command": "closed-form", "families": entries}), args.output)
     return 0
 
 
-def _cmd_efron_stein(cfg: RunConfig) -> int:
-    from math import comb
-
-    from .discrete import DiscretePMF, efron_stein, pmf_power
+def _cmd_efron_stein(args) -> int:
     from .report import _csv_num, json_document
 
-    if cfg.spec.family != "discrete":
+    if args.spec.family != "discrete":
         raise ValueError("efron-stein works on discrete specs")
-    p = DiscretePMF.from_spec(cfg.spec)
-    k = cfg.n
+    p = DiscretePMF.from_spec(args.spec)
+    k = args.n
     atoms, _ = pmf_power(p, k).arrays()
     h = (atoms - k * p.mean()) ** 2  # default statistic: squared deviation of the sum
     dec = efron_stein(h, p, k)
-    rows = [(r, comb(k, r), dec.component_sq[r]) for r in sorted(dec.component_sq)]
-    if cfg.format == "csv":
+    rows = [(r, math.comb(k, r), dec.component_sq[r]) for r in sorted(dec.component_sq)]
+    if args.format == "csv":
         lines = ["r,choose,second_moment"] + [f"{r},{c},{_csv_num(v)}" for r, c, v in rows]
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     else:
         payload = {
             "command": "efron-stein",
@@ -366,7 +298,7 @@ def _cmd_efron_stein(cfg: RunConfig) -> int:
             "components": {str(r): {"choose": c, "second_moment": v} for r, c, v in rows},
             "identity_residual": dec.identity_residual,
         }
-        _emit(json_document(payload), cfg.output)
+        _emit(json_document(payload), args.output)
     return 0
 
 
@@ -391,8 +323,13 @@ def run(argv: list[str]) -> int:
         # argparse uses 2 for usage errors; here 2 is reserved for violated bounds
         return 0 if exc.code == 0 else 1
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        # handlers read args; spec None tells verify-all and closed-form to run their default families
+        if args.spec is not None:
+            args.spec = parse_spec(args.spec)
+        elif args.subcommand not in ("verify-all", "closed-form"):
+            args.spec = DistributionSpec.gaussian(1.0)
+        args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
+        return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -63,6 +63,11 @@ DENSITY_FLOOR = 1e-300
 # Mass outside the grid above this attaches a warning to a built density.
 MASS_CUTOFF = 1e-12
 
+# Half-width of the gaussian_regularize kernel in units of delta: its end
+# values, e^-72 of the peak, are below double resolution, so the kernel's
+# trapezoid mass is 1 and it is a valid GridDensity.
+REGULARIZE_HALF_WIDTH = 12.0
+
 
 class ScoreUndefinedError(ValueError):
     """Density has zeros strictly inside its positive window."""
@@ -77,7 +82,8 @@ class GridConfig:
     """Grid construction parameters.
 
     node_count
-        Number of grid nodes for a freshly built density.
+        Number of grid nodes for a freshly built density, 16 to
+        MAX_GRID_NODES.
     half_width_sigmas
         Half-width of the grid in units of sigma * sqrt(n_hint) around the
         mean.
@@ -87,8 +93,8 @@ class GridConfig:
     half_width_sigmas: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.node_count < 16:
-            raise ValueError(f"node_count must be >= 16, got {self.node_count}")
+        if not 16 <= self.node_count <= MAX_GRID_NODES:
+            raise ValueError(f"node_count must lie in [16, {MAX_GRID_NODES}], got {self.node_count}")
         if self.half_width_sigmas <= 0:
             raise ValueError("half_width_sigmas must be positive")
 
@@ -150,9 +156,9 @@ class GridDensity:
         mu = self.mean()
         return self.integral((self.nodes - mu) ** 2)
 
-    def positive_window(self, floor: float = 0.0) -> tuple[int, int]:
-        """Index range [i0, i1] of the first and last node with value > floor."""
-        pos = self.values > floor
+    def positive_window(self) -> tuple[int, int]:
+        """Index range [i0, i1] of the first and last node with value > DENSITY_FLOOR."""
+        pos = self.values > DENSITY_FLOOR
         if not pos.any():
             raise ValueError("density is identically zero")
         i0 = int(np.argmax(pos))
@@ -523,7 +529,7 @@ def score(d: GridDensity) -> GridFunction:
     ScoreUndefinedError
         If the density has zeros strictly inside its positive window.
     """
-    i0, i1 = d.positive_window(DENSITY_FLOOR)
+    i0, i1 = d.positive_window()
     inside = d.values[i0 : i1 + 1]
     if (inside <= DENSITY_FLOOR).any():
         bad = np.nonzero(inside <= DENSITY_FLOOR)[0] + i0
@@ -550,7 +556,7 @@ def fisher(d: GridDensity) -> float:
     (finite J) and correct for beta <= 2 (infinite J).
     """
     rho = score(d)
-    i0, i1 = d.positive_window(1e-300)
+    i0, i1 = d.positive_window()
     vmax = d.values.max()
     for edge in (i0, i1):
         if d.values[edge] > EDGE_JUMP_REL * vmax:
@@ -666,19 +672,24 @@ def rescale(d: GridDensity, c: float) -> GridDensity:
     return GridDensity(nodes, values, abs(c) * d.step, d.truncated_mass, d.clamped_mass, d.warnings)
 
 
-def gaussian_regularize(d: GridDensity, delta: float, half_width_sigmas: float = 12.0) -> GridDensity:
-    """Convolve with a centered Gaussian of variance delta^2 on the same lattice."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    m = int(math.ceil(half_width_sigmas * delta / d.step))
+def gaussian_regularize(d: GridDensity, delta: float) -> GridDensity:
+    """Convolve with a centered Gaussian of variance delta^2 on the same lattice.
+
+    The kernel spans +/- REGULARIZE_HALF_WIDTH * delta in 2m + 1 nodes; the
+    output grid is refused beforehand when its N + 2m nodes exceed
+    MAX_GRID_NODES.
+    """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    m = math.ceil(REGULARIZE_HALF_WIDTH * delta / d.step)
+    if len(d.nodes) + 2 * m > MAX_GRID_NODES:
+        raise ValueError(
+            f"grid overflow: regularization would need {len(d.nodes) + 2 * m} nodes (cap {MAX_GRID_NODES})"
+        )
     g = np.arange(-m, m + 1) * d.step
     kern = np.exp(-g * g / (2 * delta * delta))
     kern /= kern.sum() * d.step
-    warns = d.warnings
+    warns: tuple[str, ...] = ()
     if delta < 4 * d.step:
-        warns = warns + (f"regularization width {delta!r} under-resolved by step {d.step!r}",)
-    raw = _fft_convolve(d.values, kern) * d.step
-    raw[raw < 0] = 0.0
-    raw[raw < raw.max() * FFT_NOISE_REL] = 0.0
-    nodes = (d.nodes[0] - m * d.step) + d.step * np.arange(len(d.values) + 2 * m)
-    return _normalized(nodes, raw, d.step, d.truncated_mass, d.clamped_mass, warns)
+        warns = (f"regularization width {delta!r} under-resolved by step {d.step!r}",)
+    return convolve(d, GridDensity(g, kern, d.step, warnings=warns))

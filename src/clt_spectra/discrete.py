@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec
-from .operators import SOLVE_SQUARES, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
+from .operators import SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
 from .operators import _check_memory, _eigensystem, _hull
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 ATOM_TOL = 1e-12  # coalescing tolerance for sum supports
 SUPPORT_CAP = 20000
 PRODUCT_SPACE_CAP = 10_000_000
+_EXACT_REMEDY = "use fewer atoms or a smaller n"
 
 
 @dataclass(frozen=True)
@@ -154,17 +155,25 @@ class ExactOperator:
         _, qn = self.total.arrays()
         return (self.Cstar * qy[:, None]).T / qn[:, None]
 
+    @property
+    def health(self) -> dict:
+        """Numerical health signals a spectrum of this operator reports."""
+        return {"support_size": len(self.summand.atoms)}
+
     def support_block(self, rows: slice) -> NDArray[np.float64]:
         """``B[rows, cols]``, cols the hull of the columns those rows touch."""
         return self.B[rows, _hull(self.B[rows].any(axis=0))]
+
+    def _check_memory(self, rows: int, cols: int, need: int) -> None:
+        _check_memory("exact operator", self.n, self.m, rows, cols, need, _EXACT_REMEDY)
 
 
 def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
     """The exact operators between S_m and S_n.
 
     The table P(S_{n-m} = s_k - y_i) is scattered: atom t_j of S_{n-m} goes
-    to row i, column y_i + t_j. Refused beforehand when the table, B and the
-    dense eigensolve of ``exact_spectrum`` would not fit in available memory.
+    to row i, column y_i + t_j. Refused beforehand when the table and B
+    would not fit in available memory.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
@@ -175,8 +184,7 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
     at, qt = pt.arrays()
     an, qn = pn.arrays()
     ny, ns = len(ay), len(an)
-    need = 8 * (2 * ny * ns + SOLVE_SQUARES * ny * ny)
-    _check_memory("exact operator", n, m, ny, ns, need, "use fewer atoms or a smaller n")
+    _check_memory("exact operator", n, m, ny, ns, 8 * 2 * ny * ns, _EXACT_REMEDY)
     table = np.zeros((ny, ns))
     table[np.arange(ny)[:, None], _sum_index(ay, at, an)] = qt
     B = np.sqrt(qy)[:, None] * table
@@ -193,8 +201,7 @@ def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
 
 def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:
     """Exact theta; +inf sentinel when the S_m support has no third mode."""
-    spec = exact_spectrum(p, n, m)
-    return theta_from_spectrum(spec, extra_diagnostics={"support_size": len(spec.y_nodes)})
+    return theta_from_spectrum(exact_spectrum(p, n, m))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ top K eigenvectors from a Rayleigh-Ritz step; otherwise the dense eigh runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,13 +87,15 @@ RITZ_MAXIT = 6
 RITZ_GATE = np.finfo(float).eps ** (1.0 / RITZ_MAXIT)
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 
-# The support-block solve needs about 8 (h cols + SOLVE_SQUARES h^2) bytes
-# on its worst (dense eigh) path: the h x cols block, then the Gram matrix,
-# eigh's copy of it, its 2 h^2 workspace and its eigenvectors (the block is
-# freed before eigh). Within 2% of the measured peak-RSS rise for gamma
-# beta=1 at (3,2) and (4,3) on 2048 nodes and uniform (4,3) on 4096 nodes,
-# 10% above it for gamma beta=1 at (2,1) on 3072 nodes.
-SOLVE_SQUARES = 4
+# The eigensolve of an h-row support block needs about 8 SOLVE_SQUARES h^2
+# bytes beyond the arrays alive when it starts, on its worst (dense eigh)
+# path: the Gram matrix, eigh's copy of it, its 2 h^2 workspace, its
+# eigenvectors and the reversed copy of those. The peak-RSS rise measured
+# around exact_spectrum (whose table and B stay alive) is 8 (2 |S_m| |S_n| +
+# 5.2 to 5.5 h^2) for h = 715 to 2380, so 6 is 5-7% above it. A grid block is
+# checked while it exists but freed before eigh, so there the check also
+# counts the block and is 38-50% above the measured rise.
+SOLVE_SQUARES = 6
 
 # An eigenfunction value f(y_i) = phi_i / sqrt(mass_i) is written as 0 where
 # mass_i is below this fraction of the largest mass: there the roundoff of the
@@ -159,13 +161,18 @@ class ConditionalKernel:
         span = _hull(touched)
         cols = slice(rows.start + span.start, rows.start + span.stop)
         h, c = rows.stop - rows.start, cols.stop - cols.start
-        self._check_memory(h, c, 8 * (h * c + SOLVE_SQUARES * h * h))
+        self._check_memory(h, c, 8 * h * c)
         block = self.dy[rows, None] * self.table[rows, cols]
         block *= self.ds[cols]
         return block
 
     def _check_memory(self, rows: int, cols: int, need: int) -> None:
         _check_memory("grid", self.n, self.m, rows, cols, need, "use fewer grid nodes (--nodes)")
+
+    @property
+    def health(self) -> dict:
+        """Numerical health signals a spectrum of this kernel reports."""
+        return {"row_sum_err": self.row_sum_err, "masked_mass": self.masked_mass}
 
 
 @dataclass
@@ -184,6 +191,7 @@ class SpectrumResult:
     m: int
     solver: str = "dense"  # "low-rank", "ritz" or "dense" (see _eigh_psd)
     k: int = 0  # eigenvectors computed: r, K or the block size
+    health: dict = field(default_factory=dict)  # the operator's numerical health signals (its ``health``)
 
 
 @dataclass
@@ -448,12 +456,14 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     """Eigensolve of ``gram_matrix(op)`` with trivial-mode classification.
 
     ``op`` is any operator that gives the support block of its symmetrizing
-    factor ``B`` (``support_block``) and carries its ``n``, ``m`` (the grid
-    kernel or the exact operator); ``mass`` is the quadrature mass of the
-    S_m law at ``nodes``. A row of ``B`` with zero mass is zero, hence an
-    exact null mode, so only the support block is solved: the rows spanning
-    ``mass > 0`` and the columns those rows touch (a grid kernel builds just
-    that block). One zero eigenvalue per row outside the block goes at the
+    factor ``B`` (``support_block``), checks memory (``_check_memory``) and
+    carries its ``n``, ``m`` and ``health`` (the grid kernel or the exact
+    operator); ``mass`` is the quadrature mass of the S_m law at ``nodes``.
+    A row of ``B`` with zero mass is zero, hence an exact null mode, so only
+    the support block is solved: the rows spanning ``mass > 0`` and the
+    columns those rows touch (a grid kernel builds just that block). Once the
+    block exists, the solve's SOLVE_SQUARES h^2 is checked against the memory
+    left. One zero eigenvalue per row outside the block goes at the
     tail and the eigenvectors are 0 on those rows, so the result is that of
     the full matrix. A block certified numerically low-rank is solved on its
     r x r core and its h - r smallest eigenvalues are exact zeros as well;
@@ -468,7 +478,12 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     """
     rows = _hull(mass > 0)
     top = min(top, len(nodes))
-    lam, phi, solver = _eigh_psd(gram_matrix(op.support_block(rows)), top)
+    block = op.support_block(rows)
+    h = len(block)
+    op._check_memory(h, block.shape[1], 8 * SOLVE_SQUARES * h * h)
+    S = gram_matrix(block)
+    del block  # freed before the eigensolve
+    lam, phi, solver = _eigh_psd(S, top)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]
@@ -508,6 +523,7 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
         m=op.m,
         solver=solver,
         k=k,
+        health=op.health,
     )
 
 
@@ -521,11 +537,12 @@ def spectrum(kernel: ConditionalKernel) -> SpectrumResult:
     return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD)
 
 
-def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = None) -> ThetaResult:
+def theta_from_spectrum(spec: SpectrumResult) -> ThetaResult:
     """Extract theta after removing the constant and linear modes by label, not rank.
 
     A theta within THETA_ROUNDOFF below 0 is read as 0; one further below is
-    reported as it is.
+    reported as it is. The diagnostics carry the spectrum's solver record and
+    its operator's health signals.
     """
     skip = set(spec.trivial_indices)
     rest = [k for k in range(len(spec.eigenvalues)) if k not in skip]
@@ -544,20 +561,14 @@ def theta_from_spectrum(spec: SpectrumResult, extra_diagnostics: dict | None = N
         "trivial_indices": list(spec.trivial_indices),
         "solver": spec.solver,
         "k": spec.k,
+        **spec.health,
     }
-    if extra_diagnostics:
-        diag.update(extra_diagnostics)
     return ThetaResult(theta=th, lambda2=lam2, n=spec.n, m=spec.m, diagnostics=diag)
 
 
 def theta(base: GridDensity, n: int, m: int = 1) -> ThetaResult:
     """End-to-end theta for the (n, m) pair built from a summand density."""
-    kernel = build_kernel(base, n, m)
-    spec = spectrum(kernel)
-    return theta_from_spectrum(
-        spec,
-        extra_diagnostics={"row_sum_err": kernel.row_sum_err, "masked_mass": kernel.masked_mass},
-    )
+    return theta_from_spectrum(spectrum(build_kernel(base, n, m)))
 
 
 def trace_T(kernel: ConditionalKernel) -> TraceResult:

@@ -7,6 +7,7 @@ import pytest
 from scipy import fft, signal, stats
 
 from clt_spectra import densities
+from clt_spectra.cli import run
 from clt_spectra import (
     DistributionSpec,
     FisherUnavailableError,
@@ -189,6 +190,35 @@ def test_density_file_round_trip(tmp_path):
     write_density_file(str(path), d)
     d2 = build_density(parse_spec(f"file:{path}"))
     assert abs(jst(d2).value - jst(d).value) <= 1e-9
+
+
+def test_regularize_records_the_mass_it_cuts():
+    """The regularized density's clamped_mass adds the FFT cut of the smoothing convolution (it once read 0)."""
+    d = build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=1024), n_hint=2)
+    assert d.clamped_mass == 0.0
+    reg = gaussian_regularize(d, 0.5)
+    assert 0.0 < reg.clamped_mass < 1e-12
+
+
+def test_regularize_refuses_grids_beyond_the_cap(capsys):
+    """N + 2m nodes above MAX_GRID_NODES are refused before the kernel is allocated; the CLI exits 1."""
+    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=512), n_hint=2)
+    half = (densities.MAX_GRID_NODES - len(d.nodes)) // 2
+    ok = gaussian_regularize(d, half * d.step / 12.0 * (1 - 1e-9))
+    assert len(ok.nodes) <= densities.MAX_GRID_NODES
+    delta = (half + 1) * d.step / 12.0
+    with pytest.raises(ValueError, match="grid overflow"):
+        gaussian_regularize(d, delta)
+    assert run(["density", "--spec", "gaussian:sigma=1", "--nodes", "512", "--delta", repr(delta)]) == 1
+    assert "grid overflow" in capsys.readouterr().err
+
+
+def test_grid_config_refuses_more_nodes_than_the_cap(capsys):
+    with pytest.raises(ValueError, match="node_count"):
+        GridConfig(node_count=densities.MAX_GRID_NODES + 1)
+    assert GridConfig(node_count=densities.MAX_GRID_NODES).node_count == densities.MAX_GRID_NODES
+    assert run(["theta", "--nodes", str(densities.MAX_GRID_NODES + 1)]) == 1
+    assert "node_count" in capsys.readouterr().err
 
 
 def test_regularized_pmf_mass_and_variance():

@@ -179,6 +179,24 @@ def test_exact_operator_refuses_beyond_memory(monkeypatch, capsys):
     assert "too large for memory" in capsys.readouterr().err
 
 
+def test_exact_memory_guard_reserves_the_solve_only_where_it_runs(monkeypatch, capsys):
+    """Room for the table and B but not for the eigensolve: the trace runs, the spectrum is refused.
+
+    The operator's own arrays take 8 * 2 |S_m| |S_n| bytes, the solve 8 * SOLVE_SQUARES |S_m|^2 more.
+    """
+    ny, ns = len(pmf_power(NONLATTICE12, 4).atoms), len(pmf_power(NONLATTICE12, 5).atoms)
+    arrays, solve = 16 * ny * ns, 8 * operators.SOLVE_SQUARES * ny * ny
+    assert solve > arrays
+    monkeypatch.setattr(operators, "_available_bytes", lambda: (arrays + solve) // 2)
+    exact_operator(NONLATTICE12, 5, 4)
+    with pytest.raises(ValueError, match="exact operator too large for memory"):
+        exact_spectrum(NONLATTICE12, 5, 4)
+    argv = ["--exact", "--spec", NONLATTICE12_SPEC, "--n", "5", "--m", "4"]
+    assert run(["trace", *argv]) == 0
+    assert run(["theta", *argv]) == 1
+    assert "too large for memory" in capsys.readouterr().err
+
+
 def test_exact_adjointness():
     op = exact_operator(SKEW3, 3, 2)
     _, probs_n = op.total.arrays()

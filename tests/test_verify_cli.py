@@ -106,13 +106,14 @@ def test_cli_spectrum_csv_zeroes_cells_below_the_mass_floor(capsys):
     """Eigenfunction cells below the mass floor read 0; roundoff over sqrt(mass) printed up to 4.4e16 there."""
     import numpy as np
 
+    from clt_spectra import DistributionSpec, GridConfig, build_density
     from clt_spectra.operators import EIGENFUNCTION_MASS_FLOOR, build_kernel
 
     argv = ["spectrum", "--spec", "gaussian:sigma=1", "--nodes", "512", "--format", "csv"]
     assert run(argv) == 0
     table = np.array([[float(x) for x in ln.split(",")] for ln in capsys.readouterr().out.splitlines()[1:]])
-    cfg = clt_spectra.cli._config_from_args(clt_spectra.cli.build_parser().parse_args(argv))
-    p_m = build_kernel(clt_spectra.cli._base_density(cfg), cfg.n, cfg.m, cfg.grid).summand
+    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=512), n_hint=2)
+    p_m = build_kernel(d, 2, 1).summand
     assert np.array_equal(table[:, 0], p_m.nodes)
     mass = p_m.weights() * p_m.values
     below = mass < EIGENFUNCTION_MASS_FLOOR * mass.max()
@@ -120,6 +121,30 @@ def test_cli_spectrum_csv_zeroes_cells_below_the_mass_floor(capsys):
     cells = table[:, 1:]
     assert np.array_equal(cells == 0, np.repeat(below[:, None], cells.shape[1], axis=1))
     assert np.abs(cells).max() < 1e8
+
+
+GRID_ARGS = ["--spec", "gamma:beta=4", "--nodes", "512", "--n", "3", "--m", "2"]
+EXACT_ARGS = ["--exact", "--spec", "discrete:0=0.2,1=0.3,2.5=0.1,4=0.4", "--n", "4", "--m", "3"]
+
+
+@pytest.mark.parametrize("args", [GRID_ARGS, EXACT_ARGS], ids=["grid", "exact"])
+def test_cli_theta_and_spectrum_diagnostics_are_the_library_theta(args, capsys):
+    """`theta` and `spectrum` print the diagnostics of `theta()` / `exact_theta()`, health signals included."""
+    from clt_spectra import DiscretePMF, DistributionSpec, GridConfig, build_density, exact_theta, parse_spec, theta
+    from clt_spectra.report import sanitize
+
+    if "--exact" in args:
+        th = exact_theta(DiscretePMF.from_spec(parse_spec(args[2])), 4, 3)
+        health = {"support_size"}
+    else:
+        th = theta(build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=512), n_hint=3), 3, 2)
+        health = {"row_sum_err", "masked_mass"}
+    assert health <= th.diagnostics.keys()
+    for cmd in ("theta", "spectrum"):
+        assert run([cmd, *args]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"] == sanitize(th.diagnostics)
+        assert doc["theta"] == th.theta
 
 
 def _cli_stdout(argv, **env):
