@@ -12,8 +12,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import verify
 from .closed_forms import closed_theta, hermite_lambda, laguerre_lambda
 from .densities import (
@@ -169,8 +167,11 @@ def _cmd_trace(args) -> int:
     from .report import _csv_num, json_document, trace_document
 
     if args.exact:
-        op = exact_operator(_exact_pmf(args), args.n, args.m)
-        value = float(np.sum(op.B**2))
+        pmf = _exact_pmf(args)
+        if args.delta is not None:
+            raise ValueError("--delta requires the grid pipeline; drop --exact")
+        # ||B||_F^2 over the non-zero pairs of B, correctly rounded
+        value = math.fsum((exact_operator(pmf, args.n, args.m).values ** 2).ravel())
         tr = TraceResult(value=value, chi2=value - 1.0, masked_mass=0.0, lower_bound_only=False)
     else:
         d = _base_density(args)
@@ -314,6 +315,9 @@ _HANDLERS = {
     "efron-stein": _cmd_efron_stein,
 }
 
+# subcommands that only run on the grid and would otherwise ignore --exact
+_GRID_ONLY = ("density", "bounds", "monotonicity")
+
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
@@ -329,6 +333,8 @@ def run(argv: list[str]) -> int:
         elif args.subcommand not in ("verify-all", "closed-form"):
             args.spec = DistributionSpec.gaussian(1.0)
         args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
+        if args.exact and args.subcommand in _GRID_ONLY:
+            raise ValueError(f"{args.subcommand} has no exact pipeline; drop --exact")
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

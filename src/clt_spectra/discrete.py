@@ -1,14 +1,16 @@
 """Exact finite-support counterpart of the grid operators.
 
-For a pmf with a handful of atoms everything is small dense linear algebra:
-sum supports come from exact convolution with atom coalescing, the operator
-matrices are ratios of pmf values, and eigenvalues are exact to rounding.
+For a pmf with a handful of atoms everything is small linear algebra: sum
+supports come from exact convolution with atom coalescing, the operators are
+ratios of pmf values kept at the pairs (y_i, y_i + t_j) where they are
+non-zero, and eigenvalues are exact to rounding.
 This module is the oracle the grid pipeline is validated against, and it also
 hosts the Efron-Stein (ANOVA) decomposition of functions of a sum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -16,7 +18,7 @@ from numpy.typing import NDArray
 
 from .densities import DistributionSpec
 from .operators import SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
-from .operators import _check_memory, _eigensystem, _hull
+from .operators import _check_memory, _eigensystem, _hull, gram_matrix
 
 __all__ = [
     "DiscretePMF",
@@ -140,40 +142,114 @@ def _sum_index(a: NDArray[np.float64], b: NDArray[np.float64], support: NDArray[
 
 @dataclass
 class ExactOperator:
+    """The exact operators between S_m and S_n, kept as the pairs where they are non-zero.
+
+    Row i of C* and of B is non-zero only in the columns ``index[i, j]`` of
+    the sums y_i + t_j, t_j the atoms of S_{n-m}: there C*[i, k] =
+    P(S_{n-m} = t_j) and B[i, k] = ``values[i, j]``. The dense (|S_m|, |S_n|)
+    ``Cstar`` and ``B`` are built on first read (memory-checked) and kept.
+    """
+
     summand: DiscretePMF  # S_m
     total: DiscretePMF  # S_n
     partial: DiscretePMF  # S_{n-m}
     n: int
     m: int
-    Cstar: NDArray[np.float64]  # (|S_m|, |S_n|): adjoint, Cstar[i, k] = P(S_{n-m} = s_k - y_i)
-    B: NDArray[np.float64]  # symmetrizing factor, gram = B B^T
+    index: NDArray[np.intp]  # (|S_m|, |S_{n-m}|): column of y_i + t_j in the S_n support
+    values: NDArray[np.float64]  # (|S_m|, |S_{n-m}|): sqrt(q_m(y_i)) q_{n-m}(t_j) / sqrt(q_n(y_i + t_j))
+
+    @cached_property
+    def Cstar(self) -> NDArray[np.float64]:
+        """(|S_m|, |S_n|): adjoint, Cstar[i, k] = P(S_{n-m} = s_k - y_i)."""
+        _, qt = self.partial.arrays()
+        return self._dense(np.broadcast_to(qt, self.index.shape))
+
+    @cached_property
+    def B(self) -> NDArray[np.float64]:
+        """(|S_m|, |S_n|): symmetrizing factor, B B^T = the Gram matrix of C*C."""
+        return self._dense(self.values)
 
     @property
     def C(self) -> NDArray[np.float64]:
         """(|S_n|, |S_m|): forward conditional expectation, C[k, i] = P(S_m = y_i | S_n = s_k)."""
         _, qy = self.summand.arrays()
         _, qn = self.total.arrays()
-        return (self.Cstar * qy[:, None]).T / qn[:, None]
+        Cstar = self.Cstar
+        self._check_memory(f"a {Cstar.shape[1]} x {Cstar.shape[0]} matrix", 16 * Cstar.size)
+        return (Cstar * qy[:, None]).T / qn[:, None]
 
     @property
     def health(self) -> dict:
         """Numerical health signals a spectrum of this operator reports."""
         return {"support_size": len(self.summand.atoms)}
 
-    def support_block(self, rows: slice) -> NDArray[np.float64]:
-        """``B[rows, cols]``, cols the hull of the columns those rows touch."""
-        return self.B[rows, _hull(self.B[rows].any(axis=0))]
+    def _dense(self, vals: NDArray[np.float64]) -> NDArray[np.float64]:
+        """``vals`` scattered into a zero (|S_m|, |S_n|) matrix at the pairs' columns.
 
-    def _check_memory(self, rows: int, cols: int, need: int) -> None:
-        _check_memory("exact operator", self.n, self.m, rows, cols, need, _EXACT_REMEDY)
+        Checked for the matrix and one temporary of its size (the weighting
+        that makes C of C*, or a caller's elementwise product).
+        """
+        ny, ns = len(self.index), len(self.total.atoms)
+        self._check_memory(f"a dense {ny} x {ns} matrix", 16 * ny * ns)
+        out = np.zeros((ny, ns))
+        out[np.arange(ny)[:, None], self.index] = vals
+        return out
+
+    def gram(self, rows: slice) -> NDArray[np.float64]:
+        """The Gram matrix ``B[rows] @ B[rows].T``, built from the pairs.
+
+        Column k of B adds b_a b_b to S[a, b] for every two rows a, b it holds,
+        so the P = sum_k c_k^2 products (c_k the rows in column k) are all of
+        S. When P is at most the size of the dense support block (the rows and
+        the hull of the columns they touch), they are scattered: the pairs
+        sorted by column, one ``np.bincount`` sums the products of rows that
+        share a column into S, column by column in the same order for S[a, b]
+        and S[b, a], so S is exactly symmetric and needs no BLAS. Otherwise
+        (a lattice support, where sums pile up in few columns) the block is
+        built and multiplied by ``gram_matrix``.
+        """
+        index, values = self.index[rows], self.values[rows]
+        h, ns = len(index), len(self.total.atoms)
+        counts = np.bincount(index.ravel(), minlength=ns)
+        pairs = int(counts @ counts)
+        cols = _hull(counts > 0)
+        c = cols.stop - cols.start
+        if pairs > h * c:
+            self._check_memory(f"a {h} x {c} support block and its Gram matrix", 8 * h * (c + h))
+            block = np.zeros((h, c))
+            block[np.arange(h)[:, None], index - cols.start] = values
+            return gram_matrix(block)
+
+        # five pair-sized arrays are alive at once, then S
+        self._check_memory(f"{pairs} column-sharing pairs and a {h} x {h} Gram matrix", 8 * (5 * pairs + h * h))
+        order = np.argsort(index, axis=None, kind="stable")
+        col = index.ravel()[order]
+        row, val = order // index.shape[1], values.ravel()[order]
+        # entry e takes the pairs start_e .. start_e + reps_e - 1, one with each
+        # entry of its column; the column's entries start at first[col_e]
+        first = np.cumsum(counts) - counts
+        reps = counts[col]
+        start = np.cumsum(reps) - reps
+        left = np.repeat(np.arange(len(col)), reps)
+        right = np.arange(pairs)
+        right -= np.repeat(start - first[col], reps)
+        flat = row[left] * h
+        flat += row[right]
+        weight = val[left]
+        weight *= val[right]
+        del left, right
+        return np.bincount(flat, weights=weight, minlength=h * h).reshape(h, h)
+
+    def _check_memory(self, part: str, need: int) -> None:
+        _check_memory("exact operator", self.n, self.m, part, need, _EXACT_REMEDY)
 
 
 def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
-    """The exact operators between S_m and S_n.
+    """The exact operators between S_m and S_n as their sum-index pairs.
 
-    The table P(S_{n-m} = s_k - y_i) is scattered: atom t_j of S_{n-m} goes
-    to row i, column y_i + t_j. Refused beforehand when the table and B
-    would not fit in available memory.
+    Atom t_j of S_{n-m} sends row i to the column of y_i + t_j in the S_n
+    support (``_sum_index``). Refused beforehand when the index and value
+    arrays, and the lookup's temporaries, would not fit in available memory.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
@@ -183,13 +259,12 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
     ay, qy = pm.arrays()
     at, qt = pt.arrays()
     an, qn = pn.arrays()
-    ny, ns = len(ay), len(an)
-    _check_memory("exact operator", n, m, ny, ns, 8 * 2 * ny * ns, _EXACT_REMEDY)
-    table = np.zeros((ny, ns))
-    table[np.arange(ny)[:, None], _sum_index(ay, at, an)] = qt
-    B = np.sqrt(qy)[:, None] * table
-    B /= np.sqrt(qn)[None, :]
-    return ExactOperator(summand=pm, total=pn, partial=pt, n=n, m=m, Cstar=table, B=B)
+    ny, nt = len(ay), len(at)
+    _check_memory("exact operator", n, m, f"{ny} x {nt} sum-index pairs", 8 * 4 * ny * nt, _EXACT_REMEDY)
+    index = _sum_index(ay, at, an)
+    values = np.sqrt(qy)[:, None] * qt
+    values /= np.sqrt(qn)[index]
+    return ExactOperator(summand=pm, total=pn, partial=pt, n=n, m=m, index=index, values=values)
 
 
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
@@ -227,6 +302,23 @@ class ESDecomposition:
     identity_residual: float
 
 
+def _product_grid_index(p: DiscretePMF, k: int) -> tuple[NDArray[np.intp], DiscretePMF]:
+    """Index in the S_k support of y_1 + ... + y_k on the product grid, shape (d,)*k, and the law of S_k.
+
+    Built level by level as ``pmf_power`` builds the supports: the S_r index
+    of y_1 + ... + y_r is the S_{r-1} index of y_1 + ... + y_{r-1} sent
+    through the small ``_sum_index(S_{r-1}, atoms, S_r)`` table, so no sum is
+    formed or searched on the product grid.
+    """
+    a, _ = p.arrays()
+    idx, law = np.arange(len(a)), p
+    for _ in range(k - 1):
+        nxt = convolve_pmf(law, p)
+        idx = _sum_index(law.arrays()[0], a, nxt.arrays()[0])[idx[..., None], np.arange(len(a))]
+        law = nxt
+    return idx, law
+
+
 def _axis(v: NDArray[np.float64], i: int, r: int) -> NDArray[np.float64]:
     """``v`` laid along axis i of an r-axis product grid."""
     return v.reshape((1,) * i + (len(v),) + (1,) * (r - i - 1))
@@ -237,12 +329,12 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
 
     h is a value table on the S_k support. It is centered internally (the
     subtracted mean is recorded); components of order >= 1 are unaffected by
-    centering. With G_k = h(y_1 + ... + y_k) on the product grid (one sum
-    lookup) and G_r = E[G_{r+1}] over its last argument, G_r is
-    E[h(S_k) | Y_1..Y_r], and the order-r component is the Hoeffding product
-    (I - E_1)...(I - E_r) G_r, E_i the expectation over argument i. Every
-    reduction multiplies elementwise and sums, so the result does not depend
-    on the BLAS kernel or its thread count.
+    centering. With G_k = h(y_1 + ... + y_k) on the product grid (indexed
+    level by level, ``_product_grid_index``) and G_r = E[G_{r+1}] over its
+    last argument, G_r is E[h(S_k) | Y_1..Y_r], and the order-r component is
+    the Hoeffding product (I - E_1)...(I - E_r) G_r, E_i the expectation
+    over argument i. Every reduction multiplies elementwise and sums, so the
+    result does not depend on the BLAS kernel or its thread count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -251,16 +343,14 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
     if d**k > PRODUCT_SPACE_CAP:
         raise ValueError(f"product space {d}^{k} exceeds cap {PRODUCT_SPACE_CAP}")
     h = np.asarray(h, dtype=float)
-    ak, qk = pmf_power(p, k).arrays()
+    grid_index, pk = _product_grid_index(p, k)
+    ak, qk = pk.arrays()
     if len(h) != len(ak):
         raise ValueError(f"h must be tabulated on the S_{k} support ({len(ak)} atoms, got {len(h)})")
     mean = float((h * qk).sum())
     h_cent = h - mean
 
-    lead = np.zeros(())  # y_1 + ... + y_{k-1} on the product grid
-    for _ in range(k - 1):
-        lead = np.add.outer(lead, a)
-    G = [h_cent[_sum_index(lead, a, ak)]]  # G_k, ..., G_1
+    G = [h_cent[grid_index]]  # G_k, ..., G_1
     for r in range(k, 1, -1):
         G.append((G[-1] * _axis(prob, r - 1, r)).sum(axis=-1))
 

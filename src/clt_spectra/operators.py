@@ -18,8 +18,10 @@ Toeplitz, and C, C* and the trace are O(N) convolutions against p_{S_{n-m}}.
 The eigenproblem is solved on the symmetrized Gram matrix B B^T with
 B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)), which is
 similar to the discretized C*C and keeps eigenvectors orthonormal in the
-weighted inner product. The solve builds only the block of B that carries
-S_m mass; the full B is built only when read. One pivoted Cholesky probe of
+weighted inner product. The solve asks the operator for the Gram matrix of
+the rows of B that carry S_m mass: a grid kernel builds only that block of
+B, an exact operator scatters it from its non-zero pairs (discrete.py); the
+full B is built only when read. One pivoted Cholesky probe of
 the Gram block picks the solver: when it certifies the block as numerically
 low-rank (gaussian summands: eigenvalues (m/n)^k), only its r x r core is
 diagonalized; when its remainder is small enough for a short subspace
@@ -87,15 +89,14 @@ RITZ_MAXIT = 6
 RITZ_GATE = np.finfo(float).eps ** (1.0 / RITZ_MAXIT)
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 
-# The eigensolve of an h-row support block needs about 8 SOLVE_SQUARES h^2
-# bytes beyond the arrays alive when it starts, on its worst (dense eigh)
-# path: the Gram matrix, eigh's copy of it, its 2 h^2 workspace, its
-# eigenvectors and the reversed copy of those. The peak-RSS rise measured
-# around exact_spectrum (whose table and B stay alive) is 8 (2 |S_m| |S_n| +
-# 5.2 to 5.5 h^2) for h = 715 to 2380, so 6 is 5-7% above it. A grid block is
-# checked while it exists but freed before eigh, so there the check also
-# counts the block and is 38-50% above the measured rise.
-SOLVE_SQUARES = 6
+# Once the h x h Gram matrix S exists (and a grid block is freed), the
+# eigensolve needs about 8 SOLVE_SQUARES h^2 bytes more on its worst (dense
+# eigh) path: eigh's copy of S, its 2 h^2 workspace, its eigenvectors and the
+# reversed copy of those. The peak-RSS rise measured around one dense-path
+# spectrum call, S included, is 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four
+# exact operators at (5, 4) and five gamma and uniform grid kernels), so the
+# check stands 5-17% above it.
+SOLVE_SQUARES = 5
 
 # An eigenfunction value f(y_i) = phi_i / sqrt(mass_i) is written as 0 where
 # mass_i is below this fraction of the largest mass: there the roundoff of the
@@ -143,7 +144,7 @@ class ConditionalKernel:
 
     @cached_property
     def B(self) -> NDArray[np.float64]:
-        self._check_memory(len(self.dy), len(self.ds), 8 * len(self.dy) * len(self.ds))
+        self._check_memory(f"a dense {len(self.dy)} x {len(self.ds)} matrix", 8 * len(self.dy) * len(self.ds))
         B = self.dy[:, None] * self.table
         B *= self.ds
         return B
@@ -154,20 +155,25 @@ class ConditionalKernel:
         ``cols`` is the hull of the columns those rows touch: k is touched
         when ds_k != 0 and p_t(s_k - y_i) dy_i != 0 for some row i, which the
         convolution of the two non-zero patterns counts exactly. The values
-        are B's elementwise products, so they equal B's bit for bit.
+        are B's elementwise products, so they equal B's bit for bit. Checked
+        with room for the h x h Gram matrix ``gram`` forms from it.
         """
         hits = _fft_convolve((self.dy[rows] > 0).astype(float), (self.partial.values > 0).astype(float))
         touched = (hits > 0.5) & (self.ds[rows.start : rows.start + len(hits)] != 0)
         span = _hull(touched)
         cols = slice(rows.start + span.start, rows.start + span.stop)
         h, c = rows.stop - rows.start, cols.stop - cols.start
-        self._check_memory(h, c, 8 * h * c)
+        self._check_memory(f"a {h} x {c} support block and its Gram matrix", 8 * h * (c + h))
         block = self.dy[rows, None] * self.table[rows, cols]
         block *= self.ds[cols]
         return block
 
-    def _check_memory(self, rows: int, cols: int, need: int) -> None:
-        _check_memory("grid", self.n, self.m, rows, cols, need, "use fewer grid nodes (--nodes)")
+    def gram(self, rows: slice) -> NDArray[np.float64]:
+        """The Gram matrix of the support block on ``rows``; the block is freed on return."""
+        return gram_matrix(self.support_block(rows))
+
+    def _check_memory(self, part: str, need: int) -> None:
+        _check_memory("grid", self.n, self.m, part, need, "use fewer grid nodes (--nodes)")
 
     @property
     def health(self) -> dict:
@@ -243,13 +249,13 @@ def _available_bytes() -> int | None:
     return avail
 
 
-def _check_memory(what: str, n: int, m: int, rows: int, cols: int, need: int, remedy: str) -> None:
-    """Refuse, before allocating, ``need`` bytes for a rows x cols block of an (n, m) operator beyond what is available."""
+def _check_memory(what: str, n: int, m: int, part: str, need: int, remedy: str) -> None:
+    """Refuse, before allocating, ``need`` bytes for ``part`` of an (n, m) operator beyond what is available."""
     avail = _available_bytes()
     if avail is not None and need > avail:
         raise ValueError(
-            f"{what} too large for memory: (n, m) = ({n}, {m}) with a {rows} x {cols} kernel block needs "
-            f"about {need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available; {remedy}"
+            f"{what} too large for memory: (n, m) = ({n}, {m}) needs about {need / 2**30:.2f} GiB for {part}, "
+            f"{avail / 2**30:.2f} GiB available; {remedy}"
         )
 
 
@@ -305,8 +311,9 @@ def gram_matrix(kernel: ConditionalKernel | NDArray[np.float64]) -> NDArray[np.f
     """Symmetrized discretization of C*C (similar transform, same spectrum).
 
     Reads only the factor ``B``, so an exact operator serves as well; a bare
-    array is taken as the factor itself (the spectrum passes its support
-    block). numpy computes ``B @ B.T`` of a C-contiguous B with syrk and
+    array is taken as the factor itself (the grid spectrum passes its
+    support block, the exact one a dense block where its sum-index pairs
+    pile up). numpy computes ``B @ B.T`` of a C-contiguous B with syrk and
     mirrors the triangle, so S is exactly symmetric.
     """
     B = kernel if isinstance(kernel, np.ndarray) else kernel.B
@@ -453,19 +460,20 @@ def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], ND
 
 
 def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int) -> SpectrumResult:
-    """Eigensolve of ``gram_matrix(op)`` with trivial-mode classification.
+    """Eigensolve of the Gram matrix B B^T of ``op`` with trivial-mode classification.
 
-    ``op`` is any operator that gives the support block of its symmetrizing
-    factor ``B`` (``support_block``), checks memory (``_check_memory``) and
-    carries its ``n``, ``m`` and ``health`` (the grid kernel or the exact
-    operator); ``mass`` is the quadrature mass of the S_m law at ``nodes``.
-    A row of ``B`` with zero mass is zero, hence an exact null mode, so only
-    the support block is solved: the rows spanning ``mass > 0`` and the
-    columns those rows touch (a grid kernel builds just that block). Once the
-    block exists, the solve's SOLVE_SQUARES h^2 is checked against the memory
-    left. One zero eigenvalue per row outside the block goes at the
-    tail and the eigenvectors are 0 on those rows, so the result is that of
-    the full matrix. A block certified numerically low-rank is solved on its
+    ``op`` is any operator that gives the Gram matrix of the rows ``rows`` of
+    its symmetrizing factor ``B`` (``gram(rows)``), checks memory
+    (``_check_memory``) and carries its ``n``, ``m`` and ``health``: the grid
+    kernel (the Gram of its support block) or the exact operator (scattered
+    from its sum-index pairs, or the block product where they pile up).
+    ``mass`` is the quadrature mass of the S_m law at ``nodes``. A row of
+    ``B`` with zero mass is zero, hence an exact null mode, so only the rows
+    spanning ``mass > 0`` are solved. Once their Gram matrix exists (and a
+    grid block is freed), the solve's SOLVE_SQUARES h^2 is checked against
+    the memory left. One zero eigenvalue per row outside the block goes at
+    the tail and the eigenvectors are 0 on those rows, so the result is that
+    of the full matrix. A block certified numerically low-rank is solved on its
     r x r core and its h - r smallest eigenvalues are exact zeros as well;
     the Ritz path computes only the top K eigenvectors (``_eigh_psd``).
     Classification runs on the eigenvectors computed. Eigenvalues are clamped
@@ -478,11 +486,9 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     """
     rows = _hull(mass > 0)
     top = min(top, len(nodes))
-    block = op.support_block(rows)
-    h = len(block)
-    op._check_memory(h, block.shape[1], 8 * SOLVE_SQUARES * h * h)
-    S = gram_matrix(block)
-    del block  # freed before the eigensolve
+    S = op.gram(rows)
+    h = len(S)
+    op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
     lam, phi, solver = _eigh_psd(S, top)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])

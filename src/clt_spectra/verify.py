@@ -329,8 +329,12 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
         reports.append(
             make_report("score-projection", resid, 0.0, tol=1e-3, n=kern.n, m=kern.m, context=fam)
         )
-    except ScoreUndefinedError:
-        pass
+    except ScoreUndefinedError as exc:
+        reports.append(
+            make_report(
+                "score-projection-skipped", 0.0, 0.0, tol=0.0, n=kern.n, m=kern.m, context={**fam, "reason": str(exc)}
+            )
+        )
 
     count = int(np.sum(np.abs(sp.eigenvalues - kern.m / kern.n) <= 1e-4))
     reports.append(

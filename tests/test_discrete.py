@@ -21,7 +21,7 @@ from clt_spectra import (
     pmf_power,
     projection_inequality,
 )
-from clt_spectra import operators
+from clt_spectra import discrete, operators
 from clt_spectra.cli import run
 from clt_spectra.discrete import ATOM_TOL, _coalesce
 from clt_spectra.verify import PMF_LATTICE4, PMF_SIDON4, PMF_SKEW3, PMF_UNIFORM3
@@ -35,6 +35,8 @@ NONLATTICE12_SPEC = (
     "9.5=0.07,9.97=0.07"
 )
 NONLATTICE12 = DiscretePMF.from_spec(parse_spec(NONLATTICE12_SPEC))
+_W12 = np.random.default_rng(12).uniform(0.2, 1.0, 12)
+GENERIC12 = DiscretePMF(tuple(np.sort(np.random.default_rng(12).uniform(0.0, 10.0, 12))), tuple(_W12 / _W12.sum()))
 
 
 def test_pmf_validation():
@@ -170,31 +172,110 @@ def test_scattered_operator_matches_difference_table(pmf, n, m):
     assert np.array_equal(op.B, np.sqrt(qy)[:, None] * table / np.sqrt(qn)[None, :])
 
 
+def _sizes(pmf, n, m):
+    """|S_m|, |S_{n-m}|, |S_n| and the column-sharing pair count P of the exact operator."""
+    op = exact_operator(pmf, n, m)
+    counts = np.bincount(op.index.ravel(), minlength=len(op.total.atoms))
+    return len(op.summand.atoms), len(op.partial.atoms), len(op.total.atoms), int(counts @ counts)
+
+
 def test_exact_operator_refuses_beyond_memory(monkeypatch, capsys):
-    """The table, B and the eigensolve are checked against available memory before they are allocated; the CLI exits 1."""
-    monkeypatch.setattr(operators, "_available_bytes", lambda: 1 << 20)
+    """The sum-index pairs are checked against available memory before they are looked up; the CLI exits 1."""
+    ny, nt, _, _ = _sizes(NONLATTICE12, 5, 4)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 32 * ny * nt - 1)
+
+    def unreachable(*args):
+        raise AssertionError("the sum lookup ran before the memory check")
+
+    monkeypatch.setattr(discrete, "_sum_index", unreachable)
     with pytest.raises(ValueError, match="exact operator too large for memory"):
         exact_operator(NONLATTICE12, 5, 4)
-    assert run(["theta", "--exact", "--spec", NONLATTICE12_SPEC, "--n", "5", "--m", "4"]) == 1
+    argv = ["--exact", "--spec", NONLATTICE12_SPEC, "--n", "5", "--m", "4"]
+    assert run(["theta", *argv]) == 1
+    assert run(["trace", *argv]) == 1
     assert "too large for memory" in capsys.readouterr().err
 
 
 def test_exact_memory_guard_reserves_the_solve_only_where_it_runs(monkeypatch, capsys):
-    """Room for the table and B but not for the eigensolve: the trace runs, the spectrum is refused.
+    """Room for the pairs and the scattered Gram matrix but not for the eigensolve: the trace runs, the spectrum is refused.
 
-    The operator's own arrays take 8 * 2 |S_m| |S_n| bytes, the solve 8 * SOLVE_SQUARES |S_m|^2 more.
+    The pairs take 8 * 4 |S_m| |S_{n-m}| bytes, the scatter 8 (5 P + |S_m|^2), the solve 8 * SOLVE_SQUARES |S_m|^2.
     """
-    ny, ns = len(pmf_power(NONLATTICE12, 4).atoms), len(pmf_power(NONLATTICE12, 5).atoms)
-    arrays, solve = 16 * ny * ns, 8 * operators.SOLVE_SQUARES * ny * ny
-    assert solve > arrays
-    monkeypatch.setattr(operators, "_available_bytes", lambda: (arrays + solve) // 2)
-    exact_operator(NONLATTICE12, 5, 4)
-    with pytest.raises(ValueError, match="exact operator too large for memory"):
+    ny, nt, _, pairs = _sizes(NONLATTICE12, 5, 4)
+    scatter, solve = 8 * (5 * pairs + ny * ny), 8 * operators.SOLVE_SQUARES * ny * ny
+    assert 32 * ny * nt < scatter < solve
+    monkeypatch.setattr(operators, "_available_bytes", lambda: solve - 1)
+    op = exact_operator(NONLATTICE12, 5, 4)
+    assert op.gram(slice(0, ny)).shape == (ny, ny)
+    with pytest.raises(ValueError, match="exact operator too large for memory.*eigensolve"):
         exact_spectrum(NONLATTICE12, 5, 4)
     argv = ["--exact", "--spec", NONLATTICE12_SPEC, "--n", "5", "--m", "4"]
     assert run(["trace", *argv]) == 0
     assert run(["theta", *argv]) == 1
     assert "too large for memory" in capsys.readouterr().err
+
+
+def test_exact_spectrum_needs_no_room_for_the_dense_table_and_B(monkeypatch):
+    """With less memory than the dense table and B take, the spectrum runs on the pairs while reading B is refused.
+
+    Twelve generic real atoms never collide: at (5, 4) the table is 1365 x 4368.
+    """
+    ny, _, ns, _ = _sizes(GENERIC12, 5, 4)
+    assert (ny, ns) == (1365, 4368)
+    solve = 8 * operators.SOLVE_SQUARES * ny * ny
+    assert solve < 16 * ny * ns
+    monkeypatch.setattr(operators, "_available_bytes", lambda: solve)
+    sp = exact_spectrum(GENERIC12, 5, 4)
+    assert sp.eigenvalues[sp.trivial_indices[1]] == pytest.approx(0.8, abs=1e-12)
+    op = exact_operator(GENERIC12, 5, 4)
+    for dense in ("B", "Cstar", "C"):
+        with pytest.raises(ValueError, match="exact operator too large for memory"):
+            getattr(op, dense)
+
+
+@pytest.mark.parametrize("pmf, n, m", EXACT_CASES)
+def test_exact_gram_equals_the_dense_product(pmf, n, m, monkeypatch):
+    """The Gram matrix from the pairs is B B^T to 1e-15 and exactly symmetric.
+
+    Scattered when the column-sharing pairs number at most the dense block's
+    entries; otherwise the dense block product, which gives B B^T's bytes.
+    """
+    op = exact_operator(pmf, n, m)
+    ny, _, ns, pairs = _sizes(pmf, n, m)
+    products = []
+    monkeypatch.setattr(discrete, "gram_matrix", lambda b: products.append(b) or operators.gram_matrix(b))
+    S = op.gram(slice(0, ny))
+    B = op.B
+    assert len(products) == (0 if pairs <= B.size else 1)
+    assert np.abs(S - B @ B.T).max() <= 1e-15
+    assert np.array_equal(S, S.T)
+    if products:
+        assert np.array_equal(S, operators.gram_matrix(B))
+    rows = slice(1, ny - 1)  # an inner row range reads its own rows and columns
+    assert np.abs(op.gram(rows) - B[rows] @ B[rows].T).max() <= 1e-15
+
+
+def test_exact_cases_take_both_gram_builds():
+    """Lattice supports pile their sums into few columns and take the dense product; the rest are scattered."""
+    sides = {}
+    for pmf, n, m in EXACT_CASES:
+        ny, _, ns, pairs = _sizes(pmf, n, m)
+        sides[(pmf.atoms, n, m)] = pairs <= ny * ns
+    assert set(sides.values()) == {True, False}
+    assert not sides[(PMF_UNIFORM3.atoms, 2, 1)] and sides[(NONLATTICE12.atoms, 5, 4)]
+
+
+@pytest.mark.parametrize("pmf", sorted({pmf for pmf, _, _ in EXACT_CASES}, key=lambda p: p.atoms))
+def test_product_grid_index_matches_the_raw_sum_lookup(pmf):
+    """The level-by-level index of y_1 + ... + y_k is the lookup of the raw float sum in the S_k support."""
+    a, _ = pmf.arrays()
+    for k in range(1, 6):
+        idx, law = discrete._product_grid_index(pmf, k)
+        assert law == pmf_power(pmf, k)
+        lead = np.zeros(())
+        for _ in range(k - 1):
+            lead = np.add.outer(lead, a)
+        assert np.array_equal(idx, discrete._sum_index(lead, a, law.arrays()[0]))
 
 
 def test_exact_adjointness():

@@ -285,9 +285,9 @@ def _gamma_2048_kernel():
 
 @pytest.mark.parametrize("make", [_exact_12_atom_operator], ids=["exact-12-5-4"])
 def test_full_rank_block_keeps_the_dense_eigh(make):
-    """Exact operators fail the rank probe and the Ritz gate, and keep eigh's bytes."""
+    """Exact operators fail the rank probe and the Ritz gate, and keep eigh's bytes on their own Gram matrix."""
     op, mass, nodes = make()
-    S = _block_gram(op, mass)
+    S = op.gram(operators._hull(mass > 0))
     tail = operators._low_rank_factor(S)[1][-1]
     assert tail > operators.RITZ_GATE * np.trace(S)
     sp = operators._eigensystem(op, mass, nodes, 8)

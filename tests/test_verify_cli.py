@@ -180,6 +180,49 @@ def test_cli_exact_trace(capsys):
     assert abs(doc["trace"] - 5.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trace", "--exact", "--delta", "0.3"], "--delta requires the grid pipeline; drop --exact"),
+        (["density", "--exact"], "density has no exact pipeline; drop --exact"),
+        (["bounds", "--exact"], "bounds has no exact pipeline; drop --exact"),
+        (["monotonicity", "--exact"], "monotonicity has no exact pipeline; drop --exact"),
+    ],
+    ids=["trace-exact-delta", "density-exact", "bounds-exact", "monotonicity-exact"],
+)
+def test_cli_refuses_a_flag_the_command_would_drop(argv, message, capsys):
+    """A flag the command cannot honour exits 1 with a message; trace once printed the unsmoothed exact trace."""
+    assert run([*argv, "--spec", "discrete:0=0.25,1=0.5,2=0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_score_projection_skip_is_reported(monkeypatch):
+    """When the score is undefined the operator battery says so, as the Fisher chain does, instead of dropping the report."""
+    import numpy as np
+
+    from clt_spectra import DistributionSpec, GridConfig, build_density
+    from clt_spectra.densities import ScoreUndefinedError
+    from clt_spectra.operators import build_kernel, spectrum
+
+    def undefined(d):
+        raise ScoreUndefinedError("density has a hole at node 7")
+
+    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=256), n_hint=2)
+    kern = build_kernel(d, 2, 1)
+    args = (kern, d, spectrum(kern), np.random.default_rng(0), {"family": "gaussian"})
+    names = [r.name for r in clt_spectra.verify._operator_reports(*args)]
+    assert "score-projection" in names and "score-projection-skipped" not in names
+    monkeypatch.setattr(clt_spectra.verify, "score", undefined)
+    reports = clt_spectra.verify._operator_reports(*args)
+    skipped = [r for r in reports if r.name == "score-projection-skipped"]
+    assert "score-projection" not in [r.name for r in reports]
+    assert len(skipped) == 1 and skipped[0].passed
+    assert skipped[0].context == {"family": "gaussian", "reason": "density has a hole at node 7"}
+    assert (skipped[0].n, skipped[0].m) == (2, 1)
+
+
 def test_cli_closed_form_table(capsys):
     assert run(["closed-form", "--spec", "gamma:beta=2", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
