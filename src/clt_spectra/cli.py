@@ -315,8 +315,9 @@ _HANDLERS = {
     "efron-stein": _cmd_efron_stein,
 }
 
-# subcommands that only run on the grid and would otherwise ignore --exact
-_GRID_ONLY = ("density", "bounds", "monotonicity")
+# subcommands that would otherwise ignore --exact (no exact pipeline) or --delta (no regularized grid)
+_NO_EXACT = ("density", "bounds", "monotonicity", "verify-all", "closed-form")
+_NO_DELTA = ("verify-all", "closed-form", "efron-stein")
 
 
 def run(argv: list[str]) -> int:
@@ -333,8 +334,10 @@ def run(argv: list[str]) -> int:
         elif args.subcommand not in ("verify-all", "closed-form"):
             args.spec = DistributionSpec.gaussian(1.0)
         args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
-        if args.exact and args.subcommand in _GRID_ONLY:
+        if args.exact and args.subcommand in _NO_EXACT:
             raise ValueError(f"{args.subcommand} has no exact pipeline; drop --exact")
+        if args.delta is not None and args.subcommand in _NO_DELTA:
+            raise ValueError(f"--delta requires the grid pipeline; {args.subcommand} does not regularize, drop --delta")
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -268,7 +268,13 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
 
 
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
-    """Eigen-decomposition of the exact C*C on the S_m support."""
+    """Eigen-decomposition of the exact C*C on the S_m support.
+
+    The rank probe reads the rows of the Gram matrix scattered from the
+    sum-index pairs (``ExactOperator.gram``). Its remainder (0.4 to 0.9 of
+    the trace on generic supports) fails the low-rank and filter gates, so
+    the dense eigh solves it.
+    """
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()
     return _eigensystem(op, qy, ay, SPECTRUM_HEAD)
@@ -324,6 +330,16 @@ def _axis(v: NDArray[np.float64], i: int, r: int) -> NDArray[np.float64]:
     return v.reshape((1,) * i + (len(v),) + (1,) * (r - i - 1))
 
 
+def _expect(a: NDArray[np.float64], prob: NDArray[np.float64], i: int) -> NDArray[np.float64]:
+    """The expectation of the product-grid table ``a`` over its argument i, which drops axis i.
+
+    One ``np.einsum`` without ``optimize``: it multiplies and sums in its own
+    loop, never through BLAS, and makes no temporary of ``a``'s size.
+    """
+    axes = list(range(a.ndim))
+    return np.einsum(a, axes, prob, [i], axes[:i] + axes[i + 1 :])
+
+
 def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecomposition:
     """Decompose h(S_k) into orthogonal interaction orders.
 
@@ -333,8 +349,9 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
     level by level, ``_product_grid_index``) and G_r = E[G_{r+1}] over its
     last argument, G_r is E[h(S_k) | Y_1..Y_r], and the order-r component is
     the Hoeffding product (I - E_1)...(I - E_r) G_r, E_i the expectation
-    over argument i. Every reduction multiplies elementwise and sums, so the
-    result does not depend on the BLAS kernel or its thread count.
+    over argument i, subtracted in place; E h_r^2 contracts one argument at a
+    time. Every reduction is an ``np.einsum`` without BLAS (``_expect``), so
+    the result does not depend on the BLAS kernel or its thread count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -352,18 +369,20 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
 
     G = [h_cent[grid_index]]  # G_k, ..., G_1
     for r in range(k, 1, -1):
-        G.append((G[-1] * _axis(prob, r - 1, r)).sum(axis=-1))
+        G.append(_expect(G[-1], prob, r - 1))
 
     components: dict[int, NDArray[np.float64]] = {}
     component_sq: dict[int, float] = {}
     for r in range(1, k + 1):
-        comp = G[k - r]
-        weight = np.ones((1,) * r)
+        comp = G[k - r]  # read by no later order, so centred in place
         for i in range(r):
-            comp = comp - (comp * _axis(prob, i, r)).sum(axis=i, keepdims=True)
-            weight = weight * _axis(prob, i, r)
+            comp -= np.expand_dims(_expect(comp, prob, i), i)
         components[r] = comp
-        component_sq[r] = float((weight * comp * comp).sum())
+        axes = list(range(r))
+        sq = np.einsum(comp, axes, comp, axes, prob, [r - 1], axes[:-1])
+        while sq.ndim:
+            sq = _expect(sq, prob, sq.ndim - 1)
+        component_sq[r] = float(sq)
         if r >= 2:
             # exchangeability of the components follows from h being a
             # function of the sum; checked, not assumed

@@ -15,22 +15,24 @@ next eigenvalue lambda_2 defines the gap statistic
 Everything is discretized on the shared lattice built by densities.convolve,
 so s_k - y_i lands exactly on node k - i of the S_{n-m} grid: the kernel is
 Toeplitz, and C, C* and the trace are O(N) convolutions against p_{S_{n-m}}.
-The eigenproblem is solved on the symmetrized Gram matrix B B^T with
+The eigenproblem is solved on the symmetrized Gram matrix S = B B^T with
 B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)), which is
 similar to the discretized C*C and keeps eigenvectors orthonormal in the
-weighted inner product. The solve asks the operator for the Gram matrix of
-the rows of B that carry S_m mass: a grid kernel builds only that block of
-B, an exact operator scatters it from its non-zero pairs (discrete.py); the
-full B is built only when read. One pivoted Cholesky probe of
-the Gram block picks the solver: when it certifies the block as numerically
-low-rank (gaussian summands: eigenvalues (m/n)^k), only its r x r core is
-diagonalized; when its remainder is small enough for a short subspace
-iteration (gamma summands), all eigenvalues come from eigvalsh and only the
-top K eigenvectors from a Rayleigh-Ritz step; otherwise the dense eigh runs.
+weighted inner product; only the rows of B that carry S_m mass are solved.
+One pivoted Cholesky probe reads diag(S) and a few of its rows. A grid kernel
+gives both by direct correlations against p_{S_{n-m}}, without B or S: when
+the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
+(m/n)^k), only its r x r core is diagonalized and nothing N^2-sized exists.
+Otherwise the operator forms S (a grid kernel from the support block of B,
+an exact operator from its non-zero pairs, discrete.py), the probe runs on
+its rows, all eigenvalues come from eigvalsh and the top K eigenvectors from
+a Chebyshev-filtered subspace iteration where the probe predicts that to be
+cheap (gamma summands), and from the dense eigh otherwise.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,21 +74,36 @@ CLUSTER_TOL = 1e-8
 # complement E = S - L^T L sums to at most RANK_TRACE_TOL * trace(S), which
 # bounds every eigenvalue error (Weyl) and the eigenvalue sum by trace(E). It
 # gives up after RANK_PROBE_MAX pivots or a quarter of the block, where the
-# r x r core would no longer be much cheaper than the dense solve.
+# r x r core would no longer be much cheaper than the dense solve. Its arrays
+# (L, the QR's copy of L^T, Q and the eigenvectors Q W) take at most
+# PROBE_COPIES RANK_PROBE_MAX h doubles.
 RANK_PROBE_MAX = 128
 RANK_TRACE_TOL = 64 * np.finfo(float).eps
+PROBE_COPIES = 4
 
-# Top-K Ritz path: after j probe pivots S = L^T L + E with L^T L of rank j, so
-# by Weyl every eigenvalue past the j-th is at most trace(E). The span of L^T
-# is then within an angle of about trace(E) / lambda_K of the top K
-# eigenvectors, and each product with S shrinks that angle by the same factor:
-# the start and RITZ_MAXIT - 1 products reach eps once
-# trace(E) <= RITZ_GATE * lambda_K. The result is kept only when every Ritz
-# residual, and the distance of each Ritz value to eigvalsh's, is at most
-# RITZ_RESID_TOL * lambda_max, the level eigh itself reaches (about 6 eps on
-# the grid blocks).
-RITZ_MAXIT = 6
-RITZ_GATE = np.finfo(float).eps ** (1.0 / RITZ_MAXIT)
+# A probe whose rows are computed (not read from S) also gives up once the
+# decay of trace(E) has slowed over its last two windows of PROBE_WINDOW
+# pivots and, slowing on at that ratio, would not reach the tolerance within
+# the pivot budget. Gaussian decays speed up and never trip it; gamma and
+# uniform blocks trip it after 16 to 24 pivots, short of the 128 that would
+# not certify them either (one that certifies late is then certified on the
+# rows of S).
+PROBE_WINDOW = 8
+
+# Top-K path (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 2006):
+# K + FILTER_GUARD orthonormal columns, started on the top Ritz vectors of the
+# probe's L^T L, go through the Chebyshev polynomial of S that is bounded by 1
+# on [lambda_min, lambda_{K+FILTER_GUARD+1}] (``_filter_degree``), with a
+# re-orthonormalization after every product, then one Rayleigh-Ritz step. The
+# result is kept only when every Ritz residual, and the distance of each Ritz
+# value to eigvalsh's, is at most RITZ_RESID_TOL * lambda_max, the level eigh
+# itself reaches (about 6 eps on the grid blocks). The path is gated on
+# 2 d (K + FILTER_GUARD) <= h: its d products cost 2 d (K + FILTER_GUARD) h^2
+# flops, against the h^3 or so eigh spends beyond eigvalsh. The gate is
+# conservative: on 28 gamma blocks (beta 2 to 6.9; (2,1), (3,2), (4,3); 512
+# to 2048 nodes; h = 286 to 1453) eigvalsh plus the filter took 0.51 to 0.83
+# of eigh's time, including the one block the gate sent to eigh (ratio 1.007).
+FILTER_GUARD = 4
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 
 # Once the h x h Gram matrix S exists (and a grid block is freed), the
@@ -122,6 +139,9 @@ class ConditionalKernel:
     and ``ds`` = sqrt(w_s / p_n), 0 on masked columns. ``table[i, k]`` =
     p_{S_{n-m}}(s_k - y_i) is a read-only Toeplitz view over p_t, and the dense
     factor ``B`` = dy table ds is built on first read (memory-checked) and kept.
+    The Gram matrix of a block of B's rows is formed from that block
+    (``gram``); its diagonal and single rows come from correlations against
+    p_t alone (``gram_diag``, ``gram_row``).
     """
 
     summand: GridDensity  # law of S_m, the y-grid
@@ -171,6 +191,30 @@ class ConditionalKernel:
     def gram(self, rows: slice) -> NDArray[np.float64]:
         """The Gram matrix of the support block on ``rows``; the block is freed on return."""
         return gram_matrix(self.support_block(rows))
+
+    def gram_diag(self, rows: slice) -> NDArray[np.float64]:
+        """The diagonal of ``gram(rows)`` without the block: dy_i^2 (ds^2 * p_t^2)_i, ``trace_T``'s correlate."""
+        p_t = self.partial.values
+        return self.dy[rows] ** 2 * np.correlate(self.ds[rows.start : rows.stop + len(p_t) - 1] ** 2, p_t**2, "valid")
+
+    def gram_row(self, rows: slice, p: int) -> NDArray[np.float64]:
+        """Row ``p`` of ``gram(rows)`` without the block, by one direct correlation with p_t.
+
+        For the kernel row P = rows.start + p, S[P, P + l] = dy_P dy_{P+l}
+        sum_j ds^2_{P+j} p_t[j] p_t[j - l]. It is computed for the lags l
+        that reach a row in ``rows`` and can overlap p_t (|l| < len(p_t));
+        the rest of the row is 0. Direct, not FFT, for the reason
+        ``trace_T`` gives.
+        """
+        p_t = self.partial.values
+        nt, P = len(p_t), rows.start + p
+        lo, hi = max(rows.start - P, 1 - nt), min(rows.stop - P, nt)
+        # x[q] = ds^2_{P+q+lo} p_t[q+lo] (0 off p_t), so the valid correlation's l - lo entry is lag l
+        x = np.zeros(hi - lo + nt - 1)
+        x[-lo : nt - lo] = self.ds[P : P + nt] ** 2 * p_t
+        out = np.zeros(rows.stop - rows.start)
+        out[p + lo : p + hi] = self.dy[P] * self.dy[P + lo : P + hi] * np.correlate(x, p_t, "valid")
+        return out
 
     def _check_memory(self, part: str, need: int) -> None:
         _check_memory("grid", self.n, self.m, part, need, "use fewer grid nodes (--nodes)")
@@ -313,8 +357,10 @@ def gram_matrix(kernel: ConditionalKernel | NDArray[np.float64]) -> NDArray[np.f
     Reads only the factor ``B``, so an exact operator serves as well; a bare
     array is taken as the factor itself (the grid spectrum passes its
     support block, the exact one a dense block where its sum-index pairs
-    pile up). numpy computes ``B @ B.T`` of a C-contiguous B with syrk and
-    mirrors the triangle, so S is exactly symmetric.
+    pile up, and the rank probe its factor L and the triangle R of L^T's QR,
+    whose Gram matrices are the small cores the solve reads). numpy
+    computes ``B @ B.T`` of a C-contiguous B with syrk and mirrors the
+    triangle, so S is exactly symmetric.
     """
     B = kernel if isinstance(kernel, np.ndarray) else kernel.B
     return B @ B.T
@@ -366,30 +412,64 @@ def classify_trivial(
     return i_const, i_lin, c_corr, l_corr
 
 
-def _low_rank_factor(S: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+def _probe_stalls(traces: list[float], budget: int) -> bool:
+    """Whether trace(E), slowing on as over its last two PROBE_WINDOW pivots, misses the tolerance in ``budget`` pivots.
+
+    With d0 and d1 the log-decrements of trace(E) over the two windows and
+    d0 < d1 < 0 (slowing), each window left adds rho = d1 / d0 times the
+    decrement of the one before.
+    """
+    j, w = len(traces) - 1, PROBE_WINDOW
+    if j < 2 * w:
+        return False
+    d0 = math.log(traces[j - w] / traces[j - 2 * w])
+    d1 = math.log(traces[j] / traces[j - w])
+    if not d0 < d1 < 0.0:
+        return False
+    rho = d1 / d0
+    ahead = d1 * rho * (1.0 - rho ** ((budget - j) / w)) / (1.0 - rho)
+    return math.log(traces[j] / traces[0]) + ahead > math.log(RANK_TRACE_TOL)
+
+
+def _low_rank_factor(
+    diag: NDArray[np.float64], row: Callable[[int], NDArray[np.float64]], stop_early: bool = False
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Rows of L with S = L^T L + E, and trace(E) after each pivot.
 
-    Diagonally pivoted Cholesky: each step takes the largest remaining
-    diagonal entry of the PSD Schur complement E as pivot. It stops once
+    Diagonally pivoted Cholesky of the PSD S, read through its diagonal
+    ``diag`` and its rows ``row(p)``: each step takes the largest remaining
+    diagonal entry of the Schur complement E as pivot. It stops once
     trace(E) <= RANK_TRACE_TOL * trace(S) (certified low rank) or after
-    min(RANK_PROBE_MAX, h // 4) pivots. ``traces[j]`` is trace(E) after the
-    first j rows of L, so ``traces[0]`` = trace(S) and ``traces[-1]`` goes
-    with all of L.
+    min(RANK_PROBE_MAX, h // 4) pivots; with ``stop_early`` (rows that are
+    computed, not read) also once ``_probe_stalls``. ``traces[j]`` is trace(E)
+    after the first j rows of L, so ``traces[0]`` = trace(S) and
+    ``traces[-1]`` goes with all of L.
     """
-    h = len(S)
-    d = S.diagonal().copy()  # diag(E)
+    h = len(diag)
+    d = diag.copy()  # diag(E)
     traces = [d.sum()]
     L = np.empty((min(RANK_PROBE_MAX, h // 4), h))
     for k in range(len(L)):
-        if traces[-1] <= RANK_TRACE_TOL * traces[0]:
+        if traces[-1] <= RANK_TRACE_TOL * traces[0] or (stop_early and _probe_stalls(traces, len(L))):
             return L[:k], np.array(traces)
         p = int(np.argmax(d))
-        col = S[p] - L[:k, p] @ L[:k]
+        col = row(p) - L[:k, p] @ L[:k]
         col /= math.sqrt(d[p])
         L[k] = col
         d -= col * col
         traces.append(d.sum())
     return L, np.array(traces)
+
+
+def _core_eigh(L: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Ascending eigenvalues of L^T L and their eigenvectors from the r x r core.
+
+    With L^T = Q R, the eigenpairs of L^T L are those of R R^T =
+    W diag(lam) W^T with eigenvectors Q W.
+    """
+    Q, R = np.linalg.qr(L.T)
+    lam, W = np.linalg.eigh(gram_matrix(R))
+    return lam, Q @ W
 
 
 def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
@@ -405,22 +485,62 @@ def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
     return int(ends[j]) if j < len(ends) else len(lam)
 
 
-def _ritz(S: NDArray[np.float64], Q: NDArray[np.float64], lam: NDArray[np.float64], k: int) -> NDArray[np.float64] | None:
+def _filter_degree(lam_k: float, cut: float, floor: float, tau: float) -> int | None:
+    """Degree of the Chebyshev filter that takes the top K eigenvectors to roundoff, or None where none can.
+
+    The filter T_d is bounded by 1 on [``floor``, ``cut``] and maps the K-th
+    eigenvalue ``lam_k`` > ``cut`` to T_d(x), x = (2 lam_k - cut - floor) /
+    (cut - floor). The start block, the top Ritz vectors of the probe's
+    L^T L, lies within sin(angle) <= tau / (lam_k - cut) of the top K
+    eigenvectors (Davis-Kahan, with ||E|| <= trace(E) = ``tau``); the degree
+    with T_d(x) >= tau / ((lam_k - cut) eps) takes that angle to eps.
+    """
+    if not floor < cut < lam_k:
+        return None
+    x = (2.0 * lam_k - cut - floor) / (cut - floor)
+    target = tau / ((lam_k - cut) * np.finfo(float).eps)
+    return max(1, math.ceil(math.acosh(max(target, 1.0)) / math.acosh(x)))
+
+
+def _chebyshev_top(
+    S: NDArray[np.float64], Y: NDArray[np.float64], lam: NDArray[np.float64], k: int, tau: float
+) -> NDArray[np.float64] | None:
     """Top ``k`` eigenvectors of S (ascending), or None when they fail the checks.
 
-    Starting from the orthonormal columns ``Q``: RITZ_MAXIT - 1 products with
-    S, each orthonormalized, then a Rayleigh-Ritz step. ``lam`` is the
-    ascending eigvalsh spectrum. The top ``k`` Ritz values must match it and
-    every residual ||S v - theta v|| must be at most RITZ_RESID_TOL * lam_max;
-    otherwise the subspace missed an eigenvector or has not converged.
+    ``Y`` holds k + FILTER_GUARD start columns, ``lam`` is the ascending
+    eigvalsh spectrum and ``tau`` the probe's trace(E). The filter damps
+    [lam_min, lam_{k+FILTER_GUARD+1}] (``_filter_degree``) through the
+    recurrence T_{j+1} = 2 x T_j - T_{j-1}, x = (S - c) / e, kept as the pair
+    (T_{j-1} Y, T_j Y) under one right factor: each new block is
+    orthonormalized, Q R, and the previous one takes the same R^-1, so the
+    top columns, growing up to lam_1 / lam_k times faster per step, cannot
+    swamp the others. A Rayleigh-Ritz step follows. The top ``k`` Ritz values
+    must match ``lam`` and every residual ||S v - theta v|| must be at most
+    RITZ_RESID_TOL * lam_max; otherwise the block missed an eigenvector or
+    has not converged. The blocks are held as rows, since Y^T S (S is
+    symmetric) is the faster product.
     """
-    for _ in range(RITZ_MAXIT - 1):
-        Q = np.linalg.qr(S @ Q)[0]
-    SQ = S @ Q
-    ritz, W = np.linalg.eigh(Q.T @ SQ)
+    floor, cut = lam[0], lam[-(k + FILTER_GUARD + 1)]
+    degree = _filter_degree(lam[-k], cut, floor, tau)
+    if degree is None:
+        return None
+    c, e = (cut + floor) / 2.0, (cut - floor) / 2.0
+    prev, cur = np.zeros(Y.shape[::-1]), np.ascontiguousarray(Y.T)
+    try:
+        for j in range(degree):
+            nxt = cur @ S
+            nxt -= c * cur
+            nxt *= (2.0 if j else 1.0) / e
+            nxt -= prev
+            Q, R = np.linalg.qr(nxt.T)
+            prev, cur = np.linalg.inv(R).T @ cur, np.ascontiguousarray(Q.T)
+    except np.linalg.LinAlgError:  # a block that lost a row to roundoff
+        return None
+    SQ = cur @ S
+    ritz, W = np.linalg.eigh(SQ @ cur.T)
     W, ritz = W[:, -k:], ritz[-k:]
-    V = Q @ W
-    resid = np.linalg.norm(SQ @ W - V * ritz, axis=0)
+    V = cur.T @ W
+    resid = np.linalg.norm(SQ.T @ W - V * ritz, axis=0)
     tol = RITZ_RESID_TOL * lam[-1]
     if resid.max() > tol or np.abs(ritz - lam[-k:]).max() > tol:
         return None
@@ -430,33 +550,43 @@ def _ritz(S: NDArray[np.float64], Q: NDArray[np.float64], lam: NDArray[np.float6
 def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], NDArray[np.float64], str]:
     """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, and the solver used.
 
-    One pivoted Cholesky probe S = L^T L + E decides. Certified low rank
-    ("low-rank"): with L^T = Q R, the eigenpairs of L^T L are those of the
-    r x r core R R^T = W diag(lam) W^T with eigenvectors Q W; by Weyl each
-    eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left out
-    included (taken as 0), and only the r are returned. A remainder
-    trace(E) <= RITZ_GATE * lambda_K ("ritz"): all h eigenvalues from
-    eigvalsh and the top K (``_ritz_count``) eigenvectors from ``_ritz``,
-    started on the fewest probe rows whose remainder passes the gate. The
-    gate reads lambda_K off L^T L, a lower bound. Otherwise, or when the
-    Ritz checks fail, the dense eigh ("dense").
+    One pivoted Cholesky probe on the rows of S, S = L^T L + E, decides.
+    Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
+    each eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left
+    out included (taken as 0), and only the r are returned. Otherwise the
+    eigenvalues mu of L^T L bound those of S the same way, and with K the
+    ``_ritz_count`` of mu they bound the filter degree d for K + FILTER_GUARD
+    columns from above. Where 2 d (K + FILTER_GUARD) <= h the filter's
+    products cost less than the dense solve: all h eigenvalues come from
+    eigvalsh and the top K (``_ritz_count`` of those) eigenvectors from
+    ``_chebyshev_top`` ("ritz"). Otherwise, when the filter's checks fail, or
+    when the eigvalsh clusters need more columns than the probe has rows,
+    the dense eigh ("dense").
     """
-    L, traces = _low_rank_factor(S)
-    if traces[-1] <= RANK_TRACE_TOL * traces[0]:
-        Q, R = np.linalg.qr(L.T)
-        lam, W = np.linalg.eigh(R @ R.T)
-        return lam, Q @ W, "low-rank"
-    core = np.linalg.eigvalsh(L @ L.T)
-    if len(L) > top and traces[-1] <= RITZ_GATE * core[-top]:
-        lam = np.linalg.eigvalsh(S)
-        k = _ritz_count(lam, top)
-        if k < len(L) and traces[-1] <= RITZ_GATE * core[-k]:
-            pivots = max(k + 1, int(np.argmax(traces <= RITZ_GATE * core[-k])))
-            V = _ritz(S, np.linalg.qr(L[:pivots].T)[0], lam, k)
-            if V is not None:
-                return lam, V, "ritz"
+    L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
+    tau = traces[-1]
+    if tau <= RANK_TRACE_TOL * traces[0]:
+        return (*_core_eigh(L), "low-rank")
+    mu, W = np.linalg.eigh(gram_matrix(L))
+    k = _ritz_count(mu, top)
+    if k + FILTER_GUARD < len(L):
+        degree = _filter_degree(mu[-k], mu[-(k + FILTER_GUARD + 1)] + tau, 0.0, tau)
+        if degree is not None and 2 * degree * (k + FILTER_GUARD) <= len(S):
+            lam = np.linalg.eigvalsh(S)
+            k = _ritz_count(lam, top)
+            g = k + FILTER_GUARD
+            if g <= len(L):
+                V = _chebyshev_top(S, (L.T @ W[:, -g:]) / np.sqrt(mu[-g:]), lam, k, tau)
+                if V is not None:
+                    return lam, V, "ritz"
     lam, phi = np.linalg.eigh(S)
     return lam, phi, "dense"
+
+
+def _probe_kernel(kernel: ConditionalKernel, rows: slice) -> tuple[NDArray[np.float64], NDArray[np.float64]] | None:
+    """The ``_core_eigh`` of a kernel's Gram block on ``rows`` where the matrix-free probe certifies it, else None."""
+    L, traces = _low_rank_factor(kernel.gram_diag(rows), lambda p: kernel.gram_row(rows, p), stop_early=True)
+    return _core_eigh(L) if traces[-1] <= RANK_TRACE_TOL * traces[0] else None
 
 
 def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int) -> SpectrumResult:
@@ -469,27 +599,35 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     from its sum-index pairs, or the block product where they pile up).
     ``mass`` is the quadrature mass of the S_m law at ``nodes``. A row of
     ``B`` with zero mass is zero, hence an exact null mode, so only the rows
-    spanning ``mass > 0`` are solved. Once their Gram matrix exists (and a
-    grid block is freed), the solve's SOLVE_SQUARES h^2 is checked against
-    the memory left. One zero eigenvalue per row outside the block goes at
-    the tail and the eigenvectors are 0 on those rows, so the result is that
-    of the full matrix. A block certified numerically low-rank is solved on its
-    r x r core and its h - r smallest eigenvalues are exact zeros as well;
-    the Ritz path computes only the top K eigenvectors (``_eigh_psd``).
-    Classification runs on the eigenvectors computed. Eigenvalues are clamped
-    to [0, 1] (clamp magnitude reported). The top ``top`` eigenvectors are
-    mapped back to eigenfunction values at ``nodes`` through the inverse
-    weight transform; they are orthonormal under sum mass_i f(y_i) g(y_i),
-    and 0 where mass_i is below EIGENFUNCTION_MASS_FLOOR times the largest. A
-    single support point has no linear mode: only the constant is classified
-    and lin_corr is 0.
+    spanning ``mass > 0`` are solved. The probe's PROBE_COPIES RANK_PROBE_MAX
+    h doubles are checked first. A grid kernel is probed on the diagonal and
+    rows of its Gram matrix computed without it (``gram_diag``, ``gram_row``):
+    when that certifies the block numerically low-rank, the r x r core is all
+    that is solved. Otherwise the Gram matrix is formed, the solve's
+    SOLVE_SQUARES h^2 is checked against the memory left, and ``_eigh_psd``
+    solves it. One zero eigenvalue per row outside the block goes at the tail
+    and the eigenvectors are 0 on those rows, so the result is that of the
+    full matrix; on the low-rank path the h - r smallest eigenvalues are
+    exact zeros as well, and the low-rank and ritz paths compute only the top
+    eigenvectors. Classification runs on the eigenvectors computed.
+    Eigenvalues are clamped to [0, 1] (clamp magnitude reported). The top
+    ``top`` eigenvectors are mapped back to eigenfunction values at ``nodes``
+    through the inverse weight transform; they are orthonormal under
+    sum mass_i f(y_i) g(y_i), and 0 where mass_i is below
+    EIGENFUNCTION_MASS_FLOOR times the largest. A single support point has no
+    linear mode: only the constant is classified and lin_corr is 0.
     """
     rows = _hull(mass > 0)
+    h = rows.stop - rows.start
     top = min(top, len(nodes))
-    S = op.gram(rows)
-    h = len(S)
-    op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
-    lam, phi, solver = _eigh_psd(S, top)
+    op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h)
+    core = _probe_kernel(op, rows) if isinstance(op, ConditionalKernel) else None
+    if core is not None:
+        (lam, phi), solver = core, "low-rank"
+    else:
+        S = op.gram(rows)
+        op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
+        lam, phi, solver = _eigh_psd(S, top)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]

@@ -213,7 +213,7 @@ def test_low_rank_factor_bounds_the_spectrum():
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((h, h)))
     lam = 0.5 ** np.arange(h)
     S = (q * lam) @ q.T
-    L, traces = operators._low_rank_factor(S)
+    L, traces = operators._low_rank_factor(S.diagonal(), S.__getitem__)
     assert traces[-1] <= operators.RANK_TRACE_TOL * np.trace(S)
     r = len(L)
     tail = float(np.trace(S) - np.trace(L @ L.T))  # trace(E)
@@ -224,7 +224,7 @@ def test_low_rank_factor_bounds_the_spectrum():
     assert np.all(ritz <= lam + 1e-15) and np.all(lam <= ritz + tail + 1e-15)
     # a full-rank matrix exhausts the pivot cap
     S = np.diag(np.linspace(1.0, 2.0, h))
-    L, traces = operators._low_rank_factor(S)
+    L, traces = operators._low_rank_factor(S.diagonal(), S.__getitem__)
     assert len(L) == h // 4 and traces[-1] > operators.RANK_TRACE_TOL * np.trace(S)
 
 
@@ -238,7 +238,7 @@ def test_certified_low_rank_solve_matches_eigh(n, m):
     mass = kern.summand.weights() * kern.summand.values
     S = _block_gram(kern, mass)
     h = len(S)
-    assert operators._low_rank_factor(S)[1][-1] <= operators.RANK_TRACE_TOL * np.trace(S)
+    assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] <= operators.RANK_TRACE_TOL * np.trace(S)
     sp = spectrum(kern)
     assert sp.solver == "low-rank"
     nonzero = np.count_nonzero(sp.eigenvalues)
@@ -285,11 +285,16 @@ def _gamma_2048_kernel():
 
 @pytest.mark.parametrize("make", [_exact_12_atom_operator], ids=["exact-12-5-4"])
 def test_full_rank_block_keeps_the_dense_eigh(make):
-    """Exact operators fail the rank probe and the Ritz gate, and keep eigh's bytes on their own Gram matrix."""
+    """Exact operators fail the rank probe and the filter gate, and keep eigh's bytes on their own Gram matrix."""
     op, mass, nodes = make()
     S = op.gram(operators._hull(mass > 0))
-    tail = operators._low_rank_factor(S)[1][-1]
-    assert tail > operators.RITZ_GATE * np.trace(S)
+    L, traces = operators._low_rank_factor(S.diagonal(), S.__getitem__)
+    tail = traces[-1]
+    assert tail > operators.RANK_TRACE_TOL * np.trace(S)
+    # the remainder outweighs the probe's K-th eigenvalue: no filter degree exists
+    mu = np.linalg.eigvalsh(L @ L.T)
+    k = operators._ritz_count(mu, 8)
+    assert operators._filter_degree(mu[-k], mu[-(k + operators.FILTER_GUARD + 1)] + tail, 0.0, tail) is None
     sp = operators._eigensystem(op, mass, nodes, 8)
     assert (sp.solver, sp.k) == ("dense", len(S))
 
@@ -304,10 +309,10 @@ def test_full_rank_block_keeps_the_dense_eigh(make):
 
 
 def test_gamma_block_takes_the_ritz_path():
-    """A gamma block fails the rank probe but passes the Ritz gate: eigvalsh plus top-K Ritz vectors give eigh's answer."""
+    """A gamma block fails the rank probe but passes the filter gate: eigvalsh plus top-K filtered vectors give eigh's answer."""
     kern, mass, nodes = _gamma_2048_kernel()
     S = _block_gram(kern, mass)
-    assert operators._low_rank_factor(S)[1][-1] > operators.RANK_TRACE_TOL * np.trace(S)
+    assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] > operators.RANK_TRACE_TOL * np.trace(S)
     sp = spectrum(kern)
     assert sp.solver == "ritz" and 8 <= sp.k < operators.RANK_PROBE_MAX
 
@@ -336,7 +341,7 @@ def _psd_with_spectrum(lam, seed=5):
 
 
 def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
-    """A remainder the probe cannot shrink (flat, or a cluster wider than the probe) keeps eigh's bytes; fast decay takes the Ritz path."""
+    """A remainder the probe cannot shrink (flat, or a cluster wider than the probe) keeps eigh's bytes; fast decay takes the filter."""
     h = 600
     flat = np.diag(np.linspace(1.0, 2.0, h))
     degenerate, _ = _psd_with_spectrum(np.concatenate((np.full(h // 2, 0.5), np.zeros(h - h // 2))))
@@ -362,9 +367,13 @@ def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector():
     lam_true = 0.9 ** np.arange(h)
     S, q = _psd_with_spectrum(lam_true)
     lam = np.linalg.eigvalsh(S)
-    V = operators._ritz(S, q[:, : k + 1], lam, k)
+    tau = 1e-13  # the start blocks are exact eigenvectors: a short filter, which regrows no lost direction
+    g = k + operators.FILTER_GUARD
+    assert operators._filter_degree(lam[-k], lam[-(g + 1)], lam[0], tau) > 1  # the recurrence runs
+    V = operators._chebyshev_top(S, q[:, :g], lam, k, tau)
     assert V is not None
-    assert operators._ritz(S, q[:, [j for j in range(k + 2) if j != 3]], lam, k) is None
+    assert np.abs(np.abs(V.T @ q[:, k - 1 :: -1]) - np.eye(k)).max() <= 1e-12
+    assert operators._chebyshev_top(S, q[:, [j for j in range(g + 1) if j != 3]], lam, k, tau) is None
 
 
 def test_support_block_is_the_contiguous_slice_of_B():
@@ -378,6 +387,81 @@ def test_support_block_is_the_contiguous_slice_of_B():
         assert np.array_equal(block, kern.B[rows, operators._hull(kern.B[rows].any(axis=0))])
         S = gram_matrix(block)
         assert np.array_equal(S, S.T)
+
+
+MATRIX_FREE_CASES = [
+    (DistributionSpec.gaussian(1.0), 2, 1),
+    (DistributionSpec.gaussian(1.0), 3, 1),
+    (DistributionSpec.gaussian(1.0), 4, 1),
+    (DistributionSpec.gamma(4.0), 3, 2),
+    (DistributionSpec.uniform(-1.0, 1.0), 4, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n,m", MATRIX_FREE_CASES, ids=["gaussian-2-1", "gaussian-3-1", "gaussian-4-1", "gamma-3-2", "uniform-4-3"]
+)
+def test_matrix_free_gram_rows_match_the_block_product(spec, n, m):
+    """gram_diag and gram_row give the support block's Gram matrix without the block.
+
+    Compared with the block product in extended precision to 1e-15 of the
+    largest diagonal entry, and with ``gram``'s syrk, whose own rounding
+    reaches about 2e-15 on these blocks, to 4e-15.
+    """
+    cfg = GridConfig(node_count=512)
+    kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+    rows = operators._hull(kern.summand.values > 0)
+    h = rows.stop - rows.start
+    if n - m >= 2:
+        assert len(kern.partial.values) > h  # p_t is longer than the hull: lags are cut at both ends
+    if spec.family == "uniform":
+        assert not kern.live_cols.all()  # masked columns are 0 in ds
+    block = kern.support_block(rows).astype(np.longdouble)  # 80-bit on x86-64
+    S = kern.gram(rows)
+    scale = S.diagonal().max()
+
+    diag = kern.gram_diag(rows)
+    assert np.abs(diag - (block * block).sum(axis=1)).max() <= 1e-15 * scale
+    assert np.abs(diag - S.diagonal()).max() <= 4e-15 * scale
+    for p in sorted({0, 1, h // 3, h // 2, h - 2, h - 1, int(np.argmax(diag))}):
+        row = kern.gram_row(rows, p)
+        assert np.abs(row - block @ block[p]).max() <= 1e-15 * scale
+        assert np.abs(row - S[p]).max() <= 4e-15 * scale
+
+
+def test_low_rank_spectrum_never_forms_the_gram_matrix(monkeypatch):
+    """A gaussian block is certified and solved from probe rows alone: 8192 nodes run in 64 MiB.
+
+    Forming the support block there would take about 1.6 GB.
+    """
+    cfg = GridConfig(node_count=8192)
+    kern = build_kernel(build_density(DistributionSpec.gaussian(1.0), cfg), 2, 1, cfg)
+
+    def refuse(self, rows):
+        raise AssertionError("the N^2 support block or its Gram matrix was built")
+
+    monkeypatch.setattr(operators.ConditionalKernel, "support_block", refuse)
+    monkeypatch.setattr(operators.ConditionalKernel, "gram", refuse)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 64 << 20)
+    sp = spectrum(kern)
+    assert sp.solver == "low-rank" and sp.k < operators.RANK_PROBE_MAX
+    assert np.abs(sp.eigenvalues[:5] - 2.0 ** -np.arange(5)).max() <= 1e-3
+    assert abs(sp.eigenvalues.sum() - trace_T(kern).value) <= 1e-12
+
+
+def test_rank_probe_memory_is_checked_before_the_probe(monkeypatch):
+    """The probe's L and core need RANK_PROBE_MAX h doubles at least; short of that it refuses before reading a row."""
+    kern = _gaussian_kernel()
+    h = np.count_nonzero(kern.summand.values > 0)
+
+    def refuse(*args):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(operators.ConditionalKernel, "gram_diag", refuse)
+    monkeypatch.setattr(operators.ConditionalKernel, "gram_row", refuse)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 8 * operators.RANK_PROBE_MAX * h - 1)
+    with pytest.raises(ValueError, match="too large for memory.*rank probe"):
+        spectrum(kern)
 
 
 def test_build_kernel_refuses_grid_larger_than_memory(monkeypatch):

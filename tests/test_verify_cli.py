@@ -174,6 +174,21 @@ def test_cli_efron_stein_bytes_do_not_depend_on_threads():
     assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, CLT_SPECTRA_THREADS="2")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--spec", "gaussian:sigma=1", "--nodes", "1024", "--n", "3", "--m", "2"], ["theta", "--nodes", "2048"]],
+    ids=["spectrum-gaussian-3-2", "theta-gaussian-2048"],
+)
+def test_cli_low_rank_bytes_do_not_depend_on_threads(argv):
+    """The gaussian solve forms no h x h Gram matrix: its probe rows are direct correlations, not a threaded syrk.
+
+    The spectrum argv printed different bytes at 1 and 2 threads when the probe read a syrk-formed Gram matrix.
+    The probe's update gemv, the QR of L^T and the r x r core solve still call BLAS and LAPACK; that their
+    thread split leaves the bytes unchanged is what this test observes for the installed BLAS, not a guarantee.
+    """
+    assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, CLT_SPECTRA_THREADS="2")
+
+
 def test_cli_exact_trace(capsys):
     assert run(["trace", "--spec", "discrete:0=0.25,1=0.5,2=0.25", "--exact"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -187,11 +202,20 @@ def test_cli_exact_trace(capsys):
         (["density", "--exact"], "density has no exact pipeline; drop --exact"),
         (["bounds", "--exact"], "bounds has no exact pipeline; drop --exact"),
         (["monotonicity", "--exact"], "monotonicity has no exact pipeline; drop --exact"),
+        (["efron-stein", "--delta", "0.3"], "--delta requires the grid pipeline; efron-stein does not regularize, drop --delta"),
+        (["closed-form", "--delta", "0.3"], "--delta requires the grid pipeline; closed-form does not regularize, drop --delta"),
+        (["closed-form", "--exact"], "closed-form has no exact pipeline; drop --exact"),
+        (["verify-all", "--delta", "0.3"], "--delta requires the grid pipeline; verify-all does not regularize, drop --delta"),
+        (["verify-all", "--exact"], "verify-all has no exact pipeline; drop --exact"),
     ],
-    ids=["trace-exact-delta", "density-exact", "bounds-exact", "monotonicity-exact"],
+    ids=[
+        "trace-exact-delta", "density-exact", "bounds-exact", "monotonicity-exact",
+        "efron-stein-delta", "closed-form-delta", "closed-form-exact", "verify-all-delta", "verify-all-exact",
+    ],
 )
 def test_cli_refuses_a_flag_the_command_would_drop(argv, message, capsys):
-    """A flag the command cannot honour exits 1 with a message; trace once printed the unsmoothed exact trace."""
+    """A flag the command cannot honour exits 1 with a message; trace once printed the unsmoothed exact trace,
+    and efron-stein, closed-form and verify-all once exited 0 ignoring --delta or --exact."""
     assert run([*argv, "--spec", "discrete:0=0.25,1=0.5,2=0.25"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
