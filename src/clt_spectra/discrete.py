@@ -119,12 +119,20 @@ def pmf_power(p: DiscretePMF, n: int) -> DiscretePMF:
     """Law of the n-fold i.i.d. sum; n = 0 gives the point mass at 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return DiscretePMF((0.0,), (1.0,))
-    out = p
-    for _ in range(n - 1):
-        out = convolve_pmf(out, p)
-    return out
+    return _sum_laws(p, n)[n]
+
+
+def _sum_laws(p: DiscretePMF, k: int) -> list[DiscretePMF]:
+    """The laws of S_0, ..., S_k, one convolution each.
+
+    S_0 is the point mass at 0, S_1 is ``p`` itself and S_r is S_{r-1}
+    convolved with ``p``: a left fold, so every law is the one ``pmf_power``
+    returns, bit for bit, and a caller that needs several of them folds once.
+    """
+    laws = [DiscretePMF((0.0,), (1.0,)), p][: k + 1]
+    while len(laws) <= k:
+        laws.append(convolve_pmf(laws[-1], p))
+    return laws
 
 
 def _sum_index(a: NDArray[np.float64], b: NDArray[np.float64], support: NDArray[np.float64]) -> NDArray[np.intp]:
@@ -311,18 +319,17 @@ class ESDecomposition:
 def _product_grid_index(p: DiscretePMF, k: int) -> tuple[NDArray[np.intp], DiscretePMF]:
     """Index in the S_k support of y_1 + ... + y_k on the product grid, shape (d,)*k, and the law of S_k.
 
-    Built level by level as ``pmf_power`` builds the supports: the S_r index
+    Built level by level along the sum laws (``_sum_laws``): the S_r index
     of y_1 + ... + y_r is the S_{r-1} index of y_1 + ... + y_{r-1} sent
     through the small ``_sum_index(S_{r-1}, atoms, S_r)`` table, so no sum is
     formed or searched on the product grid.
     """
     a, _ = p.arrays()
-    idx, law = np.arange(len(a)), p
-    for _ in range(k - 1):
-        nxt = convolve_pmf(law, p)
-        idx = _sum_index(law.arrays()[0], a, nxt.arrays()[0])[idx[..., None], np.arange(len(a))]
-        law = nxt
-    return idx, law
+    laws = _sum_laws(p, k)
+    idx = np.arange(len(a))
+    for prev, law in zip(laws[1:-1], laws[2:]):
+        idx = _sum_index(prev.arrays()[0], a, law.arrays()[0])[idx[..., None], np.arange(len(a))]
+    return idx, laws[k]
 
 
 def _axis(v: NDArray[np.float64], i: int, r: int) -> NDArray[np.float64]:
@@ -385,8 +392,10 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
         component_sq[r] = float(sq)
         if r >= 2:
             # exchangeability of the components follows from h being a
-            # function of the sum; checked, not assumed
-            if not np.allclose(comp, np.swapaxes(comp, 0, 1), atol=1e-10):
+            # function of the sum; checked, not assumed, on one temporary of
+            # the grid's size (a NaN fails the comparison and raises too)
+            asym = np.subtract(comp, comp.swapaxes(0, 1))
+            if not np.abs(asym, out=asym).max() <= 1e-10:
                 raise AssertionError("order component is not symmetric in its arguments")
 
     total = float((qk * h_cent**2).sum())
@@ -447,8 +456,8 @@ def projection_inequality(h: NDArray[np.float64], p: DiscretePMF, k: int, l: int
     if not 2 <= l < k:
         raise ValueError(f"need 2 <= l < k, got (k, l) = ({k}, {l})")
     h = np.asarray(h, dtype=float)
-    pk = pmf_power(p, k)
-    ak, qk = pk.arrays()
+    laws = _sum_laws(p, k)
+    ak, qk = laws[k].arrays()
     if len(h) != len(ak):
         raise ValueError("h must be tabulated on the S_k support")
     mean = float(qk @ h)
@@ -456,12 +465,12 @@ def projection_inequality(h: NDArray[np.float64], p: DiscretePMF, k: int, l: int
     lhs = float(qk @ hc**2)
 
     a1, q1 = p.arrays()
-    akm1, qkm1 = pmf_power(p, k - 1).arrays()
+    akm1, qkm1 = laws[k - 1].arrays()
     h1 = (hc[_sum_index(a1, akm1, ak)] * qkm1).sum(axis=1)
     e_h1_sq = float(q1 @ h1**2)
 
-    al, ql = pmf_power(p, l).arrays()
-    akl, qkl = pmf_power(p, k - l).arrays()
+    al, ql = laws[l].arrays()
+    akl, qkl = laws[k - l].arrays()
     hhat = (hc[_sum_index(al, akl, ak)] * qkl).sum(axis=1)
     e_hhat_sq = float(ql @ hhat**2)
 

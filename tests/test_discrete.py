@@ -1,6 +1,7 @@
 """Exact finite-support operators and the variance decomposition."""
 
 import math
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +38,8 @@ NONLATTICE12_SPEC = (
 NONLATTICE12 = DiscretePMF.from_spec(parse_spec(NONLATTICE12_SPEC))
 _W12 = np.random.default_rng(12).uniform(0.2, 1.0, 12)
 GENERIC12 = DiscretePMF(tuple(np.sort(np.random.default_rng(12).uniform(0.0, 10.0, 12))), tuple(_W12 / _W12.sum()))
+_W8 = np.random.default_rng(8).uniform(0.2, 1.0, 8)
+GENERIC8 = DiscretePMF(tuple(np.sort(np.random.default_rng(8).uniform(0.0, 10.0, 8))), tuple(_W8 / _W8.sum()))
 
 
 def test_pmf_validation():
@@ -376,6 +379,43 @@ def test_projection_bound_random_h():
         lhs, rhs = projection_inequality(h, UNIFORM3, 3, 2)
         worst = min(worst, lhs - rhs)
     assert worst >= -1e-12
+
+
+def _projection_one_power_per_law(h, p, k, l):
+    """projection_inequality with each sum law from its own ``pmf_power`` call, kept as the reference."""
+    h = np.asarray(h, dtype=float)
+    ak, qk = pmf_power(p, k).arrays()
+    mean = float(qk @ h)
+    hc = h - mean
+    lhs = float(qk @ hc**2)
+    a1, q1 = p.arrays()
+    akm1, qkm1 = pmf_power(p, k - 1).arrays()
+    h1 = (hc[discrete._sum_index(a1, akm1, ak)] * qkm1).sum(axis=1)
+    e_h1_sq = float(q1 @ h1**2)
+    al, ql = pmf_power(p, l).arrays()
+    akl, qkl = pmf_power(p, k - l).arrays()
+    hhat = (hc[discrete._sum_index(al, akl, ak)] * qkl).sum(axis=1)
+    e_hhat_sq = float(ql @ hhat**2)
+    rhs = k * e_h1_sq + (k * (k - 1) / (l * (l - 1))) * (e_hhat_sq - l * e_h1_sq)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("pmf", [UNIFORM3, SKEW3, GENERIC8], ids=["uniform3", "skew3", "generic8"])
+@pytest.mark.parametrize("k, l", [(3, 2), (4, 2), (5, 3)])
+def test_projection_inequality_folds_the_sum_laws_once(pmf, k, l):
+    """One fold of the sum laws gives the bytes of one ``pmf_power`` per law, and those are the left fold."""
+    for r in range(k + 1):
+        fold = reduce(convolve_pmf, [pmf] * r) if r else DiscretePMF((0.0,), (1.0,))
+        assert pmf_power(pmf, r) == fold
+    h = np.random.default_rng(k * 10 + l).standard_normal(len(pmf_power(pmf, k).atoms))
+    assert projection_inequality(h, pmf, k, l) == _projection_one_power_per_law(h, pmf, k, l)
+
+
+def test_efron_stein_symmetry_check_raises_on_nan():
+    h = _poly_h(UNIFORM3, 3)
+    h[2] = np.nan
+    with pytest.raises(AssertionError, match="not symmetric"):
+        efron_stein(h, UNIFORM3, 3)
 
 
 def test_projection_equality_quadratic():

@@ -194,12 +194,41 @@ def test_chi2_closed_vs_quadrature_random():
 
 # Seeds at which a window around x and y (rather than around the mass of
 # f^2/g) cut off the integrand and failed verify_all's 1e-6 tolerance.
-@pytest.mark.parametrize("seed", [6, 13, 59, 106, 109, 112, 114, 115, 116, 118, 120, 2122847536])
+WINDOW_SEEDS = [6, 13, 59, 106, 109, 112, 114, 115, 116, 118, 120, 2122847536]
+
+
+@pytest.mark.parametrize("seed", WINDOW_SEEDS)
 def test_chi2_quadrature_window_holds_the_mass(seed):
     for x, y, rho, delta in _chi2_draws(seed):
         closed = gauss_chi2_closed(x, y, rho, delta)
         quadv = gauss_chi2_quad(x, y, rho, delta)
         assert abs(closed - quadv) <= 1e-6 * max(1.0, abs(closed))
+
+
+# far corners of the battery's draw box, at its largest |rho| and smallest delta
+CORNER_DRAWS = [((0.9, -0.9), (-0.9, 0.9), rho, 0.8) for rho in (0.6, -0.6)]
+
+
+@pytest.mark.parametrize("seed", WINDOW_SEEDS + ["corners"])
+def test_chi2_quadrature_default_grid_is_converged(seed):
+    """The default grid agrees to 1e-12 with the closed form and with 1200 x 1200 nodes.
+
+    Error measured as the chi2 battery measures it, |q - ref| / max(|ref|, 1).
+    """
+    draws = CORNER_DRAWS if seed == "corners" else _chi2_draws(seed)
+    for x, y, rho, delta in draws:
+        got = gauss_chi2_quad(x, y, rho, delta)
+        for want in (gauss_chi2_closed(x, y, rho, delta), gauss_chi2_quad(x, y, rho, delta, nodes=1200)):
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (x, y, rho, delta)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("nodes", 1), ("nodes", 0), ("width", 0.0), ("width", -1.0), ("width", math.inf), ("width", math.nan)]
+)
+def test_chi2_quadrature_rejects_a_bad_grid(name, value):
+    """Once silent: nodes=1 raised IndexError, width=0 returned -1 and width=-1 returned -0.405."""
+    with pytest.raises(ValueError):
+        gauss_chi2_quad((0.1, 0.2), (0.0, -0.1), 0.3, 1.0, **{name: value})
 
 
 def _meshgrid_chi2_quad(x, y, rho, delta, nodes=1200, width=10.0):
@@ -228,9 +257,8 @@ def _meshgrid_chi2_quad(x, y, rho, delta, nodes=1200, width=10.0):
 def test_chi2_quadrature_matches_meshgrid_formula(seed):
     """Relative error as the chi2 battery measures it, |q - ref| / max(|ref|, 1).
 
-    Both sides run on 600 x 600 nodes, a quarter of the default work: the
-    two forms differ only in the arithmetic at each node, not in the nodes
-    or weights.
+    Both sides run on 600 x 600 nodes: the two forms differ only in the
+    arithmetic at each node, not in the nodes or weights.
     """
     for x, y, rho, delta in _chi2_draws(seed):
         want = _meshgrid_chi2_quad(x, y, rho, delta, nodes=600)
