@@ -32,6 +32,23 @@ from .operators import TraceResult, build_kernel, spectrum, theta, theta_from_sp
 # report is imported inside the commands that emit: it loads json, which start-up does not need
 
 
+# each flag, declared once; _READS gives each subcommand its own
+_FLAGS = {
+    "--spec": dict(default=None, help="distribution, e.g. gaussian:sigma=1, gamma:beta=4, "
+                   "uniform:a=-1,b=1, discrete:0=0.5,1=0.5, file:PATH"),
+    "--n": dict(type=int, default=2, help="number of summands (default 2)"),
+    "--m": dict(type=int, default=1, help="conditioning block size (default 1)"),
+    "--nodes": dict(type=int, default=1024, help="grid nodes (default 1024)"),
+    "--half-width": dict(type=float, default=12.0, help="grid half width in units of sigma*sqrt(n) (default 12)"),
+    "--exact": dict(action="store_true", help="use the exact finite-support pipeline"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--output": dict(default=None, help="write the report (or density file) here"),
+    "--seed": dict(type=int, default=42),
+    "--n-max": dict(type=int, default=3, help="largest n for chain/monotonicity sweeps (default 3)"),
+    "--delta": dict(type=float, default=None, help="gaussian regularization width applied before grid work"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clt-spectra",
@@ -40,23 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name, aliases=["verify"] if name == "verify-all" else [], help=f"{name} subcommand")
+        # no abbreviations: a flag the command does not take must not be read as the prefix of one it does
+        p = sub.add_parser(name, aliases=["verify"] if name == "verify-all" else [], help=f"{name} subcommand",
+                           allow_abbrev=False)
         p.set_defaults(subcommand=name)
-        p.add_argument("--spec", default=None, help="distribution, e.g. gaussian:sigma=1, gamma:beta=4, "
-                       "uniform:a=-1,b=1, discrete:0=0.5,1=0.5, file:PATH")
-        p.add_argument("--n", type=int, default=2, help="number of summands (default 2)")
-        p.add_argument("--m", type=int, default=1, help="conditioning block size (default 1)")
-        p.add_argument("--nodes", type=int, default=1024, help="grid nodes (default 1024)")
-        p.add_argument("--half-width", type=float, default=12.0, dest="half_width",
-                       help="grid half width in units of sigma*sqrt(n) (default 12)")
-        p.add_argument("--exact", action="store_true", help="use the exact finite-support pipeline")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="write the report (or density file) here")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--n-max", type=int, default=3, dest="n_max",
-                       help="largest n for chain/monotonicity sweeps (default 3)")
-        p.add_argument("--delta", type=float, default=None,
-                       help="gaussian regularization width applied before grid work")
+        for flag in _READS[name]:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -132,10 +138,7 @@ def _cmd_density(args) -> int:
 def _spectrum(args):
     if not args.exact:
         return spectrum(build_kernel(_base_density(args), args.n, args.m))
-    pmf = _exact_pmf(args)
-    if args.delta is not None:
-        raise ValueError("--delta requires the grid pipeline; drop --exact")
-    return exact_spectrum(pmf, args.n, args.m)
+    return exact_spectrum(_exact_pmf(args), args.n, args.m)
 
 
 def _cmd_spectrum(args) -> int:
@@ -168,8 +171,6 @@ def _cmd_trace(args) -> int:
 
     if args.exact:
         pmf = _exact_pmf(args)
-        if args.delta is not None:
-            raise ValueError("--delta requires the grid pipeline; drop --exact")
         # ||B||_F^2 over the non-zero pairs of B, correctly rounded
         value = math.fsum((exact_operator(pmf, args.n, args.m).values ** 2).ravel())
         tr = TraceResult(value=value, chi2=value - 1.0, masked_mass=0.0, lower_bound_only=False)
@@ -315,9 +316,18 @@ _HANDLERS = {
     "efron-stein": _cmd_efron_stein,
 }
 
-# subcommands that would otherwise ignore --exact (no exact pipeline) or --delta (no regularized grid)
-_NO_EXACT = ("density", "bounds", "monotonicity", "verify-all", "closed-form")
-_NO_DELTA = ("verify-all", "closed-form", "efron-stein")
+# the flags each handler reads, and so the only ones its subcommand accepts
+_READS = {
+    "density": "--spec --n --nodes --half-width --delta --format --output".split(),
+    "spectrum": "--spec --n --m --nodes --half-width --exact --delta --format --output".split(),
+    "theta": "--spec --n --m --nodes --half-width --exact --delta --format --output".split(),
+    "trace": "--spec --n --m --nodes --half-width --exact --delta --format --output".split(),
+    "bounds": "--spec --n --nodes --half-width --seed --n-max --delta --format --output".split(),
+    "monotonicity": "--spec --n --nodes --half-width --n-max --delta --format --output".split(),
+    "verify-all": "--spec --nodes --half-width --seed --n-max --format --output".split(),
+    "closed-form": "--spec --n --format --output".split(),
+    "efron-stein": "--spec --n --format --output".split(),
+}
 
 
 def run(argv: list[str]) -> int:
@@ -333,11 +343,10 @@ def run(argv: list[str]) -> int:
             args.spec = parse_spec(args.spec)
         elif args.subcommand not in ("verify-all", "closed-form"):
             args.spec = DistributionSpec.gaussian(1.0)
-        args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
-        if args.exact and args.subcommand in _NO_EXACT:
-            raise ValueError(f"{args.subcommand} has no exact pipeline; drop --exact")
-        if args.delta is not None and args.subcommand in _NO_DELTA:
-            raise ValueError(f"--delta requires the grid pipeline; {args.subcommand} does not regularize, drop --delta")
+        if hasattr(args, "nodes"):
+            args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
+        if getattr(args, "exact", False) and args.delta is not None:
+            raise ValueError("--delta requires the grid pipeline; drop --exact")
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ hosts the Efron-Stein (ANOVA) decomposition of functions of a sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -34,7 +33,7 @@ __all__ = [
     "projection_inequality",
 ]
 
-ATOM_TOL = 1e-12  # coalescing tolerance for sum supports
+ATOM_TOL = 1e-12  # coalescing tolerance for sum supports, relative to the largest |atom| once that exceeds 1
 SUPPORT_CAP = 20000
 PRODUCT_SPACE_CAP = 10_000_000
 _EXACT_REMEDY = "use fewer atoms or a smaller n"
@@ -50,7 +49,7 @@ class DiscretePMF:
             raise ValueError("atoms and probs must be nonempty and equal length")
         a = np.asarray(self.atoms, dtype=float)
         p = np.asarray(self.probs, dtype=float)
-        if (np.diff(a) <= ATOM_TOL).any():
+        if (np.diff(a) <= _atom_tol(a)).any():
             raise ValueError("atoms must be ascending and separated by more than the coalescing tolerance")
         if (p <= 0).any():
             raise ValueError("probabilities must be positive")
@@ -80,23 +79,30 @@ class DiscretePMF:
         return float(p @ (a - mu) ** 2)
 
 
-def _coalesce(atoms: NDArray[np.float64], probs: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Sorted atoms with every atom within ATOM_TOL of its group's first atom merged into that group.
+def _atom_tol(atoms: NDArray[np.float64]) -> float:
+    """ATOM_TOL scaled by max(1, max |atom|): sums of large atoms round by more than an absolute 1e-12."""
+    return ATOM_TOL * max(1.0, float(np.abs(atoms).max()))
 
-    A gap above ATOM_TOL always starts a group; only a run of closer atoms
-    spanning more than ATOM_TOL is split atom by atom. ``np.bincount`` sums
-    each group's probabilities in sorted order, as a running sum would.
+
+def _coalesce(atoms: NDArray[np.float64], probs: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Sorted atoms with every atom within the tolerance of its group's first atom merged into that group.
+
+    The tolerance is ``_atom_tol(atoms)``. A gap above it always starts a
+    group; only a run of closer atoms spanning more than it is split atom by
+    atom. ``np.bincount`` sums each group's probabilities in sorted order, as
+    a running sum would.
     """
     order = np.argsort(atoms, kind="stable")
     a, p = atoms[order], probs[order]
-    starts = np.concatenate(([True], np.diff(a) > ATOM_TOL))
+    tol = _atom_tol(a)
+    starts = np.concatenate(([True], np.diff(a) > tol))
     first = np.flatnonzero(starts)
     last = np.append(first[1:], len(a)) - 1
-    wide = a[last] - a[first] > ATOM_TOL
+    wide = a[last] - a[first] > tol
     for i, j in zip(first[wide], last[wide]):
         head = a[i]
         for t in range(i + 1, j + 1):
-            if a[t] - head > ATOM_TOL:
+            if a[t] - head > tol:
                 starts[t] = True
                 head = a[t]
     return a[starts], np.bincount(np.cumsum(starts) - 1, weights=p)
@@ -138,12 +144,13 @@ def _sum_laws(p: DiscretePMF, k: int) -> list[DiscretePMF]:
 def _sum_index(a: NDArray[np.float64], b: NDArray[np.float64], support: NDArray[np.float64]) -> NDArray[np.intp]:
     """Index in the sorted ``support`` of every a_i + b_j, shape a.shape + b.shape.
 
-    A sum matches the support atom within ATOM_TOL of it; a sum with none
-    raises, since the support was built to hold every such sum.
+    A sum matches the support atom within ``_atom_tol(support)`` of it; a
+    sum with none raises, since the support was built to hold every such sum.
     """
+    tol = _atom_tol(support)
     sums = np.add.outer(a, b)
-    idx = np.minimum(np.searchsorted(support, sums - ATOM_TOL), len(support) - 1)
-    if (np.abs(support[idx] - sums) > ATOM_TOL).any():
+    idx = np.minimum(np.searchsorted(support, sums - tol), len(support) - 1)
+    if (np.abs(support[idx] - sums) > tol).any():
         raise ValueError("sum support mismatch; atom coalescing produced an inconsistent lattice")
     return idx
 
@@ -154,8 +161,8 @@ class ExactOperator:
 
     Row i of C* and of B is non-zero only in the columns ``index[i, j]`` of
     the sums y_i + t_j, t_j the atoms of S_{n-m}: there C*[i, k] =
-    P(S_{n-m} = t_j) and B[i, k] = ``values[i, j]``. The dense (|S_m|, |S_n|)
-    ``Cstar`` and ``B`` are built on first read (memory-checked) and kept.
+    P(S_{n-m} = t_j) and B[i, k] = ``values[i, j]``. No dense
+    (|S_m|, |S_n|) matrix is formed: C and C* are applied from the pairs.
     """
 
     summand: DiscretePMF  # S_m
@@ -166,42 +173,27 @@ class ExactOperator:
     index: NDArray[np.intp]  # (|S_m|, |S_{n-m}|): column of y_i + t_j in the S_n support
     values: NDArray[np.float64]  # (|S_m|, |S_{n-m}|): sqrt(q_m(y_i)) q_{n-m}(t_j) / sqrt(q_n(y_i + t_j))
 
-    @cached_property
-    def Cstar(self) -> NDArray[np.float64]:
-        """(|S_m|, |S_n|): adjoint, Cstar[i, k] = P(S_{n-m} = s_k - y_i)."""
+    def apply_Cstar(self, g: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Adjoint map (C* g)(y_i) = E[g(S_n) | S_m = y_i] = sum_j q_{n-m}(t_j) g(y_i + t_j), on the S_m support."""
         _, qt = self.partial.arrays()
-        return self._dense(np.broadcast_to(qt, self.index.shape))
+        return g[self.index] @ qt
 
-    @cached_property
-    def B(self) -> NDArray[np.float64]:
-        """(|S_m|, |S_n|): symmetrizing factor, B B^T = the Gram matrix of C*C."""
-        return self._dense(self.values)
+    def apply_C(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Forward map (C f)(s_k) = E[f(S_m) | S_n = s_k], on the S_n support.
 
-    @property
-    def C(self) -> NDArray[np.float64]:
-        """(|S_n|, |S_m|): forward conditional expectation, C[k, i] = P(S_m = y_i | S_n = s_k)."""
+        One ``np.bincount`` sums q_m(y_i) q_{n-m}(t_j) f(y_i) over the pairs
+        with y_i + t_j = s_k; dividing by q_n(s_k) conditions on S_n.
+        """
         _, qy = self.summand.arrays()
+        _, qt = self.partial.arrays()
         _, qn = self.total.arrays()
-        Cstar = self.Cstar
-        self._check_memory(f"a {Cstar.shape[1]} x {Cstar.shape[0]} matrix", 16 * Cstar.size)
-        return (Cstar * qy[:, None]).T / qn[:, None]
+        weight = (qy * f)[:, None] * qt
+        return np.bincount(self.index.ravel(), weights=weight.ravel(), minlength=len(qn)) / qn
 
     @property
     def health(self) -> dict:
         """Numerical health signals a spectrum of this operator reports."""
         return {"support_size": len(self.summand.atoms)}
-
-    def _dense(self, vals: NDArray[np.float64]) -> NDArray[np.float64]:
-        """``vals`` scattered into a zero (|S_m|, |S_n|) matrix at the pairs' columns.
-
-        Checked for the matrix and one temporary of its size (the weighting
-        that makes C of C*, or a caller's elementwise product).
-        """
-        ny, ns = len(self.index), len(self.total.atoms)
-        self._check_memory(f"a dense {ny} x {ns} matrix", 16 * ny * ns)
-        out = np.zeros((ny, ns))
-        out[np.arange(ny)[:, None], self.index] = vals
-        return out
 
     def gram(self, rows: slice) -> NDArray[np.float64]:
         """The Gram matrix ``B[rows] @ B[rows].T``, built from the pairs.
@@ -367,6 +359,7 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
     if d**k > PRODUCT_SPACE_CAP:
         raise ValueError(f"product space {d}^{k} exceeds cap {PRODUCT_SPACE_CAP}")
     h = np.asarray(h, dtype=float)
+    sym_tol = 1e-10 * max(1.0, float(np.abs(h).max()))
     grid_index, pk = _product_grid_index(p, k)
     ak, qk = pk.arrays()
     if len(h) != len(ak):
@@ -393,9 +386,10 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
         if r >= 2:
             # exchangeability of the components follows from h being a
             # function of the sum; checked, not assumed, on one temporary of
-            # the grid's size (a NaN fails the comparison and raises too)
+            # the grid's size (a NaN fails the comparison and raises too),
+            # to a bound that scales with h as its round-off does
             asym = np.subtract(comp, comp.swapaxes(0, 1))
-            if not np.abs(asym, out=asym).max() <= 1e-10:
+            if not np.abs(asym, out=asym).max() <= sym_tol:
                 raise AssertionError("order component is not symmetric in its arguments")
 
     total = float((qk * h_cent**2).sum())

@@ -351,18 +351,15 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
     )
 
 
-def gram_matrix(kernel: ConditionalKernel | NDArray[np.float64]) -> NDArray[np.float64]:
-    """Symmetrized discretization of C*C (similar transform, same spectrum).
+def gram_matrix(B: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Symmetrized discretization of C*C (similar transform, same spectrum) from a factor ``B``.
 
-    Reads only the factor ``B``, so an exact operator serves as well; a bare
-    array is taken as the factor itself (the grid spectrum passes its
-    support block, the exact one a dense block where its sum-index pairs
-    pile up, and the rank probe its factor L and the triangle R of L^T's QR,
-    whose Gram matrices are the small cores the solve reads). numpy
-    computes ``B @ B.T`` of a C-contiguous B with syrk and mirrors the
-    triangle, so S is exactly symmetric.
+    The grid spectrum passes its support block, the exact one a dense block
+    where its sum-index pairs pile up, and the rank probe its factor L and
+    the triangle R of L^T's QR, whose Gram matrices are the small cores the
+    solve reads. numpy computes ``B @ B.T`` of a C-contiguous B with syrk and
+    mirrors the triangle, so S is exactly symmetric.
     """
-    B = kernel if isinstance(kernel, np.ndarray) else kernel.B
     return B @ B.T
 
 

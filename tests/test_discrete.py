@@ -65,12 +65,18 @@ def test_convolve_pmf_merges_colliding_sums():
     assert abs(probs.sum() - 1.0) <= 1e-15
 
 
+def _tol(atoms):
+    """The coalescing tolerance: ATOM_TOL relative to the largest |atom| once that exceeds 1."""
+    return ATOM_TOL * max(1.0, np.abs(atoms).max())
+
+
 def _coalesce_by_running_sum(atoms, probs):
-    """Reference: walk the sorted atoms, adding each to the group of the first atom it lies within ATOM_TOL of."""
+    """Reference: walk the sorted atoms, adding each to the group of the first atom it lies within the tolerance of."""
     order = np.argsort(atoms, kind="stable")
+    tol = _tol(atoms)
     keep_a, keep_p = [], []
     for x, q in zip(atoms[order], probs[order]):
-        if keep_a and x - keep_a[-1] <= ATOM_TOL:
+        if keep_a and x - keep_a[-1] <= tol:
             keep_p[-1] += q
         else:
             keep_a.append(x)
@@ -79,8 +85,8 @@ def _coalesce_by_running_sum(atoms, probs):
 
 
 def test_coalesce_matches_running_sum():
-    """Groups start at their first atom, so a chain spaced just under ATOM_TOL splits every second atom; sums keep their bytes."""
-    chain = 3.0 + 0.9 * ATOM_TOL * np.arange(10)
+    """Groups start at their first atom, so a chain spaced just under the tolerance splits every second atom; sums keep their bytes."""
+    chain = 3.0 + 0.9 * _tol(3.0) * np.arange(10)
     atoms, probs = _coalesce(chain, np.full(10, 0.1))
     assert np.array_equal(atoms, chain[::2])
     assert np.array_equal(probs, np.full(5, 0.1 + 0.1))
@@ -92,7 +98,7 @@ def test_coalesce_matches_running_sum():
         p = rng.dirichlet(np.ones(k))
         sums, prods = (a[:, None] + a[None, :]).ravel(), (p[:, None] * p[None, :]).ravel()
         if trial % 3 == 0:  # a chain inside the sum support
-            sums = np.concatenate((sums, sums[0] + 0.9 * ATOM_TOL * np.arange(1, 8)))
+            sums = np.concatenate((sums, sums[0] + 0.9 * _tol(sums) * np.arange(1, 8)))
             prods = np.concatenate((prods, np.full(7, prods[0])))
         got, want = _coalesce(sums, prods), _coalesce_by_running_sum(sums, prods)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -102,7 +108,7 @@ def test_equal_weight_gram_closed_form():
     """Hand-checkable 3x3 operator for uniform weights on {0,1,2}, n=2."""
     op = exact_operator(EQUAL3, 2, 1)
     target = np.array([[11.0, 5.0, 2.0], [5.0, 8.0, 5.0], [2.0, 5.0, 11.0]]) / 18.0
-    assert np.abs(op.B @ op.B.T - target).max() <= 1e-14
+    assert np.abs(op.gram(slice(0, 3)) - target).max() <= 1e-14
 
 
 def test_equal_weight_eigenvalues():
@@ -163,16 +169,45 @@ EXACT_CASES = [(NONLATTICE12, 5, 4)] + [
 ]
 
 
+def _dense(op, vals):
+    """Reference: ``vals`` at the sum-index pairs scattered into a zero (|S_m|, |S_n|) matrix."""
+    out = np.zeros((len(op.summand.atoms), len(op.total.atoms)))
+    out[np.arange(len(out))[:, None], op.index] = vals
+    return out
+
+
+def _dense_Cstar(op):
+    """Reference: the dense adjoint, C*[i, k] = P(S_{n-m} = s_k - y_i)."""
+    return _dense(op, np.broadcast_to(op.partial.arrays()[1], op.index.shape))
+
+
 @pytest.mark.parametrize("pmf, n, m", EXACT_CASES)
 def test_scattered_operator_matches_difference_table(pmf, n, m):
-    """Scattering each S_{n-m} atom into its sum column gives the difference lookup's table, C and B bit for bit."""
+    """Scattering each S_{n-m} atom into its sum column gives the difference lookup's table and B bit for bit."""
     op = exact_operator(pmf, n, m)
     table = _difference_table(pmf, n, m)
     _, qy = op.summand.arrays()
     _, qn = op.total.arrays()
-    assert np.array_equal(op.Cstar, table)
-    assert np.array_equal(op.C, (table * qy[:, None]).T / qn[:, None])
-    assert np.array_equal(op.B, np.sqrt(qy)[:, None] * table / np.sqrt(qn)[None, :])
+    assert np.array_equal(_dense_Cstar(op), table)
+    assert np.array_equal(_dense(op, op.values), np.sqrt(qy)[:, None] * table / np.sqrt(qn)[None, :])
+
+
+@pytest.mark.parametrize("pmf, n, m", EXACT_CASES)
+def test_pair_maps_match_the_dense_product(pmf, n, m):
+    """C and C* applied from the pairs are the dense products to 1e-15, and adjoint in L2(S_n) and L2(S_m)."""
+    op = exact_operator(pmf, n, m)
+    _, qy = op.summand.arrays()
+    _, qn = op.total.arrays()
+    Cstar = _dense_Cstar(op)
+    C = (Cstar * qy[:, None]).T / qn[:, None]
+    rng = np.random.default_rng(n * 10 + m)
+    for _ in range(3):
+        f, g = rng.standard_normal(len(qy)), rng.standard_normal(len(qn))
+        Cf, Cstar_g = op.apply_C(f), op.apply_Cstar(g)
+        assert np.abs(Cf - C @ f).max() <= 1e-15
+        assert np.abs(Cstar_g - Cstar @ g).max() <= 1e-15
+        lhs, rhs = float((qn * g) @ Cf), float((qy * Cstar_g) @ f)
+        assert abs(lhs - rhs) <= 1e-14
 
 
 def _sizes(pmf, n, m):
@@ -219,7 +254,7 @@ def test_exact_memory_guard_reserves_the_solve_only_where_it_runs(monkeypatch, c
 
 
 def test_exact_spectrum_needs_no_room_for_the_dense_table_and_B(monkeypatch):
-    """With less memory than the dense table and B take, the spectrum runs on the pairs while reading B is refused.
+    """With less memory than the dense table and B take, the spectrum runs on the pairs.
 
     Twelve generic real atoms never collide: at (5, 4) the table is 1365 x 4368.
     """
@@ -230,10 +265,6 @@ def test_exact_spectrum_needs_no_room_for_the_dense_table_and_B(monkeypatch):
     monkeypatch.setattr(operators, "_available_bytes", lambda: solve)
     sp = exact_spectrum(GENERIC12, 5, 4)
     assert sp.eigenvalues[sp.trivial_indices[1]] == pytest.approx(0.8, abs=1e-12)
-    op = exact_operator(GENERIC12, 5, 4)
-    for dense in ("B", "Cstar", "C"):
-        with pytest.raises(ValueError, match="exact operator too large for memory"):
-            getattr(op, dense)
 
 
 @pytest.mark.parametrize("pmf, n, m", EXACT_CASES)
@@ -248,7 +279,7 @@ def test_exact_gram_equals_the_dense_product(pmf, n, m, monkeypatch):
     products = []
     monkeypatch.setattr(discrete, "gram_matrix", lambda b: products.append(b) or operators.gram_matrix(b))
     S = op.gram(slice(0, ny))
-    B = op.B
+    B = _dense(op, op.values)
     assert len(products) == (0 if pairs <= B.size else 1)
     assert np.abs(S - B @ B.T).max() <= 1e-15
     assert np.array_equal(S, S.T)
@@ -287,10 +318,10 @@ def test_exact_adjointness():
     _, probs_m = op.summand.arrays()
     rng = np.random.default_rng(42)
     for _ in range(5):
-        f = rng.standard_normal(op.C.shape[1])
-        g = rng.standard_normal(op.C.shape[0])
-        lhs = float((op.C @ f * g) @ probs_n)
-        rhs = float((f * (op.Cstar @ g)) @ probs_m)
+        f = rng.standard_normal(len(probs_m))
+        g = rng.standard_normal(len(probs_n))
+        lhs = float((op.apply_C(f) * g) @ probs_n)
+        rhs = float((f * op.apply_Cstar(g)) @ probs_m)
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
@@ -469,3 +500,18 @@ def test_property_variance_identity(pmf):
     for k in (2, 3):
         dec = efron_stein(_poly_h(pmf, k), pmf, k)
         assert abs(dec.identity_residual) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--exact", "--spec", "discrete:0=0.1,137.1=0.2,290.7=0.3,1e4=0.4", "--n", "3", "--m", "2"],
+        *(["efron-stein", "--spec", "discrete:0=1,1000=1,2500=1", "--n", str(k)] for k in (3, 4, 5)),
+    ],
+    ids=["theta-sums-near-1e4", "efron-stein-3", "efron-stein-4", "efron-stein-5"],
+)
+def test_tolerances_scale_with_the_atoms(argv, capsys):
+    """Sums near 1e4 round by more than 1e-12, and a statistic of size 1e7 has round-off asymmetry above 1e-10:
+    both once exited 1 (sum support mismatch) or raised (component not symmetric)."""
+    assert run(argv) == 0
+    capsys.readouterr()

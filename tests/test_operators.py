@@ -88,7 +88,7 @@ def test_apply_c_contracts_linear():
 
 
 def test_gram_matrix_symmetric_psd():
-    g = gram_matrix(_gaussian_kernel())
+    g = gram_matrix(_gaussian_kernel().B)
     assert np.abs(g - g.T).max() <= 1e-12
     w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-10
@@ -104,7 +104,7 @@ def test_trace_gaussian():
 def test_trace_matches_eigenvalue_sum():
     kern = _gaussian_kernel()
     tr = trace_T(kern)
-    lam = np.linalg.eigvalsh(gram_matrix(kern))
+    lam = np.linalg.eigvalsh(gram_matrix(kern.B))
     assert abs(tr.value - lam.sum()) <= 1e-8
 
 
@@ -178,7 +178,7 @@ def test_support_block_solve_matches_full_eigh(spec, n, m):
     assert (mass == 0).sum() > 0  # the case has zero-mass rows to deflate
     sp = spectrum(kern)
 
-    lam, phi = np.linalg.eigh(gram_matrix(kern))
+    lam, phi = np.linalg.eigh(gram_matrix(kern.B))
     lam, phi = np.clip(lam[::-1], 0.0, 1.0), phi[:, ::-1]
     assert len(sp.eigenvalues) == ny
     assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
@@ -245,7 +245,7 @@ def test_certified_low_rank_solve_matches_eigh(n, m):
     assert nonzero < h // 4
     assert not sp.eigenvalues[nonzero:].any()  # the tail is exact zeros
 
-    lam, phi = np.linalg.eigh(gram_matrix(kern))
+    lam, phi = np.linalg.eigh(gram_matrix(kern.B))
     lam, phi = np.clip(lam[::-1], 0.0, 1.0), phi[:, ::-1]
     assert len(sp.eigenvalues) == len(lam)
     assert np.abs(sp.eigenvalues - lam).max() <= 1e-13

@@ -50,7 +50,7 @@ def test_cli_density_json(capsys):
 
 
 def test_cli_determinism(capsys):
-    argv = ["theta", "--spec", "gaussian:sigma=1", "--nodes", "512", "--seed", "42"]
+    argv = ["theta", "--spec", "gaussian:sigma=1", "--nodes", "512"]
     assert run(argv) == 0
     first = capsys.readouterr().out
     assert run(argv) == 0
@@ -195,31 +195,57 @@ def test_cli_exact_trace(capsys):
     assert abs(doc["trace"] - 5.0 / 3.0) <= 1e-12
 
 
+# the flags each subcommand's handler reads; argparse refuses every other (command, flag) pair
+_GRID = ("nodes", "half-width")
+_OUT = ("format", "output")
+_PIPELINE = ("spec", "n", "m", *_GRID, "exact", "delta", *_OUT)
+READS = {
+    "density": ("spec", "n", *_GRID, "delta", *_OUT),
+    "spectrum": _PIPELINE,
+    "theta": _PIPELINE,
+    "trace": _PIPELINE,
+    "bounds": ("spec", "n", *_GRID, "seed", "n-max", "delta", *_OUT),
+    "monotonicity": ("spec", "n", *_GRID, "n-max", "delta", *_OUT),
+    "verify-all": ("spec", *_GRID, "seed", "n-max", *_OUT),
+    "closed-form": ("spec", "n", *_OUT),
+    "efron-stein": ("spec", "n", *_OUT),
+}
+VALUES = {
+    "spec": ["discrete:0=0.25,1=0.5,2=0.25"], "n": ["3"], "m": ["2"], "nodes": ["512"], "half-width": ["10"],
+    "exact": [], "format": ["csv"], "output": ["out.txt"], "seed": ["7"], "n-max": ["4"], "delta": ["0.3"],
+}
+OUTSIDE = [(cmd, flag) for cmd in READS for flag in VALUES if flag not in READS[cmd]]
+
+
+def test_flag_table_covers_every_pair():
+    assert len(OUTSIDE) == 33 and sum(map(len, READS.values())) == 66
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, last_err",
     [
-        (["trace", "--exact", "--delta", "0.3"], "--delta requires the grid pipeline; drop --exact"),
-        (["density", "--exact"], "density has no exact pipeline; drop --exact"),
-        (["bounds", "--exact"], "bounds has no exact pipeline; drop --exact"),
-        (["monotonicity", "--exact"], "monotonicity has no exact pipeline; drop --exact"),
-        (["efron-stein", "--delta", "0.3"], "--delta requires the grid pipeline; efron-stein does not regularize, drop --delta"),
-        (["closed-form", "--delta", "0.3"], "--delta requires the grid pipeline; closed-form does not regularize, drop --delta"),
-        (["closed-form", "--exact"], "closed-form has no exact pipeline; drop --exact"),
-        (["verify-all", "--delta", "0.3"], "--delta requires the grid pipeline; verify-all does not regularize, drop --delta"),
-        (["verify-all", "--exact"], "verify-all has no exact pipeline; drop --exact"),
-    ],
-    ids=[
-        "trace-exact-delta", "density-exact", "bounds-exact", "monotonicity-exact",
-        "efron-stein-delta", "closed-form-delta", "closed-form-exact", "verify-all-delta", "verify-all-exact",
-    ],
+        ([cmd, f"--{flag}", *VALUES[flag]], "clt-spectra: error: unrecognized arguments: " + " ".join([f"--{flag}", *VALUES[flag]]))
+        for cmd, flag in OUTSIDE
+    ]
+    + [(["trace", "--exact", "--delta", "0.3"], "error: --delta requires the grid pipeline; drop --exact")],
+    ids=[f"{cmd}-{flag}" for cmd, flag in OUTSIDE] + ["trace-exact-delta"],
 )
-def test_cli_refuses_a_flag_the_command_would_drop(argv, message, capsys):
-    """A flag the command cannot honour exits 1 with a message; trace once printed the unsmoothed exact trace,
-    and efron-stein, closed-form and verify-all once exited 0 ignoring --delta or --exact."""
+def test_cli_refuses_a_flag_the_command_would_drop(argv, last_err, capsys):
+    """A flag the command does not read exits 1 before any work, nothing on stdout: verify-all --n 7 once ran
+    its default n_max, bounds --m and efron-stein --exact were dropped without a word, and trace once printed
+    the unsmoothed exact trace for --exact --delta."""
     assert run([*argv, "--spec", "discrete:0=0.25,1=0.5,2=0.25"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err.splitlines()[-1] == last_err
+
+
+@pytest.mark.parametrize("cmd", [*READS, "verify"])
+def test_cli_parses_every_flag_the_command_reads(cmd):
+    parser = clt_spectra.cli.build_parser()
+    for flag in READS["verify-all" if cmd == "verify" else cmd]:
+        got = getattr(parser.parse_args([cmd, f"--{flag}", *VALUES[flag]]), flag.replace("-", "_"))
+        assert got == (True if flag == "exact" else type(got)(VALUES[flag][0]))
 
 
 def test_score_projection_skip_is_reported(monkeypatch):
