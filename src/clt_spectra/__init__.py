@@ -32,174 +32,19 @@ def _apply_thread_cap() -> None:
 
 _apply_thread_cap()
 
-from .closed_forms import (  # noqa: E402  (the thread cap must precede numpy)
-    PolyFamily,
-    addition_check_hermite,
-    addition_check_laguerre,
-    closed_theta,
-    gamma_jst,
-    hermite_lambda,
-    hermite_value,
-    laguerre_lambda,
-    laguerre_lambda_sum,
-    laguerre_value,
-)
-from .densities import (
-    DistributionSpec,
-    FisherUnavailableError,
-    GridConfig,
-    GridDensity,
-    GridFunction,
-    JstResult,
-    MomentSet,
-    ScoreUndefinedError,
-    build_density,
-    convolve,
-    convolve_self,
-    fisher,
-    gaussian_regularize,
-    jst,
-    moments,
-    parse_spec,
-    rescale,
-    score,
-    write_density_file,
-)
-from .discrete import (
-    DiscretePMF,
-    ESDecomposition,
-    ExactOperator,
-    component_cross_moment,
-    convolve_pmf,
-    efron_stein,
-    exact_operator,
-    exact_spectrum,
-    exact_theta,
-    pmf_power,
-    projection_inequality,
-)
-from .inequalities import (
-    BoundReport,
-    MomentBoundParts,
-    SubgaussResult,
-    chain_lower,
-    de_bruijn_rate,
-    de_bruijn_rate_quad,
-    eigen_tail_asymptote,
-    fisher_lower_bound,
-    fisher_upper_bound,
-    gauss_chi2_closed,
-    gauss_chi2_quad,
-    make_report,
-    monotonicity_reports,
-    monotonicity_sequence,
-    subgauss_chi2_bound,
-    theta_lower_from_poincare,
-    theta_moment_parts,
-    theta_moment_parts_quadrature,
-    theta_upper_from_sigma,
-)
-from .operators import (
-    ConditionalKernel,
-    SpectrumResult,
-    ThetaResult,
-    TraceResult,
-    apply_C,
-    apply_Cstar,
-    build_kernel,
-    gram_matrix,
-    spectrum,
-    theta,
-    theta_from_spectrum,
-    trace_T,
-)
-from .verify import (
-    addition_battery,
-    chi2_battery,
-    exact_battery,
-    family_battery,
-    negative_control,
-    verify_all,
-)
+# one star import per module: each module's __all__ is the one list of what it exports
+from .closed_forms import *  # noqa: E402,F403  (the thread cap must precede numpy)
+from .densities import *  # noqa: E402,F403
+from .discrete import *  # noqa: E402,F403
+from .inequalities import *  # noqa: E402,F403
+from .operators import *  # noqa: E402,F403
+from .verify import *  # noqa: E402,F403
+from . import closed_forms, densities, discrete, inequalities, operators, verify  # noqa: E402
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PolyFamily",
-    "addition_check_hermite",
-    "addition_check_laguerre",
-    "closed_theta",
-    "gamma_jst",
-    "hermite_lambda",
-    "hermite_value",
-    "laguerre_lambda",
-    "laguerre_lambda_sum",
-    "laguerre_value",
-    "DistributionSpec",
-    "FisherUnavailableError",
-    "GridConfig",
-    "GridDensity",
-    "GridFunction",
-    "JstResult",
-    "MomentSet",
-    "ScoreUndefinedError",
-    "build_density",
-    "convolve",
-    "convolve_self",
-    "fisher",
-    "gaussian_regularize",
-    "jst",
-    "moments",
-    "parse_spec",
-    "rescale",
-    "score",
-    "write_density_file",
-    "DiscretePMF",
-    "ESDecomposition",
-    "ExactOperator",
-    "component_cross_moment",
-    "convolve_pmf",
-    "efron_stein",
-    "exact_operator",
-    "exact_spectrum",
-    "exact_theta",
-    "pmf_power",
-    "projection_inequality",
-    "BoundReport",
-    "MomentBoundParts",
-    "SubgaussResult",
-    "chain_lower",
-    "de_bruijn_rate",
-    "de_bruijn_rate_quad",
-    "eigen_tail_asymptote",
-    "fisher_lower_bound",
-    "fisher_upper_bound",
-    "gauss_chi2_closed",
-    "gauss_chi2_quad",
-    "make_report",
-    "monotonicity_reports",
-    "monotonicity_sequence",
-    "subgauss_chi2_bound",
-    "theta_lower_from_poincare",
-    "theta_moment_parts",
-    "theta_moment_parts_quadrature",
-    "theta_upper_from_sigma",
-    "ConditionalKernel",
-    "SpectrumResult",
-    "ThetaResult",
-    "TraceResult",
-    "apply_C",
-    "apply_Cstar",
-    "build_kernel",
-    "gram_matrix",
-    "spectrum",
-    "theta",
-    "theta_from_spectrum",
-    "trace_T",
-    "addition_battery",
-    "chi2_battery",
-    "exact_battery",
-    "family_battery",
-    "negative_control",
-    "verify_all",
+    name
+    for module in (closed_forms, densities, discrete, inequalities, operators, verify)
+    for name in module.__all__
 ]

@@ -32,21 +32,23 @@ from .operators import TraceResult, build_kernel, spectrum, theta, theta_from_sp
 # report is imported inside the commands that emit: it loads json, which start-up does not need
 
 
-# each flag, declared once; _READS gives each subcommand its own
+# each flag, declared once; _READS gives each subcommand its own. The flags in
+# _UNSET_DEFAULTS parse to None, so run can tell one given from its default.
 _FLAGS = {
     "--spec": dict(default=None, help="distribution, e.g. gaussian:sigma=1, gamma:beta=4, "
                    "uniform:a=-1,b=1, discrete:0=0.5,1=0.5, file:PATH"),
-    "--n": dict(type=int, default=2, help="number of summands (default 2)"),
+    "--n": dict(type=int, default=None, help="number of summands (default 2)"),
     "--m": dict(type=int, default=1, help="conditioning block size (default 1)"),
-    "--nodes": dict(type=int, default=1024, help="grid nodes (default 1024)"),
-    "--half-width": dict(type=float, default=12.0, help="grid half width in units of sigma*sqrt(n) (default 12)"),
+    "--nodes": dict(type=int, default=None, help="grid nodes (default 1024)"),
+    "--half-width": dict(type=float, default=None, help="grid half width in units of sigma*sqrt(n) (default 12)"),
     "--exact": dict(action="store_true", help="use the exact finite-support pipeline"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--output": dict(default=None, help="write the report (or density file) here"),
-    "--seed": dict(type=int, default=42),
+    "--seed": dict(type=int, default=None, help="random seed (default 42)"),
     "--n-max": dict(type=int, default=3, help="largest n for chain/monotonicity sweeps (default 3)"),
     "--delta": dict(type=float, default=None, help="gaussian regularization width applied before grid work"),
 }
+_UNSET_DEFAULTS = {"n": 2, "nodes": 1024, "half_width": 12.0, "seed": 42}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +150,7 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(eigenfunction_csv(sp), args.output)
     else:
-        _emit(json_document(spectrum_document(sp, theta_from_spectrum(sp))), args.output)
+        _emit(json_document(spectrum_document(sp)), args.output)
     return 0
 
 
@@ -343,10 +345,23 @@ def run(argv: list[str]) -> int:
             args.spec = parse_spec(args.spec)
         elif args.subcommand not in ("verify-all", "closed-form"):
             args.spec = DistributionSpec.gaussian(1.0)
-        if hasattr(args, "nodes"):
-            args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
         if getattr(args, "exact", False) and args.delta is not None:
             raise ValueError("--delta requires the grid pipeline; drop --exact")
+        unread = []  # (flag, condition): the command takes the flag but does not read it under the condition
+        if getattr(args, "exact", False):
+            unread += [(flag, "with --exact") for flag in ("--nodes", "--half-width")]
+        if args.subcommand == "bounds" and args.spec.family == "discrete":
+            unread += [(flag, "with a discrete spec") for flag in ("--nodes", "--half-width", "--seed")]
+        if args.subcommand == "bounds" and args.delta is None:
+            unread.append(("--n", "without --delta"))
+        for flag, condition in unread:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ValueError(f"{flag} is not read {condition}; drop it")
+        for name, value in _UNSET_DEFAULTS.items():
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
+        if hasattr(args, "nodes"):
+            args.grid = GridConfig(node_count=args.nodes, half_width_sigmas=args.half_width)
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,10 @@ __all__ = [
 
 MAX_ADDITION_DEGREE = 8
 
+# degree range and Gauss-Legendre size of PolyFamily.orthonormality_residual
+ORTHONORMALITY_KMAX = 10
+ORTHONORMALITY_NODES = 2000
+
 
 def hermite_value(k: int, x) -> NDArray[np.float64]:
     """Probabilists' Hermite polynomial He_k(x) by the three-term recurrence.
@@ -110,14 +114,16 @@ class PolyFamily:
         out[pos] = np.exp(self.alpha * np.log(x[pos]) - x[pos] - gammaln(self.alpha + 1))
         return out
 
-    def orthonormality_residual(self, kmax: int = 10, nodes: int = 2000) -> float:
-        """max |<e_j, e_k> - delta_jk| over j, k <= kmax by Gauss-Legendre.
+    def orthonormality_residual(self) -> float:
+        """max |<e_j, e_k> - delta_jk| over j, k <= ORTHONORMALITY_KMAX by
+        ORTHONORMALITY_NODES-point Gauss-Legendre quadrature.
 
         The quadrature window covers the weight far past its effective
         support for the polynomial degrees involved, so residuals reflect the
         recurrence and normalization, not truncation.
         """
-        t, w = _legendre_rule(nodes)
+        kmax = ORTHONORMALITY_KMAX
+        t, w = _legendre_rule()
         if self.kind == "hermite":
             half = 12.0 * math.sqrt(self.alpha) + 2.0 * kmax
             x = t * half
@@ -132,15 +138,15 @@ class PolyFamily:
         return float(np.abs(gram - np.eye(kmax + 1)).max())
 
 
-@functools.lru_cache(maxsize=4)
-def _legendre_rule(nodes: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size.
+@functools.cache
+def _legendre_rule() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """ORTHONORMALITY_NODES Gauss-Legendre nodes and weights on [-1, 1], computed once.
 
     The arrays are shared by every caller, so they are made read-only.
     """
     from scipy.special import roots_legendre
 
-    t, w = roots_legendre(nodes)
+    t, w = roots_legendre(ORTHONORMALITY_NODES)
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w

@@ -20,7 +20,6 @@ from .densities import (
     MomentSet,
     build_density,
     convolve,
-    convolve_self,
     jst,
     trapezoid_weights,
 )
@@ -53,6 +52,13 @@ _PROVENANCE = ("measured", "closed-form", "moment-formula")
 # Relative growth of the pair expectation between the base and the widened
 # quadrature window above which the integrand is treated as divergent.
 SUBGAUSS_GROWTH_TOL = 1e-3
+
+# Fixed grid sizes and tolerance; the docstrings of subgauss_chi2_bound,
+# gauss_chi2_quad and monotonicity_reports say what each one sets.
+SUBGAUSS_NODES = 2048
+CHI2_QUAD_NODES = 256
+CHI2_QUAD_WIDTH = 10.0
+MONOTONE_STEP_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -284,18 +290,20 @@ def monotonicity_sequence(base: GridDensity, theta2: float, n_max: int) -> list[
     if not 1 <= n_max <= 8:
         raise ValueError("n_max must lie in [1, 8]")
     out = []
+    d_n = base
     for n in range(1, n_max + 1):
-        d_n = convolve_self(base, n)
+        if n > 1:
+            d_n = convolve(d_n, base)  # the left fold convolve_self(base, n) does, kept between steps
         out.append((n, (1.0 + (n - 1) * theta2) * jst(d_n).value))
     return out
 
 
-def monotonicity_reports(seq: list[tuple[int, float]], step_tol: float = 0.01) -> list[BoundReport]:
+def monotonicity_reports(seq: list[tuple[int, float]]) -> list[BoundReport]:
     """Per-step non-increase reports for a monotone product sequence.
 
-    The tolerance is step_tol relative to the previous term plus a small
-    absolute floor, so sequences that are identically zero up to grid noise
-    (a Gaussian summand) do not fail on roundoff.
+    The tolerance is MONOTONE_STEP_TOL relative to the previous term plus a
+    small absolute floor, so sequences that are identically zero up to grid
+    noise (a Gaussian summand) do not fail on roundoff.
     """
     reports = []
     for (n0, a0), (n1, a1) in zip(seq, seq[1:]):
@@ -304,7 +312,7 @@ def monotonicity_reports(seq: list[tuple[int, float]], step_tol: float = 0.01) -
                 f"monotone-product-step-{n0}-{n1}",
                 a1,
                 a0,
-                tol=step_tol * abs(a0) + 1e-6,
+                tol=MONOTONE_STEP_TOL * abs(a0) + 1e-6,
                 lhs_kind="measured",
                 rhs_kind="measured",
                 n=n1,
@@ -348,11 +356,12 @@ def _pair_expectation(d: GridDensity, t: float) -> float:
         return float(np.concatenate((e[:0:-1], e)) @ np.correlate(wv, wv, "full"))
 
 
-def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int, nodes: int = 2048) -> SubgaussResult:
+def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int) -> SubgaussResult:
     """Chi-square bound for the delta-regularized n-fold sum of the law spec.
 
     t = 1/((n-1) delta^2). The double integral is evaluated on the
-    law's standard window and again on a 1.5x wider window; relative growth
+    law's standard window of SUBGAUSS_NODES nodes and again on a 1.5x wider
+    window; relative growth
     beyond SUBGAUSS_GROWTH_TOL flags divergence (for a Gaussian summand this
     trips exactly when 1 - 4 t sigma^2 <= 0). Bounded laws (discrete atoms,
     file-backed tables) cannot diverge and are integrated on their own
@@ -372,11 +381,11 @@ def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int, nodes: int
         e = float(probs @ np.exp(t * (atoms[:, None] - atoms[None, :]) ** 2) @ probs)
         return SubgaussResult(prefactor * e, e, t, False, 0.0)
     if spec.family == "file":
-        d = build_density(spec, GridConfig(node_count=nodes))
+        d = build_density(spec, GridConfig(node_count=SUBGAUSS_NODES))
         e = _pair_expectation(d, t)
         return SubgaussResult(prefactor * e, e, t, False, 0.0)
-    base = build_density(spec, GridConfig(node_count=nodes, half_width_sigmas=12.0))
-    wide = build_density(spec, GridConfig(node_count=int(nodes * 1.5), half_width_sigmas=18.0))
+    base = build_density(spec, GridConfig(node_count=SUBGAUSS_NODES, half_width_sigmas=12.0))
+    wide = build_density(spec, GridConfig(node_count=int(SUBGAUSS_NODES * 1.5), half_width_sigmas=18.0))
     e_base = _pair_expectation(base, t)
     e_wide = _pair_expectation(wide, t)
     if not math.isfinite(e_base) or not math.isfinite(e_wide):
@@ -404,41 +413,37 @@ def gauss_chi2_closed(x, y, rho: float, delta: float) -> float:
     return math.exp(q / ((1 - rho * rho) * delta * delta)) / (1 - rho * rho) - 1.0
 
 
-def gauss_chi2_quad(x, y, rho: float, delta: float, nodes: int = 256, width: float = 10.0) -> float:
+def gauss_chi2_quad(x, y, rho: float, delta: float) -> float:
     """The same divergence by 2-D trapezoid quadrature of integral f^2/g - 1.
 
     f^2/g is itself an unnormalized Gaussian with precision A / delta^2,
     A = 2 R^-1 - I (positive definite for |rho| < 1), and mean
-    A^-1 (2 R^-1 x - y). The window is centred there and spans ``width``
+    A^-1 (2 R^-1 x - y). The window is centred there and spans CHI2_QUAD_WIDTH
     standard deviations of that Gaussian along each axis, so it holds the
     mass of the integrand wherever x and y sit.
 
     The window, not the step, sets the error. For a smooth integrand that
     decays to round-off at the window edge, the trapezoid rule converges
     geometrically in the step (Trefethen & Weideman, SIAM Review 56, 2014),
-    so ``nodes`` = 256 is far past convergence: over seeds 0-199 of the
-    chi-square battery's draws (|x|, |y| <= 1, |rho| <= 0.6, delta in
-    [0.8, 1.5]) the worst relative error against ``gauss_chi2_closed`` is
-    1.3e-14 at 64 nodes, 5.1e-14 at 256 and 2.5e-13 at 1200, where more
-    exponentials only add round-off.
+    so CHI2_QUAD_NODES = 256 per axis is far past convergence: over seeds
+    0-199 of the chi-square battery's draws (|x|, |y| <= 1, |rho| <= 0.6,
+    delta in [0.8, 1.5]) the worst relative error against
+    ``gauss_chi2_closed`` is 1.3e-14 at 64 nodes, 5.1e-14 at 256 and 2.5e-13
+    at 1200, where more exponentials only add round-off.
     """
     if not abs(rho) < 1:
         raise ValueError("need |rho| < 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if nodes < 2:
-        raise ValueError(f"need at least 2 nodes per axis, got {nodes}")
-    if not 0 < width < math.inf:
-        raise ValueError(f"width must be finite and positive, got {width}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r_inv = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
     det = 1 - rho * rho
     a_inv = np.linalg.inv(2.0 * r_inv - np.eye(2))
     centre = a_inv @ (2.0 * r_inv @ x - y)
-    half = width * delta * np.sqrt(np.diag(a_inv))
-    c0 = np.linspace(centre[0] - half[0], centre[0] + half[0], nodes)
-    c1 = np.linspace(centre[1] - half[1], centre[1] + half[1], nodes)
+    half = CHI2_QUAD_WIDTH * delta * np.sqrt(np.diag(a_inv))
+    c0 = np.linspace(centre[0] - half[0], centre[0] + half[0], CHI2_QUAD_NODES)
+    c1 = np.linspace(centre[1] - half[1], centre[1] + half[1], CHI2_QUAD_NODES)
     dx0 = c0 - x[0]
     dx1 = c1 - x[1]
     # f^2/g in log space (f and g alone underflow far from x and y): the
@@ -450,8 +455,8 @@ def gauss_chi2_quad(x, y, rho: float, delta: float, nodes: int = 256, width: flo
     expo += e0[:, None]
     expo += e1
     np.exp(expo, out=expo)
-    w0 = trapezoid_weights(nodes, c0[1] - c0[0])
-    w1 = trapezoid_weights(nodes, c1[1] - c1[0])
+    w0 = trapezoid_weights(CHI2_QUAD_NODES, c0[1] - c0[0])
+    w1 = trapezoid_weights(CHI2_QUAD_NODES, c1[1] - c1[0])
     return float(w0 @ expo @ w1) / (2 * math.pi * d2 * det) - 1.0
 
 

@@ -230,7 +230,6 @@ class SpectrumResult:
     """Eigen-decomposition of the symmetrized C*C with trivial-mode labels."""
 
     eigenvalues: NDArray[np.float64]  # descending, clamped to [0, 1]
-    singular_values: NDArray[np.float64]
     eigenfunctions: NDArray[np.float64]  # shape (top, Ny), weighted-orthonormal
     y_nodes: NDArray[np.float64]
     trivial_indices: tuple[int, int]  # (constant mode, linear mode)
@@ -653,7 +652,6 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     lam = np.concatenate((lam, np.zeros(len(nodes) - len(lam))))
     return SpectrumResult(
         eigenvalues=lam,
-        singular_values=np.sqrt(lam),
         eigenfunctions=funcs,
         y_nodes=nodes,
         trivial_indices=(i_const, i_lin),

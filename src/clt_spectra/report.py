@@ -14,7 +14,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .inequalities import BoundReport
-from .operators import SPECTRUM_HEAD, SpectrumResult, ThetaResult, TraceResult
+from .operators import SpectrumResult, ThetaResult, TraceResult, theta_from_spectrum
 
 __all__ = [
     "SCHEMA",
@@ -123,24 +123,9 @@ def reports_csv(reports: Iterable[BoundReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_document(spec: SpectrumResult, theta: ThetaResult | None = None) -> dict:
-    doc = {
-        "eigenvalues": spec.eigenvalues[:SPECTRUM_HEAD],
-        "singular_values": spec.singular_values[:SPECTRUM_HEAD],
-        "trivial_indices": list(spec.trivial_indices),
-        "n": spec.n,
-        "m": spec.m,
-        "theta": theta.theta if theta is not None else None,
-        "lambda2": theta.lambda2 if theta is not None else None,
-        "diagnostics": {
-            "const_corr": spec.const_corr,
-            "lin_corr": spec.lin_corr,
-            "clamp_magnitude": spec.clamp_magnitude,
-        },
-    }
-    if theta is not None:
-        doc["diagnostics"].update(theta.diagnostics)
-    return doc
+def spectrum_document(spec: SpectrumResult) -> dict:
+    """The theta document of the spectrum: the same fields and bytes as ``theta``."""
+    return theta_document(theta_from_spectrum(spec))
 
 
 def theta_document(theta: ThetaResult) -> dict:

@@ -29,7 +29,7 @@ from .densities import (
     GridDensity,
     ScoreUndefinedError,
     build_density,
-    convolve_self,
+    convolve,
     jst,
     moments,
     rescale,
@@ -411,8 +411,9 @@ def _fisher_reports(spec, d, ms, theta2, n_max, fam) -> list[BoundReport]:
     ]
     beta = float(spec.params["beta"]) if spec.family == "gamma" else None
     jst_values = {1: jy.value}
+    dn = d
     for n in range(2, n_max + 1):
-        dn = convolve_self(d, n)
+        dn = convolve(dn, d)  # the left fold convolve_self(d, n) does, kept between steps
         jn = jst(dn).value
         jst_values[n] = jn
         reports.append(fisher_upper_bound(jn, jy.value, theta2, n, tol=1e-6, **fam))

@@ -10,6 +10,7 @@ from clt_spectra import (
     GridConfig,
     build_density,
     chain_lower,
+    convolve_self,
     de_bruijn_rate,
     de_bruijn_rate_quad,
     eigen_tail_asymptote,
@@ -17,8 +18,10 @@ from clt_spectra import (
     fisher_upper_bound,
     gauss_chi2_closed,
     gauss_chi2_quad,
+    jst,
     make_report,
     monotonicity_reports,
+    monotonicity_sequence,
     moments,
     subgauss_chi2_bound,
     theta_lower_from_poincare,
@@ -26,8 +29,9 @@ from clt_spectra import (
     theta_moment_parts_quadrature,
     theta_upper_from_sigma,
 )
+from clt_spectra import inequalities
 from clt_spectra.densities import trapezoid_weights
-from clt_spectra.inequalities import _pair_expectation
+from clt_spectra.inequalities import CHI2_QUAD_NODES, CHI2_QUAD_WIDTH, _pair_expectation
 
 
 def test_make_report_orientation():
@@ -116,6 +120,14 @@ def test_monotonicity_report_direction():
     assert all(r.passed for r in monotonicity_reports(good))
     bad = [(1, 1.0), (2, 1.2)]
     assert not monotonicity_reports(bad)[0].passed
+
+
+def test_monotonicity_sequence_folds_each_law_once():
+    """The running fold is the left fold convolve_self repeats for every n: the same products, bit for bit."""
+    d = build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=512))
+    theta2 = 0.8
+    want = [(n, (1.0 + (n - 1) * theta2) * jst(convolve_self(d, n)).value) for n in range(1, 9)]
+    assert monotonicity_sequence(d, theta2, 8) == want
 
 
 def test_subgauss_divergence_threshold():
@@ -210,29 +222,22 @@ CORNER_DRAWS = [((0.9, -0.9), (-0.9, 0.9), rho, 0.8) for rho in (0.6, -0.6)]
 
 
 @pytest.mark.parametrize("seed", WINDOW_SEEDS + ["corners"])
-def test_chi2_quadrature_default_grid_is_converged(seed):
-    """The default grid agrees to 1e-12 with the closed form and with 1200 x 1200 nodes.
+def test_chi2_quadrature_default_grid_is_converged(seed, monkeypatch):
+    """The CHI2_QUAD_NODES grid agrees to 1e-12 with the closed form and with 1200 x 1200 nodes.
 
     Error measured as the chi2 battery measures it, |q - ref| / max(|ref|, 1).
     """
-    draws = CORNER_DRAWS if seed == "corners" else _chi2_draws(seed)
-    for x, y, rho, delta in draws:
-        got = gauss_chi2_quad(x, y, rho, delta)
-        for want in (gauss_chi2_closed(x, y, rho, delta), gauss_chi2_quad(x, y, rho, delta, nodes=1200)):
-            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (x, y, rho, delta)
+    draws = list(CORNER_DRAWS if seed == "corners" else _chi2_draws(seed))
+    got = [gauss_chi2_quad(*draw) for draw in draws]
+    monkeypatch.setattr(inequalities, "CHI2_QUAD_NODES", 1200)
+    for draw, q in zip(draws, got):
+        for want in (gauss_chi2_closed(*draw), gauss_chi2_quad(*draw)):
+            assert abs(q - want) <= 1e-12 * max(abs(want), 1.0), draw
 
 
-@pytest.mark.parametrize(
-    "name, value", [("nodes", 1), ("nodes", 0), ("width", 0.0), ("width", -1.0), ("width", math.inf), ("width", math.nan)]
-)
-def test_chi2_quadrature_rejects_a_bad_grid(name, value):
-    """Once silent: nodes=1 raised IndexError, width=0 returned -1 and width=-1 returned -0.405."""
-    with pytest.raises(ValueError):
-        gauss_chi2_quad((0.1, 0.2), (0.0, -0.1), 0.3, 1.0, **{name: value})
-
-
-def _meshgrid_chi2_quad(x, y, rho, delta, nodes=1200, width=10.0):
+def _meshgrid_chi2_quad(x, y, rho, delta):
     """gauss_chi2_quad with the full meshgrid exponent, kept as the reference."""
+    nodes, width = CHI2_QUAD_NODES, CHI2_QUAD_WIDTH
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r_inv = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
@@ -257,12 +262,12 @@ def _meshgrid_chi2_quad(x, y, rho, delta, nodes=1200, width=10.0):
 def test_chi2_quadrature_matches_meshgrid_formula(seed):
     """Relative error as the chi2 battery measures it, |q - ref| / max(|ref|, 1).
 
-    Both sides run on 600 x 600 nodes: the two forms differ only in the
-    arithmetic at each node, not in the nodes or weights.
+    Both sides run on CHI2_QUAD_NODES x CHI2_QUAD_NODES nodes: the two forms
+    differ only in the arithmetic at each node, not in the nodes or weights.
     """
     for x, y, rho, delta in _chi2_draws(seed):
-        want = _meshgrid_chi2_quad(x, y, rho, delta, nodes=600)
-        got = gauss_chi2_quad(x, y, rho, delta, nodes=600)
+        want = _meshgrid_chi2_quad(x, y, rho, delta)
+        got = gauss_chi2_quad(x, y, rho, delta)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (x, y, rho, delta)
 
 

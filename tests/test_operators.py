@@ -565,7 +565,7 @@ def test_theta_roundoff_below_zero_reads_as_zero():
     def theta_at(lam2):
         lam = np.array([1.0, lam2, 0.5]) if lam2 > 0.5 else np.array([1.0, 0.5, lam2])
         sp = SpectrumResult(
-            eigenvalues=lam, singular_values=np.sqrt(lam), eigenfunctions=np.eye(3), y_nodes=np.arange(3.0),
+            eigenvalues=lam, eigenfunctions=np.eye(3), y_nodes=np.arange(3.0),
             trivial_indices=(0, 2) if lam2 > 0.5 else (0, 1), const_corr=1.0, lin_corr=1.0,
             clamp_magnitude=0.0, n=2, m=1,
         )

@@ -240,6 +240,69 @@ def test_cli_refuses_a_flag_the_command_would_drop(argv, last_err, capsys):
     assert captured.err.splitlines()[-1] == last_err
 
 
+EXACT3 = "discrete:0=0.25,1=0.5,2=0.25"
+# a flag the command takes but does not read with the argv's other values
+UNREAD = [
+    *([cmd, "--exact", "--spec", EXACT3, flag, value]
+      for cmd in ("spectrum", "theta", "trace") for flag, value in (("--nodes", "512"), ("--half-width", "10"))),
+    *(["bounds", "--spec", EXACT3, flag, value]
+      for flag, value in (("--nodes", "512"), ("--half-width", "10"), ("--seed", "7"))),
+    ["bounds", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=[" ".join(argv[i] for i in (0, -2)) for argv in UNREAD])
+def test_cli_refuses_a_flag_the_other_values_leave_unread(argv, capsys):
+    """theta --exact --nodes 64, bounds on a discrete spec with --seed 3 and bounds --n without --delta printed
+    the bytes of the argv without the flag; each now exits 1 before any work, nothing on stdout."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {argv[-2]} is not read " + (
+        "without --delta" if argv[-2] == "--n" else "with --exact" if "--exact" in argv else "with a discrete spec"
+    ) + "; drop it"
+
+
+def test_cli_unset_flags_take_their_documented_defaults(capsys):
+    assert run(["theta"]) == 0
+    default = capsys.readouterr().out
+    assert run(["theta", "--n", "2", "--nodes", "1024", "--half-width", "12"]) == 0
+    assert capsys.readouterr().out == default
+
+
+# theta and spectrum print one document: cmp-identical on each of these
+THETA_ARGVS = [
+    ["--spec", "gaussian:sigma=1", "--nodes", "512"],
+    ["--spec", "gamma:beta=4", "--n", "3", "--m", "2"],
+    ["--spec", "gamma:beta=1", "--n", "3", "--m", "2", "--nodes", "1024"],
+    ["--spec", "uniform:a=-1,b=1", "--n", "4", "--m", "3", "--nodes", "256"],
+    ["--spec", "mixture:w=0.5,mu=-1,sigma=1;w=0.5,mu=1,sigma=1", "--delta", "0.3"],
+    ["--exact", "--spec", EXACT3],
+    ["--exact", "--spec", EXACT3, "--n", "3", "--m", "2"],
+    ["--exact", "--spec", "discrete:0=0.5,1=0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", THETA_ARGVS, ids=[" ".join(argv) for argv in THETA_ARGVS])
+def test_cli_spectrum_and_theta_print_the_same_json(argv, capsys):
+    assert run(["theta", *argv]) == 0
+    theta_out = capsys.readouterr().out
+    assert run(["spectrum", *argv]) == 0
+    assert capsys.readouterr().out == theta_out
+
+
+def test_package_exports_are_the_module_lists():
+    import clt_spectra
+    from clt_spectra import closed_forms, densities, discrete, inequalities, operators, verify
+
+    modules = (closed_forms, densities, discrete, inequalities, operators, verify)
+    assert clt_spectra.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(clt_spectra.__all__)) == len(clt_spectra.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(clt_spectra, name) is getattr(module, name)
+
+
 @pytest.mark.parametrize("cmd", [*READS, "verify"])
 def test_cli_parses_every_flag_the_command_reads(cmd):
     parser = clt_spectra.cli.build_parser()
