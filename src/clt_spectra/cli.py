@@ -143,6 +143,14 @@ def _spectrum(args):
     return exact_spectrum(_exact_pmf(args), args.n, args.m)
 
 
+def _theta(sp):
+    """theta of the spectrum, with a warning on stderr where it is reported as "inf"."""
+    th = theta_from_spectrum(sp)
+    if math.isinf(th.theta):
+        print("warning: no nontrivial eigenvalue above sentinel; theta reported as \"inf\"", file=sys.stderr)
+    return th
+
+
 def _cmd_spectrum(args) -> int:
     from .report import eigenfunction_csv, json_document, spectrum_document
 
@@ -150,6 +158,7 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(eigenfunction_csv(sp), args.output)
     else:
+        _theta(sp)
         _emit(json_document(spectrum_document(sp)), args.output)
     return 0
 
@@ -157,9 +166,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_theta(args) -> int:
     from .report import _csv_num, json_document, theta_document
 
-    th = theta_from_spectrum(_spectrum(args))
-    if math.isinf(th.theta):
-        print("warning: no nontrivial eigenvalue above sentinel; theta reported as \"inf\"", file=sys.stderr)
+    th = _theta(_spectrum(args))
     if args.format == "csv":
         text = "n,m,theta,lambda2\n" + f"{th.n},{th.m},{_csv_num(th.theta)},{_csv_num(th.lambda2)}\n"
         _emit(text, args.output)

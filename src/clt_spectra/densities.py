@@ -8,7 +8,7 @@ aligned so that kernel ratios later on are exact table lookups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np

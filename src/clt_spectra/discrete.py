@@ -109,6 +109,16 @@ def _coalesce(atoms: NDArray[np.float64], probs: NDArray[np.float64]) -> tuple[N
 
 
 def convolve_pmf(p: DiscretePMF, q: DiscretePMF) -> DiscretePMF:
+    return _convolve(p, q, "the convolution")
+
+
+def _convolve(p: DiscretePMF, q: DiscretePMF, law: str) -> DiscretePMF:
+    """The law of X + Y for independent X ~ ``p`` and Y ~ ``q``; ``law`` names it in the refusals.
+
+    A product of probabilities below the smallest double rounds to 0 (the
+    binomial 0.5^n at n = 1075); that sum is refused, not passed on as an
+    atom of probability 0.
+    """
     ap, pp = p.arrays()
     aq, pq = q.arrays()
     if len(ap) * len(aq) > SUPPORT_CAP * 64:
@@ -118,7 +128,13 @@ def convolve_pmf(p: DiscretePMF, q: DiscretePMF) -> DiscretePMF:
     a, pr = _coalesce(atoms, probs)
     if len(a) > SUPPORT_CAP:
         raise ValueError(f"support overflow: {len(a)} atoms (cap {SUPPORT_CAP})")
-    return DiscretePMF(tuple(a), tuple(pr / pr.sum()))
+    pr /= pr.sum()
+    if not pr.all():
+        raise ValueError(
+            f"{law} underflows: {len(pr) - np.count_nonzero(pr)} of its {len(pr)} atom probabilities are below "
+            "the smallest double; use a smaller n"
+        )
+    return DiscretePMF(tuple(a), tuple(pr))
 
 
 def pmf_power(p: DiscretePMF, n: int) -> DiscretePMF:
@@ -137,7 +153,7 @@ def _sum_laws(p: DiscretePMF, k: int) -> list[DiscretePMF]:
     """
     laws = [DiscretePMF((0.0,), (1.0,)), p][: k + 1]
     while len(laws) <= k:
-        laws.append(convolve_pmf(laws[-1], p))
+        laws.append(_convolve(laws[-1], p, f"the law of S_{len(laws)}"))
     return laws
 
 
@@ -255,7 +271,7 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
         raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
     pm = pmf_power(p, m)
     pt = pmf_power(p, n - m)
-    pn = convolve_pmf(pm, pt)
+    pn = _convolve(pm, pt, f"the law of S_{n}")
     ay, qy = pm.arrays()
     at, qt = pt.arrays()
     an, qn = pn.arrays()
@@ -270,10 +286,13 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     """Eigen-decomposition of the exact C*C on the S_m support.
 
-    The rank probe reads the rows of the Gram matrix scattered from the
+    The rank probe reads the rows of the Gram matrix built from the
     sum-index pairs (``ExactOperator.gram``). Its remainder (0.4 to 0.9 of
-    the trace on generic supports) fails the low-rank and filter gates, so
-    the dense eigh solves it.
+    the trace on generic supports) never certifies low rank, so all
+    eigenvalues come from eigvalsh; the top eigenvectors come from the
+    Chebyshev filter where that spectrum makes it cheaper than eigh (from
+    about 180 atoms of S_m on; 715 and 1365 for 10 and 12 generic atoms at
+    (5, 4)) and from eigh otherwise.
     """
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()
@@ -308,20 +327,22 @@ class ESDecomposition:
     identity_residual: float
 
 
-def _product_grid_index(p: DiscretePMF, k: int) -> tuple[NDArray[np.intp], DiscretePMF]:
-    """Index in the S_k support of y_1 + ... + y_k on the product grid, shape (d,)*k, and the law of S_k.
+def _on_product_grid(f: NDArray[np.float64], laws: list[DiscretePMF]) -> NDArray[np.float64]:
+    """``f``, a table on the S_k support (``laws[k]``), at y_1 + ... + y_k on the product grid, shape (d,)*k.
 
-    Built level by level along the sum laws (``_sum_laws``): the S_r index
-    of y_1 + ... + y_r is the S_{r-1} index of y_1 + ... + y_{r-1} sent
-    through the small ``_sum_index(S_{r-1}, atoms, S_r)`` table, so no sum is
-    formed or searched on the product grid.
+    ``laws`` are the sum laws S_0..S_k (``_sum_laws``). The S_{k-1} index of
+    y_1 + ... + y_{k-1} is built level by level: the S_r index is the
+    S_{r-1} one sent through the small ``_sum_index(S_{r-1}, atoms, S_r)``
+    table. The last summand goes through the |S_{k-1}| x d table of f at
+    ``_sum_index(S_{k-1}, atoms, S_k)``, so no sum is formed or searched on
+    the product grid and no d^k index exists.
     """
-    a, _ = p.arrays()
-    laws = _sum_laws(p, k)
-    idx = np.arange(len(a))
-    for prev, law in zip(laws[1:-1], laws[2:]):
-        idx = _sum_index(prev.arrays()[0], a, law.arrays()[0])[idx[..., None], np.arange(len(a))]
-    return idx, laws[k]
+    supports = [law.arrays()[0] for law in laws]
+    a = supports[1]
+    idx = np.zeros((), dtype=np.intp)  # the S_0 index of the empty sum
+    for prev, cur in zip(supports[:-2], supports[1:-1]):
+        idx = _sum_index(prev, a, cur)[idx[..., None], np.arange(len(a))]
+    return f[_sum_index(supports[-2], a, supports[-1])][idx]
 
 
 def _axis(v: NDArray[np.float64], i: int, r: int) -> NDArray[np.float64]:
@@ -344,8 +365,8 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
 
     h is a value table on the S_k support. It is centered internally (the
     subtracted mean is recorded); components of order >= 1 are unaffected by
-    centering. With G_k = h(y_1 + ... + y_k) on the product grid (indexed
-    level by level, ``_product_grid_index``) and G_r = E[G_{r+1}] over its
+    centering. With G_k = h(y_1 + ... + y_k) on the product grid (looked up
+    level by level, ``_on_product_grid``) and G_r = E[G_{r+1}] over its
     last argument, G_r is E[h(S_k) | Y_1..Y_r], and the order-r component is
     the Hoeffding product (I - E_1)...(I - E_r) G_r, E_i the expectation
     over argument i, subtracted in place; E h_r^2 contracts one argument at a
@@ -360,14 +381,14 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
         raise ValueError(f"product space {d}^{k} exceeds cap {PRODUCT_SPACE_CAP}")
     h = np.asarray(h, dtype=float)
     sym_tol = 1e-10 * max(1.0, float(np.abs(h).max()))
-    grid_index, pk = _product_grid_index(p, k)
-    ak, qk = pk.arrays()
+    laws = _sum_laws(p, k)
+    ak, qk = laws[k].arrays()
     if len(h) != len(ak):
         raise ValueError(f"h must be tabulated on the S_{k} support ({len(ak)} atoms, got {len(h)})")
     mean = float((h * qk).sum())
     h_cent = h - mean
 
-    G = [h_cent[grid_index]]  # G_k, ..., G_1
+    G = [_on_product_grid(h_cent, laws)]  # G_k, ..., G_1
     for r in range(k, 1, -1):
         G.append(_expect(G[-1], prob, r - 1))
 

@@ -166,16 +166,14 @@ class MomentBoundParts:
     """
 
     k: int
-    a_coeff: float
     e_h_sq: float
     e_u_sq: float
     e_cstar_h_sq: float
     e_cstar_h_sq_direct: float
     bound: float
-    source: str
 
 
-def _parts_from_central_moments(m: list[float], k: int, source: str, e_h_sq_override: float | None = None) -> MomentBoundParts:
+def _parts_from_central_moments(m: list[float], k: int, e_h_sq_override: float | None = None) -> MomentBoundParts:
     # m[j] = j-th central moment of the summand, j = 0..2k (m[0]=1, m[1]=0)
     var = m[2]
     M = [sum(comb(j, i) * m[i] * m[j - i] for i in range(j + 1)) for j in range(2 * k + 1)]
@@ -204,13 +202,11 @@ def _parts_from_central_moments(m: list[float], k: int, source: str, e_h_sq_over
         raise ValueError("moment bound unavailable: degenerate projection (E(C*h)^2 <= 0)")
     return MomentBoundParts(
         k=k,
-        a_coeff=a,
         e_h_sq=e_h_sq,
         e_u_sq=e_u_sq,
         e_cstar_h_sq=e_cstar,
         e_cstar_h_sq_direct=e_cstar_direct,
         bound=e_u_sq / (2.0 * e_cstar),
-        source=source,
     )
 
 
@@ -225,7 +221,7 @@ def theta_moment_parts(moments: MomentSet, k: int) -> MomentBoundParts:
     if len(moments.central_moments) < 2 * k:
         raise ValueError(f"need central moments through order {2 * k}")
     m = [moments.central(j) for j in range(2 * k + 1)]
-    return _parts_from_central_moments(m, k, "moment-formula")
+    return _parts_from_central_moments(m, k)
 
 
 def theta_moment_parts_quadrature(d: GridDensity, k: int) -> MomentBoundParts:
@@ -249,7 +245,7 @@ def theta_moment_parts_quadrature(d: GridDensity, k: int) -> MomentBoundParts:
     a = M_k1 / (2.0 * var)
     hv = s_cent**k - a * s_cent - M_k
     e_h_sq = float((p2.weights() * p2.values) @ hv**2)
-    return _parts_from_central_moments(m, k, "measured", e_h_sq_override=e_h_sq)
+    return _parts_from_central_moments(m, k, e_h_sq_override=e_h_sq)
 
 
 def theta_lower_from_poincare(theta2: float, fisher_info: float, poincare_const: float, tol: float = 0.0, **ctx) -> BoundReport:

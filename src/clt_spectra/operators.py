@@ -25,9 +25,10 @@ the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
 (m/n)^k), only its r x r core is diagonalized and nothing N^2-sized exists.
 Otherwise the operator forms S (a grid kernel from the support block of B,
 an exact operator from its non-zero pairs, discrete.py), the probe runs on
-its rows, all eigenvalues come from eigvalsh and the top K eigenvectors from
-a Chebyshev-filtered subspace iteration where the probe predicts that to be
-cheap (gamma summands), and from the dense eigh otherwise.
+its rows, all eigenvalues come from eigvalsh and, where that spectrum makes
+it cheap (gamma summands, the larger exact operators), the top K
+eigenvectors from a Chebyshev-filtered subspace iteration; the dense eigh
+solves the rest.
 """
 from __future__ import annotations
 
@@ -97,12 +98,18 @@ PROBE_WINDOW = 8
 # re-orthonormalization after every product, then one Rayleigh-Ritz step. The
 # result is kept only when every Ritz residual, and the distance of each Ritz
 # value to eigvalsh's, is at most RITZ_RESID_TOL * lambda_max, the level eigh
-# itself reaches (about 6 eps on the grid blocks). The path is gated on
-# 2 d (K + FILTER_GUARD) <= h: its d products cost 2 d (K + FILTER_GUARD) h^2
-# flops, against the h^3 or so eigh spends beyond eigvalsh. The gate is
-# conservative: on 28 gamma blocks (beta 2 to 6.9; (2,1), (3,2), (4,3); 512
-# to 2048 nodes; h = 286 to 1453) eigvalsh plus the filter took 0.51 to 0.83
-# of eigh's time, including the one block the gate sent to eigh (ratio 1.007).
+# itself reaches (about 6 eps on the grid blocks). The degree d is read off
+# eigvalsh's spectrum, which every path past the probe computes, and the path
+# is taken where d (K + FILTER_GUARD) <= 2 h. Once eigvalsh is paid, the
+# filter's d products (2 d (K + FILTER_GUARD) h^2 flops) stand in for the
+# whole eigh, and 2 h is where they were measured to break even (2-vCPU
+# SkylakeX, OpenBLAS, 2 threads; c = d (K + FILTER_GUARD) / h): exact blocks
+# of h = 180 to 364 at c = 1.1 to 2.0 ran the filter in 0.71 to 0.91 of
+# eigh's time, h = 715 and 1365 (c = 0.65, 0.40) in 0.41 to 0.54 and 0.22 to
+# 0.24, gamma blocks (c = 0.11 to 0.78) in 0.08 to 0.43; h = 120 at c = 2.4
+# and lattice blocks of h <= 135 at c = 3 to 9.5 took 1.3 to 8 times as long.
+# The probe's Weyl bounds do not decide: for the flat spectra of exact
+# operators trace(E) is 0.4 to 0.9 of trace(S) and bounds no degree at all.
 FILTER_GUARD = 4
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 
@@ -501,10 +508,12 @@ def _filter_degree(lam_k: float, cut: float, floor: float, tau: float) -> int | 
 def _chebyshev_top(
     S: NDArray[np.float64], Y: NDArray[np.float64], lam: NDArray[np.float64], k: int, tau: float
 ) -> NDArray[np.float64] | None:
-    """Top ``k`` eigenvectors of S (ascending), or None when they fail the checks.
+    """Top ``k`` eigenvectors of S (ascending), or None when the filter costs more than eigh or fails the checks.
 
     ``Y`` holds k + FILTER_GUARD start columns, ``lam`` is the ascending
-    eigvalsh spectrum and ``tau`` the probe's trace(E). The filter damps
+    eigvalsh spectrum and ``tau`` the probe's trace(E). A degree d with
+    d (k + FILTER_GUARD) > 2 h, or none at all, returns None before any
+    product. The filter damps
     [lam_min, lam_{k+FILTER_GUARD+1}] (``_filter_degree``) through the
     recurrence T_{j+1} = 2 x T_j - T_{j-1}, x = (S - c) / e, kept as the pair
     (T_{j-1} Y, T_j Y) under one right factor: each new block is
@@ -518,7 +527,7 @@ def _chebyshev_top(
     """
     floor, cut = lam[0], lam[-(k + FILTER_GUARD + 1)]
     degree = _filter_degree(lam[-k], cut, floor, tau)
-    if degree is None:
+    if degree is None or degree * (k + FILTER_GUARD) > 2 * len(S):
         return None
     c, e = (cut + floor) / 2.0, (cut - floor) / 2.0
     prev, cur = np.zeros(Y.shape[::-1]), np.ascontiguousarray(Y.T)
@@ -549,32 +558,27 @@ def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], ND
     One pivoted Cholesky probe on the rows of S, S = L^T L + E, decides.
     Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
     each eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left
-    out included (taken as 0), and only the r are returned. Otherwise the
-    eigenvalues mu of L^T L bound those of S the same way, and with K the
-    ``_ritz_count`` of mu they bound the filter degree d for K + FILTER_GUARD
-    columns from above. Where 2 d (K + FILTER_GUARD) <= h the filter's
-    products cost less than the dense solve: all h eigenvalues come from
-    eigvalsh and the top K (``_ritz_count`` of those) eigenvectors from
-    ``_chebyshev_top`` ("ritz"). Otherwise, when the filter's checks fail, or
-    when the eigvalsh clusters need more columns than the probe has rows,
-    the dense eigh ("dense").
+    out included (taken as 0), and only the r are returned. Otherwise, where
+    the start block fits (the ``_ritz_count`` K of the eigenvalues of L^T L,
+    plus FILTER_GUARD, below the probe's rows), all h eigenvalues come from
+    eigvalsh, K is taken again from them, and ``_chebyshev_top`` gives the
+    top K eigenvectors ("ritz") when the filter degree read off that
+    spectrum is affordable and its checks pass. Otherwise the dense eigh
+    ("dense").
     """
     L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
     tau = traces[-1]
     if tau <= RANK_TRACE_TOL * traces[0]:
         return (*_core_eigh(L), "low-rank")
     mu, W = np.linalg.eigh(gram_matrix(L))
-    k = _ritz_count(mu, top)
-    if k + FILTER_GUARD < len(L):
-        degree = _filter_degree(mu[-k], mu[-(k + FILTER_GUARD + 1)] + tau, 0.0, tau)
-        if degree is not None and 2 * degree * (k + FILTER_GUARD) <= len(S):
-            lam = np.linalg.eigvalsh(S)
-            k = _ritz_count(lam, top)
-            g = k + FILTER_GUARD
-            if g <= len(L):
-                V = _chebyshev_top(S, (L.T @ W[:, -g:]) / np.sqrt(mu[-g:]), lam, k, tau)
-                if V is not None:
-                    return lam, V, "ritz"
+    if _ritz_count(mu, top) + FILTER_GUARD < len(L):
+        lam = np.linalg.eigvalsh(S)
+        k = _ritz_count(lam, top)
+        g = k + FILTER_GUARD
+        if g <= len(L):
+            V = _chebyshev_top(S, (L.T @ W[:, -g:]) / np.sqrt(mu[-g:]), lam, k, tau)
+            if V is not None:
+                return lam, V, "ritz"
     lam, phi = np.linalg.eigh(S)
     return lam, phi, "dense"
 

@@ -56,6 +56,14 @@ def test_pmf_power_binomial():
     np.testing.assert_allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
 
 
+def test_sum_law_underflow_names_the_fold():
+    """The binomial's end atoms fall below the smallest double first at n = 1075."""
+    coin = DiscretePMF((0.0, 1.0), (0.5, 0.5))
+    assert min(pmf_power(coin, 1074).probs) > 0.0
+    with pytest.raises(ValueError, match=r"^the law of S_1075 underflows: 2 of its 1076 atom probabilities"):
+        pmf_power(coin, 1075)
+
+
 def test_convolve_pmf_merges_colliding_sums():
     p = DiscretePMF((0.0, 1.0), (0.5, 0.5))
     q = DiscretePMF((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
@@ -301,15 +309,19 @@ def test_exact_cases_take_both_gram_builds():
 
 @pytest.mark.parametrize("pmf", sorted({pmf for pmf, _, _ in EXACT_CASES}, key=lambda p: p.atoms))
 def test_product_grid_index_matches_the_raw_sum_lookup(pmf):
-    """The level-by-level index of y_1 + ... + y_k is the lookup of the raw float sum in the S_k support."""
+    """G_k = h(y_1 + ... + y_k), looked up level by level, is h at the raw float sum's index in the S_k support."""
     a, _ = pmf.arrays()
+    laws = discrete._sum_laws(pmf, 5)
+    rng = np.random.default_rng(len(a))
     for k in range(1, 6):
-        idx, law = discrete._product_grid_index(pmf, k)
-        assert law == pmf_power(pmf, k)
+        assert laws[k] == pmf_power(pmf, k)
+        h = rng.standard_normal(len(laws[k].atoms))
         lead = np.zeros(())
         for _ in range(k - 1):
             lead = np.add.outer(lead, a)
-        assert np.array_equal(idx, discrete._sum_index(lead, a, law.arrays()[0]))
+        G = discrete._on_product_grid(h, laws[: k + 1])
+        assert G.shape == (len(a),) * k
+        assert np.array_equal(G, h[discrete._sum_index(lead, a, laws[k].arrays()[0])])
 
 
 def test_exact_adjointness():

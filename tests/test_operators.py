@@ -283,29 +283,38 @@ def _gamma_2048_kernel():
     return kern, kern.summand.weights() * kern.summand.values, kern.summand.nodes
 
 
-@pytest.mark.parametrize("make", [_exact_12_atom_operator], ids=["exact-12-5-4"])
-def test_full_rank_block_keeps_the_dense_eigh(make):
-    """Exact operators fail the rank probe and the filter gate, and keep eigh's bytes on their own Gram matrix."""
-    op, mass, nodes = make()
-    S = op.gram(operators._hull(mass > 0))
-    L, traces = operators._low_rank_factor(S.diagonal(), S.__getitem__)
-    tail = traces[-1]
-    assert tail > operators.RANK_TRACE_TOL * np.trace(S)
-    # the remainder outweighs the probe's K-th eigenvalue: no filter degree exists
-    mu = np.linalg.eigvalsh(L @ L.T)
-    k = operators._ritz_count(mu, 8)
-    assert operators._filter_degree(mu[-k], mu[-(k + operators.FILTER_GUARD + 1)] + tail, 0.0, tail) is None
-    sp = operators._eigensystem(op, mass, nodes, 8)
-    assert (sp.solver, sp.k) == ("dense", len(S))
-
+def test_exact_block_takes_the_ritz_path():
+    """An exact operator's flat spectrum leaves the rank probe's bounds vacuous, but eigvalsh's own spectrum
+    affords the filter: eigvalsh's eigenvalues and top-K filtered vectors give eigh's answer."""
+    op, mass, nodes = _exact_12_atom_operator()
     rows = operators._hull(mass > 0)
-    lam, phi = np.linalg.eigh(S)
-    lam = np.clip(lam[::-1], 0.0, 1.0)
-    assert np.array_equal(sp.eigenvalues, np.concatenate((lam, np.zeros(len(nodes) - len(lam)))))
-    kept = mass[rows] >= operators.EIGENFUNCTION_MASS_FLOOR * mass.max()
-    ref = np.zeros((8, len(nodes)))
-    ref[:, rows.start + np.flatnonzero(kept)] = (phi[:, ::-1][kept, :8] * (1.0 / np.sqrt(mass[rows][kept]))[:, None]).T
-    assert np.array_equal(sp.eigenfunctions, ref)
+    S = op.gram(rows)
+    assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] > 0.5 * np.trace(S)
+    sp = operators._eigensystem(op, mass, nodes, 8)
+    assert sp.solver == "ritz" and 8 <= sp.k < operators.RANK_PROBE_MAX
+
+    pad = np.zeros(len(nodes) - len(S))
+    assert np.array_equal(sp.eigenvalues, np.concatenate((np.clip(np.linalg.eigvalsh(S)[::-1], 0.0, 1.0), pad)))
+    lam, block_phi = np.linalg.eigh(S)
+    lam = np.concatenate((np.clip(lam[::-1], 0.0, 1.0), pad))
+    phi = np.zeros((len(mass), len(S)))
+    phi[rows] = block_phi[:, ::-1]
+    assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
+
+    e_const = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass))
+    e_lin = np.sqrt(mass) * (nodes - mass @ nodes)
+    e_lin /= np.linalg.norm(e_lin)
+    assert classify_trivial(lam[: len(S)], phi, e_const, e_lin)[:2] == sp.trivial_indices
+
+    kept = mass >= operators.EIGENFUNCTION_MASS_FLOOR * mass.max()
+    block = sp.eigenfunctions * np.sqrt(mass)
+    for k in range(8):
+        sign = np.sign(phi[:, k] @ block[k])
+        assert np.linalg.norm(block[k] - sign * phi[:, k] * kept) <= 1e-12
+
+    vals, V, solver = operators._eigh_psd(S, 8)
+    assert solver == "ritz"
+    assert np.linalg.norm(S @ V - V * vals[-V.shape[1] :], axis=0).max() <= operators.RITZ_RESID_TOL * vals[-1]
 
 
 def test_gamma_block_takes_the_ritz_path():

@@ -74,6 +74,27 @@ def test_cli_theta_inf_sentinel(capsys):
     assert json.loads(captured.out)["theta"] == "inf"
 
 
+def test_cli_spectrum_warns_on_inf_theta_as_theta_does(capsys):
+    """spectrum prints theta's document, so it prints theta's warning too; its CSV carries no theta and no warning."""
+    argv = ["--exact", "--spec", "discrete:0=0.5,1=0.5"]
+    assert run(["theta", *argv]) == 0
+    theta_err = capsys.readouterr().err
+    assert run(["spectrum", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == theta_err == 'warning: no nontrivial eigenvalue above sentinel; theta reported as "inf"\n'
+    assert json.loads(captured.out)["theta"] == "inf"
+    assert run(["spectrum", *argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_names_the_sum_law_that_underflows(capsys):
+    """0.5^1100 is below the smallest double: the refusal names the n-fold law, not the valid input."""
+    assert run(["theta", "--exact", "--spec", "discrete:0=0.5,1=0.5", "--n", "1100", "--m", "550"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the law of S_1100 underflows: 6 of its 1101 atom probabilities")
+
+
 def test_cli_theta_single_atom(capsys):
     """A point mass has only the constant mode: no linear mode to classify."""
     assert run(["theta", "--exact", "--spec", "discrete:0=1"]) == 0
