@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec
-from .operators import SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
+from .operators import FILTER_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
 from .operators import _check_memory, _eigensystem, _hull, gram_matrix
 
 __all__ = [
@@ -283,20 +283,51 @@ def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
     return ExactOperator(summand=pm, total=pn, partial=pt, n=n, m=m, index=index, values=values)
 
 
+def _krylov_budget(d: int, n: int, m: int, total: int, top: int) -> tuple[int, int] | None:
+    """Start-block width and block count that bound the Krylov solve of a d-atom law, or None where none is known.
+
+    When no two sums of n atoms coincide (``total``, the size of the S_n
+    support, is C(d - 1 + n, n)), S_n determines the multiset of the
+    summands, and C*C acts on the functions of S_m that are symmetric of
+    Efron-Stein order k (multisets of k of the d - 1 centred atom
+    indicators, C(d - 2 + k, k) of them) as C(m, k) / C(n, k). The spectrum
+    then has m + 1 distinct eigenvalues, so the block Krylov space is
+    invariant after m + 1 blocks; the width holds the first clusters that
+    reach ``top`` eigenvalues (at least the d of the constant and the m/n
+    modes) plus FILTER_GUARD. Laws with coinciding sums (lattices) get no
+    budget: their eigenvalues are simple and decay slowly, and a Krylov run
+    capped at a quarter of the rows was measured to miss on them below
+    about 1100 rows.
+    """
+    if d < 2 or total != comb(d - 1 + n, n):
+        return None
+    head = 0
+    for k in range(m + 1):
+        head += comb(d - 2 + k, k)
+        if head >= top:
+            break
+    return head + FILTER_GUARD, m + 1
+
+
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     """Eigen-decomposition of the exact C*C on the S_m support.
 
     The rank probe reads the rows of the Gram matrix built from the
-    sum-index pairs (``ExactOperator.gram``). Its remainder (0.4 to 0.9 of
-    the trace on generic supports) never certifies low rank, so all
-    eigenvalues come from eigvalsh; the top eigenvectors come from the
-    Chebyshev filter where that spectrum makes it cheaper than eigh (from
-    about 180 atoms of S_m on; 715 and 1365 for 10 and 12 generic atoms at
-    (5, 4)) and from eigh otherwise.
+    sum-index pairs (``ExactOperator.gram``); it certifies low rank where
+    the eigenvalues decay fast (two atoms, m well below n) and otherwise
+    leaves a remainder of 0.4 to 0.9 of the trace. A law whose n-sums never
+    coincide has a Krylov budget (``_krylov_budget``): where it fits, the
+    top K eigenpairs come from the certified block Krylov solve and
+    ``eigenvalues`` holds only those K (for 10 and 12 generic atoms at
+    (5, 4), h = 715 and 1365), with the certified bound on the rest as
+    ``health["tail_bound"]``. Every other block (lattices, small blocks)
+    goes to eigh right after the probe and returns all its eigenvalues. No
+    exact block calls eigvalsh.
     """
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()
-    return _eigensystem(op, qy, ay, SPECTRUM_HEAD)
+    budget = _krylov_budget(len(p.atoms), n, m, len(op.total.atoms), SPECTRUM_HEAD)
+    return _eigensystem(op, qy, ay, SPECTRUM_HEAD, budget)
 
 
 def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:
@@ -406,12 +437,14 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
         component_sq[r] = float(sq)
         if r >= 2:
             # exchangeability of the components follows from h being a
-            # function of the sum; checked, not assumed, on one temporary of
-            # the grid's size (a NaN fails the comparison and raises too),
-            # to a bound that scales with h as its round-off does
-            asym = np.subtract(comp, comp.swapaxes(0, 1))
-            if not np.abs(asym, out=asym).max() <= sym_tol:
-                raise AssertionError("order component is not symmetric in its arguments")
+            # function of the sum; checked, not assumed, to a bound that
+            # scales with h as its round-off does: comp[i, j] against
+            # comp[j, i] for j > i, one row i at a time, so no temporary of
+            # the grid's size exists (a NaN fails its row's test and raises)
+            for i in range(d - 1):
+                asym = np.subtract(comp[i, i + 1 :], comp[i + 1 :, i])
+                if not np.abs(asym, out=asym).max() <= sym_tol:
+                    raise AssertionError("order component is not symmetric in its arguments")
 
     total = float((qk * h_cent**2).sum())
     ssum = sum(comb(k, r) * component_sq[r] for r in range(1, k + 1))

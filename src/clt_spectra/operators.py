@@ -24,11 +24,13 @@ gives both by direct correlations against p_{S_{n-m}}, without B or S: when
 the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
 (m/n)^k), only its r x r core is diagonalized and nothing N^2-sized exists.
 Otherwise the operator forms S (a grid kernel from the support block of B,
-an exact operator from its non-zero pairs, discrete.py), the probe runs on
-its rows, all eigenvalues come from eigvalsh and, where that spectrum makes
-it cheap (gamma summands, the larger exact operators), the top K
-eigenvectors from a Chebyshev-filtered subspace iteration; the dense eigh
-solves the rest.
+an exact operator from its non-zero pairs, discrete.py) and the probe runs
+on its rows. On a grid block all eigenvalues then come from eigvalsh and,
+where that spectrum makes it cheap (gamma summands), the top K eigenvectors
+from a Chebyshev-filtered subspace iteration. An exact operator whose sums
+never coincide takes a block Krylov solve for its top K eigenpairs, with a
+Cholesky certificate that no eigenvalue past them was missed, and returns
+only those K. The dense eigh solves the rest.
 """
 from __future__ import annotations
 
@@ -91,27 +93,39 @@ PROBE_COPIES = 4
 # rows of S).
 PROBE_WINDOW = 8
 
-# Top-K path (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 2006):
-# K + FILTER_GUARD orthonormal columns, started on the top Ritz vectors of the
-# probe's L^T L, go through the Chebyshev polynomial of S that is bounded by 1
-# on [lambda_min, lambda_{K+FILTER_GUARD+1}] (``_filter_degree``), with a
-# re-orthonormalization after every product, then one Rayleigh-Ritz step. The
-# result is kept only when every Ritz residual, and the distance of each Ritz
-# value to eigvalsh's, is at most RITZ_RESID_TOL * lambda_max, the level eigh
-# itself reaches (about 6 eps on the grid blocks). The degree d is read off
-# eigvalsh's spectrum, which every path past the probe computes, and the path
-# is taken where d (K + FILTER_GUARD) <= 2 h. Once eigvalsh is paid, the
-# filter's d products (2 d (K + FILTER_GUARD) h^2 flops) stand in for the
-# whole eigh, and 2 h is where they were measured to break even (2-vCPU
-# SkylakeX, OpenBLAS, 2 threads; c = d (K + FILTER_GUARD) / h): exact blocks
-# of h = 180 to 364 at c = 1.1 to 2.0 ran the filter in 0.71 to 0.91 of
-# eigh's time, h = 715 and 1365 (c = 0.65, 0.40) in 0.41 to 0.54 and 0.22 to
-# 0.24, gamma blocks (c = 0.11 to 0.78) in 0.08 to 0.43; h = 120 at c = 2.4
-# and lattice blocks of h <= 135 at c = 3 to 9.5 took 1.3 to 8 times as long.
-# The probe's Weyl bounds do not decide: for the flat spectra of exact
-# operators trace(E) is 0.4 to 0.9 of trace(S) and bounds no degree at all.
+# Grid top-K path (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219,
+# 2006): K + FILTER_GUARD orthonormal columns, started on the top Ritz vectors
+# of the probe's L^T L, go through the Chebyshev polynomial of S that is
+# bounded by 1 on [lambda_min, lambda_{K+FILTER_GUARD+1}] (``_filter_degree``),
+# with a re-orthonormalization after every product, then one Rayleigh-Ritz
+# step. The result is kept only when every Ritz residual, and the distance of
+# each Ritz value to eigvalsh's, is at most RITZ_RESID_TOL * lambda_max, the
+# level eigh itself reaches (about 6 eps on the grid blocks). The degree d is
+# read off eigvalsh's spectrum, which every grid path past the probe computes,
+# and the path is taken where d (K + FILTER_GUARD) <= 2 h. Once eigvalsh is
+# paid, the filter's d products (2 d (K + FILTER_GUARD) h^2 flops) stand in
+# for the whole eigh, and 2 h is where they were measured to break even
+# (2-vCPU SkylakeX, OpenBLAS, 2 threads; c = d (K + FILTER_GUARD) / h): gamma
+# blocks (c = 0.11 to 0.78) ran the filter in 0.08 to 0.43 of eigh's time,
+# and exact blocks, when they still took it, in 0.71 to 0.91 at c = 1.1 to 2.0
+# and 1.3 to 8 times as long at c = 2.4 to 9.5. The probe's Weyl bounds do
+# not decide: for flat spectra trace(E) is 0.4 to 0.9 of trace(S) and bounds
+# no degree at all.
 FILTER_GUARD = 4
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
+
+# Exact top-K path (block Lanczos, Golub & Underwood 1977): an exact operator
+# whose sums never coincide names a budget of m + 1 blocks of width columns
+# (discrete._krylov_budget), and the Krylov solve and its O(h^3 / 3)
+# certificate run where that budget is at most KRYLOV_MAX_FRACTION of the h
+# rows. Measured against eigh after the probe (2-vCPU SkylakeX, OpenBLAS, 2
+# threads, generic laws of 8 to 20 atoms, h = 120 to 1365): budgets of 0.06
+# to 0.18 of h took 0.32 to 0.79 of eigh's time, 0.25 to 0.34 about as long
+# (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as long. The
+# certificate's Cholesky runs in row blocks of CHOLESKY_BLOCK (64 took 19 ms
+# at h = 1068 against 17 ms for LAPACK's own, 128 took 24 ms).
+KRYLOV_MAX_FRACTION = 0.25
+CHOLESKY_BLOCK = 64
 
 # Once the h x h Gram matrix S exists (and a grid block is freed), the
 # eigensolve needs about 8 SOLVE_SQUARES h^2 bytes more on its worst (dense
@@ -236,7 +250,7 @@ class ConditionalKernel:
 class SpectrumResult:
     """Eigen-decomposition of the symmetrized C*C with trivial-mode labels."""
 
-    eigenvalues: NDArray[np.float64]  # descending, clamped to [0, 1]
+    eigenvalues: NDArray[np.float64]  # descending, clamped to [0, 1]; all Ny, or only the K certified ("krylov")
     eigenfunctions: NDArray[np.float64]  # shape (top, Ny), weighted-orthonormal
     y_nodes: NDArray[np.float64]
     trivial_indices: tuple[int, int]  # (constant mode, linear mode)
@@ -245,7 +259,7 @@ class SpectrumResult:
     clamp_magnitude: float
     n: int
     m: int
-    solver: str = "dense"  # "low-rank", "ritz" or "dense" (see _eigh_psd)
+    solver: str = "dense"  # "low-rank", "ritz" (grid), "krylov" (exact) or "dense" (see _eigh_psd, _top_eigh_psd)
     k: int = 0  # eigenvectors computed: r, K or the block size
     health: dict = field(default_factory=dict)  # the operator's numerical health signals (its ``health``)
 
@@ -553,7 +567,7 @@ def _chebyshev_top(
 
 
 def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], NDArray[np.float64], str]:
-    """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, and the solver used.
+    """The grid kernels' solve: ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, and the solver.
 
     One pivoted Cholesky probe on the rows of S, S = L^T L + E, decides.
     Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
@@ -583,13 +597,147 @@ def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], ND
     return lam, phi, "dense"
 
 
+def _block_krylov_top(
+    S: NDArray[np.float64], Y: NDArray[np.float64], top: int, blocks: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float] | None:
+    """The top K Ritz pairs of S from the block Krylov space of ``Y``, and the next Ritz value, or None.
+
+    Block Lanczos (Golub & Underwood, 1977) with full reorthogonalization:
+    the basis grows by the block S X, projected off the whole basis twice
+    with a QR after each pass, and every step ends with a Rayleigh-Ritz
+    step on all of it (T = Q S Q^T from the stored products, so T does not
+    lean on the three-term recurrence). K is the ``_ritz_count`` of the Ritz
+    values; once the top K residuals ||S v - theta v|| are at most
+    RITZ_RESID_TOL * theta_max and the Ritz vectors are orthonormal to the
+    same level, the Ritz values (ascending), the vectors (columns) and
+    theta_{K+1} are returned. The basis is held as rows (X S is the faster
+    product) and holds at most ``blocks`` blocks: one that has not converged
+    by then returns None.
+    """
+    h, g = Y.shape
+    cap = blocks * g
+    Q, SQ, T = np.empty((cap, h)), np.empty((cap, h)), np.empty((cap, cap))
+    X = np.linalg.qr(Y)[0].T
+    D = 0
+    while True:
+        new = slice(D, D + g)
+        Q[new], SQ[new] = X, X @ S
+        D += g
+        C = SQ[new] @ Q[:D].T  # the new rows of T = Q S Q^T
+        T[new, :D] = C
+        T[:D, new] = C.T
+        T[new, new] += C[:, new]
+        T[new, new] *= 0.5
+        ritz, W = np.linalg.eigh(T[:D, :D])
+        k = _ritz_count(ritz, top)
+        if k < D:
+            Wk = np.ascontiguousarray(W[:, -k:].T)
+            V = Wk @ Q[:D]
+            R = Wk @ SQ[:D]
+            R -= ritz[-k:, None] * V
+            orth = np.abs(V @ V.T - np.eye(k)).max()
+            if np.linalg.norm(R, axis=1).max() <= RITZ_RESID_TOL * ritz[-1] and orth <= RITZ_RESID_TOL:
+                return ritz[-k:], V.T, float(ritz[-k - 1])
+        if D + g > cap:
+            return None
+        X = np.linalg.qr((SQ[new] - C @ Q[:D]).T)[0].T
+        X -= (X @ Q[:D].T) @ Q[:D]
+        X = np.linalg.qr(X.T)[0].T
+
+
+def _certify_tail(S: NDArray[np.float64], V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: float) -> bool:
+    """Whether sigma I - (S - V diag(ritz) V^T) is positive definite, which proves lambda_{K+1}(S) < sigma.
+
+    S - V diag(ritz) V^T + (the rank-K PSD V diag(ritz) V^T) = S, so by Weyl
+    lambda_{K+1}(S) <= lambda_max(S - V diag(ritz) V^T) < sigma once the
+    Cholesky factor exists. The factor is formed in place over the lower
+    triangle of S, a block row of CHOLESKY_BLOCK rows at a time: the row
+    block of the shifted matrix is built from S's rows and the rank-K term,
+    reduced against the blocks above it (forward substitution through the
+    inverses of the diagonal blocks), and its diagonal block factored by
+    ``np.linalg.cholesky``, which raises where the matrix is not positive
+    definite (a NaN included). The strict upper triangle of S is never
+    written: on failure the lower triangle and the diagonal are restored
+    from it, so an exactly symmetric S (as every Gram matrix here is) is
+    unchanged; on success S's lower triangle holds the factor.
+    """
+    h, nb = len(S), CHOLESKY_BLOCK
+    diag = S.diagonal().copy()
+    VR = V * ritz
+    inv_t: list[NDArray[np.float64]] = []  # inverse transposes of the factor's diagonal blocks
+    try:
+        for a in range(0, h, nb):
+            b = min(a + nb, h)
+            row = VR[a:b] @ V[:b].T
+            row -= S[a:b, :b]
+            idx = np.arange(b - a)
+            row[idx, a + idx] += sigma
+            for c, inv in zip(range(0, a, nb), inv_t):
+                e = c + nb
+                row[:, c:e] -= row[:, :c] @ S[c:e, :c].T
+                row[:, c:e] = row[:, c:e] @ inv
+            head = row[:, :a]
+            L = np.linalg.cholesky(row[:, a:b] - head @ head.T)
+            inv_t.append(np.linalg.inv(L).T)
+            S[a:b, :a] = head
+            L += np.triu(S[a:b, a:b], 1)
+            S[a:b, a:b] = L
+    except np.linalg.LinAlgError:
+        for a in range(0, h, nb):
+            b = min(a + nb, h)
+            S[a:b, :a] = S[:a, a:b].T
+            upper = np.triu(S[a:b, a:b], 1)
+            S[a:b, a:b] = upper + upper.T
+        S.flat[:: h + 1] = diag
+        return False
+    return True
+
+
+def _top_eigh_psd(
+    S: NDArray[np.float64], top: int, budget: tuple[int, int] | None
+) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict]:
+    """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, the solver and its record.
+
+    The exact operators' solve: the rank probe runs first and certifies low
+    rank as in ``_eigh_psd`` ("low-rank"). ``budget`` is the (width, blocks)
+    of ``discrete._krylov_budget`` or None. Where the blocks are at most
+    KRYLOV_MAX_FRACTION of the rows and the probe has width - FILTER_GUARD
+    rows, ``_block_krylov_top`` runs on that budget from the top Ritz
+    vectors of the probe's L^T L and FILTER_GUARD fixed pseudo-random
+    columns (which catch a cluster direction the probe's vectors can miss),
+    and ``_certify_tail`` checks sigma, the midpoint of the Ritz gap below
+    theta_K. Where it holds, only the K certified eigenvalues
+    and their vectors are returned ("krylov"), with sigma as ``tail_bound``
+    in the record. Otherwise (a budget too large, a block that does not
+    converge, a certificate that fails) the dense eigh ("dense").
+    """
+    L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
+    if traces[-1] <= RANK_TRACE_TOL * traces[0]:
+        return (*_core_eigh(L), "low-rank", {})
+    width, blocks = budget or (0, 0)
+    j = width - FILTER_GUARD
+    if 0 < j <= len(L) and blocks * width <= KRYLOV_MAX_FRACTION * len(S):
+        mu, W = np.linalg.eigh(gram_matrix(L))
+        extra = np.random.default_rng(0).standard_normal((len(S), FILTER_GUARD))
+        found = _block_krylov_top(S, np.hstack(((L.T @ W[:, -j:]) / np.sqrt(mu[-j:]), extra)), top, blocks)
+        if found is not None:
+            ritz, V, below = found
+            sigma = 0.5 * (ritz[0] + below)
+            if _certify_tail(S, V, ritz, sigma):
+                return ritz, V, "krylov", {"tail_bound": float(sigma)}
+    lam, phi = np.linalg.eigh(S)
+    return lam, phi, "dense", {}
+
+
 def _probe_kernel(kernel: ConditionalKernel, rows: slice) -> tuple[NDArray[np.float64], NDArray[np.float64]] | None:
     """The ``_core_eigh`` of a kernel's Gram block on ``rows`` where the matrix-free probe certifies it, else None."""
     L, traces = _low_rank_factor(kernel.gram_diag(rows), lambda p: kernel.gram_row(rows, p), stop_early=True)
     return _core_eigh(L) if traces[-1] <= RANK_TRACE_TOL * traces[0] else None
 
 
-def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int) -> SpectrumResult:
+def _eigensystem(
+    op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int, budget: tuple[int, int] | None = None
+) -> SpectrumResult:
     """Eigensolve of the Gram matrix B B^T of ``op`` with trivial-mode classification.
 
     ``op`` is any operator that gives the Gram matrix of the rows ``rows`` of
@@ -605,11 +753,15 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     when that certifies the block numerically low-rank, the r x r core is all
     that is solved. Otherwise the Gram matrix is formed, the solve's
     SOLVE_SQUARES h^2 is checked against the memory left, and ``_eigh_psd``
-    solves it. One zero eigenvalue per row outside the block goes at the tail
-    and the eigenvectors are 0 on those rows, so the result is that of the
-    full matrix; on the low-rank path the h - r smallest eigenvalues are
-    exact zeros as well, and the low-rank and ritz paths compute only the top
-    eigenvectors. Classification runs on the eigenvectors computed.
+    (a grid kernel) or ``_top_eigh_psd`` (an exact operator, with its Krylov
+    ``budget``) solves it. One zero eigenvalue per row outside the block goes
+    at the tail and the eigenvectors are 0 on those rows, so the result is
+    that of the full matrix; on the low-rank path the h - r smallest
+    eigenvalues are exact zeros as well, and the low-rank, ritz and krylov
+    paths compute only the top eigenvectors. The krylov path's eigenvalues
+    are its K certified ones and are not padded: the rest are not known, and
+    its certified bound on them is the record's ``tail_bound``.
+    Classification runs on the eigenvectors computed.
     Eigenvalues are clamped to [0, 1] (clamp magnitude reported). The top
     ``top`` eigenvectors are mapped back to eigenfunction values at ``nodes``
     through the inverse weight transform; they are orthonormal under
@@ -621,13 +773,18 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     h = rows.stop - rows.start
     top = min(top, len(nodes))
     op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h)
-    core = _probe_kernel(op, rows) if isinstance(op, ConditionalKernel) else None
+    grid = isinstance(op, ConditionalKernel)
+    core = _probe_kernel(op, rows) if grid else None
+    record: dict = {}
     if core is not None:
         (lam, phi), solver = core, "low-rank"
     else:
         S = op.gram(rows)
         op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
-        lam, phi, solver = _eigh_psd(S, top)
+        if grid:
+            lam, phi, solver = _eigh_psd(S, top)
+        else:
+            lam, phi, solver, record = _top_eigh_psd(S, top, budget)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]
@@ -653,7 +810,8 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
     inv = 1.0 / np.sqrt(mass[kept])
     funcs = np.zeros((top, len(nodes)))
     funcs[:k, rows.start + np.flatnonzero(kept)] = (phi[kept, :top] * inv[:, None]).T
-    lam = np.concatenate((lam, np.zeros(len(nodes) - len(lam))))
+    if solver != "krylov":
+        lam = np.concatenate((lam, np.zeros(len(nodes) - len(lam))))
     return SpectrumResult(
         eigenvalues=lam,
         eigenfunctions=funcs,
@@ -666,7 +824,7 @@ def _eigensystem(op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top:
         m=op.m,
         solver=solver,
         k=k,
-        health=op.health,
+        health={**op.health, **record},
     )
 
 

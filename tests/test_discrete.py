@@ -275,6 +275,78 @@ def test_exact_spectrum_needs_no_room_for_the_dense_table_and_B(monkeypatch):
     assert sp.eigenvalues[sp.trivial_indices[1]] == pytest.approx(0.8, abs=1e-12)
 
 
+def test_generic_block_takes_the_certified_krylov_path():
+    """No two sums of the 12 atoms coincide, so the (5, 4) block (h = 1365) has the eigenvalues C(4, k) / C(5, k)
+    with multiplicities 1, 11, 66, 286, 1001. The certified block Krylov solve returns eigh's top K = 12 (the constant
+    and the whole m/n cluster), eigh's trivial indices and cluster eigenspaces, theta = 0, and a tail bound that eigh's
+    13th eigenvalue stays below."""
+    op = exact_operator(GENERIC12, 5, 4)
+    ay, qy = op.summand.arrays()
+    S = op.gram(slice(0, len(ay)))
+    lam, U = np.linalg.eigh(S)
+    lam, U = lam[::-1], U[:, ::-1]
+    sp = exact_spectrum(GENERIC12, 5, 4)
+    assert sp.solver == "krylov" and sp.k == len(sp.eigenvalues) == 12
+    assert np.abs(sp.eigenvalues - np.clip(lam[:12], 0.0, 1.0)).max() <= 1e-13
+    assert np.count_nonzero(np.abs(sp.eigenvalues - 0.8) <= 1e-12) == 11
+    assert operators.theta_from_spectrum(sp).theta == 0.0
+    assert lam[12] < sp.health["tail_bound"] < lam[11]
+
+    e_const = np.sqrt(qy) / np.linalg.norm(np.sqrt(qy))
+    e_lin = np.sqrt(qy) * (ay - qy @ ay)
+    e_lin /= np.linalg.norm(e_lin)
+    assert operators.classify_trivial(lam, U, e_const, e_lin)[:2] == sp.trivial_indices == (0, 11)
+
+    # the head eigenfunctions lie in eigh's cluster eigenspaces: the constant mode, then the m/n cluster
+    block = sp.eigenfunctions.T * np.sqrt(qy)[:, None]
+    for k in range(len(block.T)):
+        cluster = U[:, :1] if k == 0 else U[:, 1:12]
+        assert np.linalg.norm(block[:, k] - cluster @ (cluster.T @ block[:, k])) <= 1e-12
+
+    vals, V, solver, record = operators._top_eigh_psd(S.copy(), 8, (16, 5))
+    assert solver == "krylov" and record == {"tail_bound": sp.health["tail_bound"]}
+    assert np.linalg.norm(S @ V - V * vals, axis=0).max() <= operators.RITZ_RESID_TOL * vals[-1]
+    for cluster in (slice(11, 12), slice(0, 11)):  # ascending: the m/n cluster, then the constant
+        mine, ref = V[:, cluster], U[:, 11 - cluster.stop + 1 : 12 - cluster.start][:, ::-1]
+        assert np.linalg.norm(ref - mine @ (mine.T @ ref)) <= 1e-12
+        assert np.linalg.norm(mine - ref @ (ref.T @ mine)) <= 1e-12
+
+
+def test_generic_krylov_spectrum_repeats_its_bytes():
+    first, second = exact_spectrum(GENERIC12, 5, 4), exact_spectrum(GENERIC12, 5, 4)
+    assert first.solver == "krylov"
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.eigenfunctions.tobytes() == second.eigenfunctions.tobytes()
+    assert first.health == second.health and first.trivial_indices == second.trivial_indices
+
+
+def test_krylov_budget_only_where_no_sums_coincide():
+    """Distinct n-sums bound the Krylov solve at m + 1 blocks, as wide as the first clusters holding 8 eigenvalues plus
+    the guard; coinciding sums (a lattice) give no budget."""
+    assert discrete._krylov_budget(12, 5, 4, math.comb(16, 5), 8) == (12 + operators.FILTER_GUARD, 5)
+    assert discrete._krylov_budget(7, 6, 5, math.comb(12, 6), 8) == (1 + 6 + 21 + operators.FILTER_GUARD, 6)
+    assert discrete._krylov_budget(12, 5, 4, math.comb(16, 5) - 1, 8) is None
+    assert discrete._krylov_budget(1, 3, 2, 1, 8) is None
+    op = exact_operator(NONLATTICE12, 5, 4)  # decimal atoms: some sums coincide
+    assert discrete._krylov_budget(12, 5, 4, len(op.total.atoms), 8) is None
+
+
+def test_exact_blocks_never_call_eigvalsh(monkeypatch):
+    """Lattice blocks (h = 64 and 130 here) go to eigh right after the rank probe and generic ones take the Krylov
+    path: neither calls eigvalsh, which the grid's Chebyshev filter alone still reads."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigvalsh called on an exact block")
+
+    lattice = DiscretePMF.from_spec(parse_spec("discrete:0=0.2,1=0.1,3=0.15,4=0.1,7=0.2,9=0.1,11=0.15"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    solvers = []
+    for pmf, n, m in [(lattice, 7, 6), (lattice, 13, 12), (GENERIC12, 5, 4)]:
+        sp = exact_spectrum(pmf, n, m)
+        solvers.append((len(pmf_power(pmf, m).atoms) >= 55, sp.solver))
+    assert solvers == [(True, "dense"), (True, "dense"), (True, "krylov")]
+
+
 @pytest.mark.parametrize("pmf, n, m", EXACT_CASES)
 def test_exact_gram_equals_the_dense_product(pmf, n, m, monkeypatch):
     """The Gram matrix from the pairs is B B^T to 1e-15 and exactly symmetric.
@@ -459,6 +531,20 @@ def test_efron_stein_symmetry_check_raises_on_nan():
     h[2] = np.nan
     with pytest.raises(AssertionError, match="not symmetric"):
         efron_stein(h, UNIFORM3, 3)
+
+
+def test_efron_stein_symmetry_check_raises_on_an_asymmetric_component(monkeypatch):
+    """A product-grid table that is not a function of the sum (one pair of arguments skewed) fails the row-by-row check."""
+    on_grid = discrete._on_product_grid
+
+    def skewed(f, laws):
+        G = on_grid(f, laws)
+        G[-2, -1] += 1.0
+        return G
+
+    monkeypatch.setattr(discrete, "_on_product_grid", skewed)
+    with pytest.raises(AssertionError, match="not symmetric"):
+        efron_stein(_poly_h(SKEW3, 3), SKEW3, 3)
 
 
 def test_projection_equality_quadratic():

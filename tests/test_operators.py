@@ -264,57 +264,10 @@ def test_certified_low_rank_solve_matches_eigh(n, m):
     assert abs(sp.eigenvalues.sum() - trace_T(kern).value) <= 1e-12
 
 
-def _exact_12_atom_operator():
-    from clt_spectra import DiscretePMF, parse_spec
-    from clt_spectra.discrete import exact_operator
-
-    spec = parse_spec(
-        "discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,8.88=0.08,"
-        "9.5=0.07,9.97=0.07"
-    )
-    op = exact_operator(DiscretePMF.from_spec(spec), 5, 4)
-    ay, qy = op.summand.arrays()
-    return op, qy, ay
-
-
 def _gamma_2048_kernel():
     cfg = GridConfig(node_count=2048)
     kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg), 2, 1, cfg)
     return kern, kern.summand.weights() * kern.summand.values, kern.summand.nodes
-
-
-def test_exact_block_takes_the_ritz_path():
-    """An exact operator's flat spectrum leaves the rank probe's bounds vacuous, but eigvalsh's own spectrum
-    affords the filter: eigvalsh's eigenvalues and top-K filtered vectors give eigh's answer."""
-    op, mass, nodes = _exact_12_atom_operator()
-    rows = operators._hull(mass > 0)
-    S = op.gram(rows)
-    assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] > 0.5 * np.trace(S)
-    sp = operators._eigensystem(op, mass, nodes, 8)
-    assert sp.solver == "ritz" and 8 <= sp.k < operators.RANK_PROBE_MAX
-
-    pad = np.zeros(len(nodes) - len(S))
-    assert np.array_equal(sp.eigenvalues, np.concatenate((np.clip(np.linalg.eigvalsh(S)[::-1], 0.0, 1.0), pad)))
-    lam, block_phi = np.linalg.eigh(S)
-    lam = np.concatenate((np.clip(lam[::-1], 0.0, 1.0), pad))
-    phi = np.zeros((len(mass), len(S)))
-    phi[rows] = block_phi[:, ::-1]
-    assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
-
-    e_const = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass))
-    e_lin = np.sqrt(mass) * (nodes - mass @ nodes)
-    e_lin /= np.linalg.norm(e_lin)
-    assert classify_trivial(lam[: len(S)], phi, e_const, e_lin)[:2] == sp.trivial_indices
-
-    kept = mass >= operators.EIGENFUNCTION_MASS_FLOOR * mass.max()
-    block = sp.eigenfunctions * np.sqrt(mass)
-    for k in range(8):
-        sign = np.sign(phi[:, k] @ block[k])
-        assert np.linalg.norm(block[k] - sign * phi[:, k] * kept) <= 1e-12
-
-    vals, V, solver = operators._eigh_psd(S, 8)
-    assert solver == "ritz"
-    assert np.linalg.norm(S @ V - V * vals[-V.shape[1] :], axis=0).max() <= operators.RITZ_RESID_TOL * vals[-1]
 
 
 def test_gamma_block_takes_the_ritz_path():
@@ -383,6 +336,41 @@ def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector():
     assert V is not None
     assert np.abs(np.abs(V.T @ q[:, k - 1 :: -1]) - np.eye(k)).max() <= 1e-12
     assert operators._chebyshev_top(S, q[:, [j for j in range(g + 1) if j != 3]], lam, k, tau) is None
+
+
+def test_krylov_certificate_catches_a_cluster_wider_than_the_block(monkeypatch):
+    """A top cluster of 30 equal eigenvalues and a start block of 16 columns: the Krylov space holds only 16 of them,
+    and its Ritz pairs converge (four distinct eigenvalues), so only the certificate sees the other 14. The solve then
+    returns eigh's bytes, with S unchanged."""
+    h = 600
+    lam_true = np.concatenate(([1.0], np.full(30, 0.8), np.full(100, 0.5), np.full(h - 131, 0.2)))
+    S, _ = _psd_with_spectrum(lam_true)
+    assert np.array_equal(S, S.T)
+    before = S.copy()
+    certified, certify = [], operators._certify_tail
+    monkeypatch.setattr(operators, "_certify_tail", lambda *args: certified.append(certify(*args)) or certified[-1])
+    lam, phi, solver, record = operators._top_eigh_psd(S, 8, (16, 5))
+    assert certified == [False]
+    assert solver == "dense" and record == {}
+    assert np.array_equal(S, before)
+    ref_lam, ref_phi = np.linalg.eigh(before)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(phi, ref_phi)
+
+
+def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
+    """Where the blocks the budget names would fill more than KRYLOV_MAX_FRACTION of the rows, eigh runs right after
+    the probe: no Krylov step and no eigvalsh."""
+    lam_true = np.concatenate(([1.0], np.full(7, 0.8), np.full(40, 0.5), np.full(152, 0.2)))
+    S, _ = _psd_with_spectrum(lam_true)
+
+    def unreachable(*args):
+        raise AssertionError("called on a budget that does not fit")
+
+    monkeypatch.setattr(operators, "_block_krylov_top", unreachable)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    lam, phi, solver, _ = operators._top_eigh_psd(S.copy(), 8, (12, 5))  # 60 columns > 200 / 4
+    assert solver == "dense"
+    assert np.array_equal(lam, np.linalg.eigh(S)[0])
 
 
 def test_support_block_is_the_contiguous_slice_of_B():
