@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec
-from .operators import FILTER_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
+from .operators import KRYLOV_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
 from .operators import _check_memory, _eigensystem, _hull, gram_matrix
 
 __all__ = [
@@ -294,7 +294,7 @@ def _krylov_budget(d: int, n: int, m: int, total: int, top: int) -> tuple[int, i
     then has m + 1 distinct eigenvalues, so the block Krylov space is
     invariant after m + 1 blocks; the width holds the first clusters that
     reach ``top`` eigenvalues (at least the d of the constant and the m/n
-    modes) plus FILTER_GUARD. Laws with coinciding sums (lattices) get no
+    modes) plus KRYLOV_GUARD. Laws with coinciding sums (lattices) get no
     budget: their eigenvalues are simple and decay slowly, and a Krylov run
     capped at a quarter of the rows was measured to miss on them below
     about 1100 rows.
@@ -306,7 +306,7 @@ def _krylov_budget(d: int, n: int, m: int, total: int, top: int) -> tuple[int, i
         head += comb(d - 2 + k, k)
         if head >= top:
             break
-    return head + FILTER_GUARD, m + 1
+    return head + KRYLOV_GUARD, m + 1
 
 
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:

@@ -25,12 +25,12 @@ the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
 (m/n)^k), only its r x r core is diagonalized and nothing N^2-sized exists.
 Otherwise the operator forms S (a grid kernel from the support block of B,
 an exact operator from its non-zero pairs, discrete.py) and the probe runs
-on its rows. On a grid block all eigenvalues then come from eigvalsh and,
-where that spectrum makes it cheap (gamma summands), the top K eigenvectors
-from a Chebyshev-filtered subspace iteration. An exact operator whose sums
-never coincide takes a block Krylov solve for its top K eigenpairs, with a
-Cholesky certificate that no eigenvalue past them was missed, and returns
-only those K. The dense eigh solves the rest.
+on its rows. Grid and exact blocks then share one block Krylov solve for
+the top K eigenpairs. On a grid block all eigenvalues come from eigvalsh and
+the Krylov pairs are kept where their values match it (gamma summands). An
+exact operator whose sums never coincide keeps them under a Cholesky
+certificate that no eigenvalue past them was missed, and returns only those
+K. The dense eigh solves the rest.
 """
 from __future__ import annotations
 
@@ -93,37 +93,24 @@ PROBE_COPIES = 4
 # rows of S).
 PROBE_WINDOW = 8
 
-# Grid top-K path (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219,
-# 2006): K + FILTER_GUARD orthonormal columns, started on the top Ritz vectors
-# of the probe's L^T L, go through the Chebyshev polynomial of S that is
-# bounded by 1 on [lambda_min, lambda_{K+FILTER_GUARD+1}] (``_filter_degree``),
-# with a re-orthonormalization after every product, then one Rayleigh-Ritz
-# step. The result is kept only when every Ritz residual, and the distance of
-# each Ritz value to eigvalsh's, is at most RITZ_RESID_TOL * lambda_max, the
-# level eigh itself reaches (about 6 eps on the grid blocks). The degree d is
-# read off eigvalsh's spectrum, which every grid path past the probe computes,
-# and the path is taken where d (K + FILTER_GUARD) <= 2 h. Once eigvalsh is
-# paid, the filter's d products (2 d (K + FILTER_GUARD) h^2 flops) stand in
-# for the whole eigh, and 2 h is where they were measured to break even
-# (2-vCPU SkylakeX, OpenBLAS, 2 threads; c = d (K + FILTER_GUARD) / h): gamma
-# blocks (c = 0.11 to 0.78) ran the filter in 0.08 to 0.43 of eigh's time,
-# and exact blocks, when they still took it, in 0.71 to 0.91 at c = 1.1 to 2.0
-# and 1.3 to 8 times as long at c = 2.4 to 9.5. The probe's Weyl bounds do
-# not decide: for flat spectra trace(E) is 0.4 to 0.9 of trace(S) and bounds
-# no degree at all.
-FILTER_GUARD = 4
-RITZ_RESID_TOL = 32 * np.finfo(float).eps
-
-# Exact top-K path (block Lanczos, Golub & Underwood 1977): an exact operator
-# whose sums never coincide names a budget of m + 1 blocks of width columns
-# (discrete._krylov_budget), and the Krylov solve and its O(h^3 / 3)
-# certificate run where that budget is at most KRYLOV_MAX_FRACTION of the h
+# Top-K path (block Lanczos, Golub & Underwood 1977), one for grid and exact
+# blocks: the start block holds the top Ritz vectors of the probe's L^T L and
+# KRYLOV_GUARD fixed pseudo-random columns, which catch a cluster direction
+# the probe's vectors can miss. A Ritz pair is converged once its residual
+# ||S v - theta v|| is at most RITZ_RESID_TOL * lambda_max, the level eigh
+# itself reaches (about 6 eps on the grid blocks). An exact operator whose
+# sums never coincide names a budget of m + 1 blocks of width columns
+# (discrete._krylov_budget); a grid block is as wide as the ``_ritz_count``
+# of its eigvalsh spectrum plus the guard and takes as many blocks as fit.
+# The solve runs where the blocks are at most KRYLOV_MAX_FRACTION of the h
 # rows. Measured against eigh after the probe (2-vCPU SkylakeX, OpenBLAS, 2
 # threads, generic laws of 8 to 20 atoms, h = 120 to 1365): budgets of 0.06
 # to 0.18 of h took 0.32 to 0.79 of eigh's time, 0.25 to 0.34 about as long
-# (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as long. The
-# certificate's Cholesky runs in row blocks of CHOLESKY_BLOCK (64 took 19 ms
-# at h = 1068 against 17 ms for LAPACK's own, 128 took 24 ms).
+# (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as long. The exact
+# certificate's O(h^3 / 3) Cholesky runs in row blocks of CHOLESKY_BLOCK (64
+# took 19 ms at h = 1068 against 17 ms for LAPACK's own, 128 took 24 ms).
+KRYLOV_GUARD = 4
+RITZ_RESID_TOL = 32 * np.finfo(float).eps
 KRYLOV_MAX_FRACTION = 0.25
 CHOLESKY_BLOCK = 64
 
@@ -259,7 +246,7 @@ class SpectrumResult:
     clamp_magnitude: float
     n: int
     m: int
-    solver: str = "dense"  # "low-rank", "ritz" (grid), "krylov" (exact) or "dense" (see _eigh_psd, _top_eigh_psd)
+    solver: str = "dense"  # "low-rank", "ritz" (grid), "krylov" (exact) or "dense" (see _eigh_psd)
     k: int = 0  # eigenvectors computed: r, K or the block size
     health: dict = field(default_factory=dict)  # the operator's numerical health signals (its ``health``)
 
@@ -406,21 +393,19 @@ def classify_trivial(
     """
     coef_const = phi.T @ e_const
     coef_lin = phi.T @ e_lin
-    breaks = np.where(np.diff(lam) < -CLUSTER_TOL)[0]
-    bounds = np.concatenate(([0], breaks + 1, [len(lam)]))
-    clusters = [list(range(bounds[j], bounds[j + 1])) for j in range(len(bounds) - 1)]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(lam) < -CLUSTER_TOL) + 1))
+    stops = np.append(starts[1:], len(lam))
 
     def pick(coef):
-        best = max(clusters, key=lambda cl: float(np.sum(coef[cl] ** 2)))
-        return best, float(np.sqrt(np.sum(coef[best] ** 2)))
+        j = int(np.argmax(np.add.reduceat(coef**2, starts)))
+        return range(starts[j], stops[j]), float(np.sqrt(np.sum(coef[starts[j] : stops[j]] ** 2)))
 
     cl_const, c_corr = pick(coef_const)
     cl_lin, l_corr = pick(coef_lin)
     i_const = cl_const[-1]
-    rest = [i for i in cl_lin if i != i_const]
-    if not rest:
+    i_lin = cl_lin[-1] - (cl_lin[-1] == i_const)
+    if i_lin < cl_lin.start:
         raise ValueError("constant and linear modes collapsed onto one eigenvector")
-    i_lin = rest[-1]
     if c_corr < TRIVIAL_CORR_MIN or l_corr < TRIVIAL_CORR_MIN:
         raise ValueError(
             f"trivial-mode classification failed: const corr {c_corr:.4f} at {i_const}, "
@@ -502,101 +487,6 @@ def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
     return int(ends[j]) if j < len(ends) else len(lam)
 
 
-def _filter_degree(lam_k: float, cut: float, floor: float, tau: float) -> int | None:
-    """Degree of the Chebyshev filter that takes the top K eigenvectors to roundoff, or None where none can.
-
-    The filter T_d is bounded by 1 on [``floor``, ``cut``] and maps the K-th
-    eigenvalue ``lam_k`` > ``cut`` to T_d(x), x = (2 lam_k - cut - floor) /
-    (cut - floor). The start block, the top Ritz vectors of the probe's
-    L^T L, lies within sin(angle) <= tau / (lam_k - cut) of the top K
-    eigenvectors (Davis-Kahan, with ||E|| <= trace(E) = ``tau``); the degree
-    with T_d(x) >= tau / ((lam_k - cut) eps) takes that angle to eps.
-    """
-    if not floor < cut < lam_k:
-        return None
-    x = (2.0 * lam_k - cut - floor) / (cut - floor)
-    target = tau / ((lam_k - cut) * np.finfo(float).eps)
-    return max(1, math.ceil(math.acosh(max(target, 1.0)) / math.acosh(x)))
-
-
-def _chebyshev_top(
-    S: NDArray[np.float64], Y: NDArray[np.float64], lam: NDArray[np.float64], k: int, tau: float
-) -> NDArray[np.float64] | None:
-    """Top ``k`` eigenvectors of S (ascending), or None when the filter costs more than eigh or fails the checks.
-
-    ``Y`` holds k + FILTER_GUARD start columns, ``lam`` is the ascending
-    eigvalsh spectrum and ``tau`` the probe's trace(E). A degree d with
-    d (k + FILTER_GUARD) > 2 h, or none at all, returns None before any
-    product. The filter damps
-    [lam_min, lam_{k+FILTER_GUARD+1}] (``_filter_degree``) through the
-    recurrence T_{j+1} = 2 x T_j - T_{j-1}, x = (S - c) / e, kept as the pair
-    (T_{j-1} Y, T_j Y) under one right factor: each new block is
-    orthonormalized, Q R, and the previous one takes the same R^-1, so the
-    top columns, growing up to lam_1 / lam_k times faster per step, cannot
-    swamp the others. A Rayleigh-Ritz step follows. The top ``k`` Ritz values
-    must match ``lam`` and every residual ||S v - theta v|| must be at most
-    RITZ_RESID_TOL * lam_max; otherwise the block missed an eigenvector or
-    has not converged. The blocks are held as rows, since Y^T S (S is
-    symmetric) is the faster product.
-    """
-    floor, cut = lam[0], lam[-(k + FILTER_GUARD + 1)]
-    degree = _filter_degree(lam[-k], cut, floor, tau)
-    if degree is None or degree * (k + FILTER_GUARD) > 2 * len(S):
-        return None
-    c, e = (cut + floor) / 2.0, (cut - floor) / 2.0
-    prev, cur = np.zeros(Y.shape[::-1]), np.ascontiguousarray(Y.T)
-    try:
-        for j in range(degree):
-            nxt = cur @ S
-            nxt -= c * cur
-            nxt *= (2.0 if j else 1.0) / e
-            nxt -= prev
-            Q, R = np.linalg.qr(nxt.T)
-            prev, cur = np.linalg.inv(R).T @ cur, np.ascontiguousarray(Q.T)
-    except np.linalg.LinAlgError:  # a block that lost a row to roundoff
-        return None
-    SQ = cur @ S
-    ritz, W = np.linalg.eigh(SQ @ cur.T)
-    W, ritz = W[:, -k:], ritz[-k:]
-    V = cur.T @ W
-    resid = np.linalg.norm(SQ.T @ W - V * ritz, axis=0)
-    tol = RITZ_RESID_TOL * lam[-1]
-    if resid.max() > tol or np.abs(ritz - lam[-k:]).max() > tol:
-        return None
-    return V
-
-
-def _eigh_psd(S: NDArray[np.float64], top: int) -> tuple[NDArray[np.float64], NDArray[np.float64], str]:
-    """The grid kernels' solve: ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, and the solver.
-
-    One pivoted Cholesky probe on the rows of S, S = L^T L + E, decides.
-    Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
-    each eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left
-    out included (taken as 0), and only the r are returned. Otherwise, where
-    the start block fits (the ``_ritz_count`` K of the eigenvalues of L^T L,
-    plus FILTER_GUARD, below the probe's rows), all h eigenvalues come from
-    eigvalsh, K is taken again from them, and ``_chebyshev_top`` gives the
-    top K eigenvectors ("ritz") when the filter degree read off that
-    spectrum is affordable and its checks pass. Otherwise the dense eigh
-    ("dense").
-    """
-    L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
-    tau = traces[-1]
-    if tau <= RANK_TRACE_TOL * traces[0]:
-        return (*_core_eigh(L), "low-rank")
-    mu, W = np.linalg.eigh(gram_matrix(L))
-    if _ritz_count(mu, top) + FILTER_GUARD < len(L):
-        lam = np.linalg.eigvalsh(S)
-        k = _ritz_count(lam, top)
-        g = k + FILTER_GUARD
-        if g <= len(L):
-            V = _chebyshev_top(S, (L.T @ W[:, -g:]) / np.sqrt(mu[-g:]), lam, k, tau)
-            if V is not None:
-                return lam, V, "ritz"
-    lam, phi = np.linalg.eigh(S)
-    return lam, phi, "dense"
-
-
 def _block_krylov_top(
     S: NDArray[np.float64], Y: NDArray[np.float64], top: int, blocks: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float] | None:
@@ -611,19 +501,18 @@ def _block_krylov_top(
     RITZ_RESID_TOL * theta_max and the Ritz vectors are orthonormal to the
     same level, the Ritz values (ascending), the vectors (columns) and
     theta_{K+1} are returned. The basis is held as rows (X S is the faster
-    product) and holds at most ``blocks`` blocks: one that has not converged
-    by then returns None.
+    product) that grow a block at a time, up to ``blocks`` blocks: one that
+    has not converged by then returns None.
     """
     h, g = Y.shape
     cap = blocks * g
-    Q, SQ, T = np.empty((cap, h)), np.empty((cap, h)), np.empty((cap, cap))
+    Q, SQ, T = np.empty((0, h)), np.empty((0, h)), np.empty((cap, cap))
     X = np.linalg.qr(Y)[0].T
-    D = 0
     while True:
-        new = slice(D, D + g)
-        Q[new], SQ[new] = X, X @ S
-        D += g
-        C = SQ[new] @ Q[:D].T  # the new rows of T = Q S Q^T
+        D = len(Q) + g
+        new = slice(D - g, D)
+        Q, SQ = np.vstack((Q, X)), np.vstack((SQ, X @ S))
+        C = SQ[new] @ Q.T  # the new rows of T = Q S Q^T
         T[new, :D] = C
         T[:D, new] = C.T
         T[new, new] += C[:, new]
@@ -632,16 +521,16 @@ def _block_krylov_top(
         k = _ritz_count(ritz, top)
         if k < D:
             Wk = np.ascontiguousarray(W[:, -k:].T)
-            V = Wk @ Q[:D]
-            R = Wk @ SQ[:D]
+            V = Wk @ Q
+            R = Wk @ SQ
             R -= ritz[-k:, None] * V
             orth = np.abs(V @ V.T - np.eye(k)).max()
             if np.linalg.norm(R, axis=1).max() <= RITZ_RESID_TOL * ritz[-1] and orth <= RITZ_RESID_TOL:
                 return ritz[-k:], V.T, float(ritz[-k - 1])
         if D + g > cap:
             return None
-        X = np.linalg.qr((SQ[new] - C @ Q[:D]).T)[0].T
-        X -= (X @ Q[:D].T) @ Q[:D]
+        X = np.linalg.qr((SQ[new] - C @ Q).T)[0].T
+        X -= (X @ Q.T) @ Q
         X = np.linalg.qr(X.T)[0].T
 
 
@@ -693,38 +582,54 @@ def _certify_tail(S: NDArray[np.float64], V: NDArray[np.float64], ritz: NDArray[
     return True
 
 
-def _top_eigh_psd(
-    S: NDArray[np.float64], top: int, budget: tuple[int, int] | None
+def _eigh_psd(
+    S: NDArray[np.float64], top: int, full: bool, budget: tuple[int, int] | None = None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict]:
     """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, the solver and its record.
 
-    The exact operators' solve: the rank probe runs first and certifies low
-    rank as in ``_eigh_psd`` ("low-rank"). ``budget`` is the (width, blocks)
-    of ``discrete._krylov_budget`` or None. Where the blocks are at most
-    KRYLOV_MAX_FRACTION of the rows and the probe has width - FILTER_GUARD
-    rows, ``_block_krylov_top`` runs on that budget from the top Ritz
-    vectors of the probe's L^T L and FILTER_GUARD fixed pseudo-random
-    columns (which catch a cluster direction the probe's vectors can miss),
-    and ``_certify_tail`` checks sigma, the midpoint of the Ritz gap below
-    theta_K. Where it holds, only the K certified eigenvalues
-    and their vectors are returned ("krylov"), with sigma as ``tail_bound``
-    in the record. Otherwise (a budget too large, a block that does not
-    converge, a certificate that fails) the dense eigh ("dense").
+    One pivoted Cholesky probe on the rows of S, S = L^T L + E, runs first.
+    Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
+    each eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left
+    out included (taken as 0), and only the r are returned. Otherwise a
+    ``full`` solve (a grid block) takes all h eigenvalues from eigvalsh and
+    its budget from them: a width of their ``_ritz_count`` plus
+    KRYLOV_GUARD, and as many blocks as fit in KRYLOV_MAX_FRACTION of the
+    rows. An exact block takes ``budget``, the (width, blocks) of
+    ``discrete._krylov_budget`` or None. Where the probe has width -
+    KRYLOV_GUARD rows and the blocks fit, ``_block_krylov_top`` runs from the
+    start block the comment at KRYLOV_GUARD describes. A grid result is kept
+    where its Ritz values match eigvalsh's top ones within RITZ_RESID_TOL *
+    lambda_max, which catches a Krylov space that skipped an eigenvalue
+    ("ritz", all h eigenvalues and the top K eigenvectors). An exact result
+    must pass ``_certify_tail`` at sigma, the midpoint of the Ritz gap below
+    theta_K; then only the K certified eigenvalues and their vectors are
+    returned ("krylov"), with sigma as ``tail_bound`` in the record.
+    Otherwise (no budget, one too large, a block that does not converge, a
+    check that fails) the dense eigh ("dense").
     """
     L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
     if traces[-1] <= RANK_TRACE_TOL * traces[0]:
         return (*_core_eigh(L), "low-rank", {})
+    h = len(S)
+    if full:
+        lam = np.linalg.eigvalsh(S)
+        width = _ritz_count(lam, top) + KRYLOV_GUARD
+        budget = width, int(KRYLOV_MAX_FRACTION * h) // width
     width, blocks = budget or (0, 0)
-    j = width - FILTER_GUARD
-    if 0 < j <= len(L) and blocks * width <= KRYLOV_MAX_FRACTION * len(S):
+    j = width - KRYLOV_GUARD
+    if 0 < j <= len(L) and 0 < blocks * width <= KRYLOV_MAX_FRACTION * h:
         mu, W = np.linalg.eigh(gram_matrix(L))
-        extra = np.random.default_rng(0).standard_normal((len(S), FILTER_GUARD))
+        extra = np.random.default_rng(0).standard_normal((h, KRYLOV_GUARD))
         found = _block_krylov_top(S, np.hstack(((L.T @ W[:, -j:]) / np.sqrt(mu[-j:]), extra)), top, blocks)
         if found is not None:
             ritz, V, below = found
-            sigma = 0.5 * (ritz[0] + below)
-            if _certify_tail(S, V, ritz, sigma):
-                return ritz, V, "krylov", {"tail_bound": float(sigma)}
+            if full:
+                if np.abs(ritz - lam[-len(ritz) :]).max() <= RITZ_RESID_TOL * lam[-1]:
+                    return lam, V, "ritz", {}
+            else:
+                sigma = 0.5 * (ritz[0] + below)
+                if _certify_tail(S, V, ritz, sigma):
+                    return ritz, V, "krylov", {"tail_bound": float(sigma)}
     lam, phi = np.linalg.eigh(S)
     return lam, phi, "dense", {}
 
@@ -753,12 +658,12 @@ def _eigensystem(
     when that certifies the block numerically low-rank, the r x r core is all
     that is solved. Otherwise the Gram matrix is formed, the solve's
     SOLVE_SQUARES h^2 is checked against the memory left, and ``_eigh_psd``
-    (a grid kernel) or ``_top_eigh_psd`` (an exact operator, with its Krylov
-    ``budget``) solves it. One zero eigenvalue per row outside the block goes
-    at the tail and the eigenvectors are 0 on those rows, so the result is
-    that of the full matrix; on the low-rank path the h - r smallest
-    eigenvalues are exact zeros as well, and the low-rank, ritz and krylov
-    paths compute only the top eigenvectors. The krylov path's eigenvalues
+    solves it: with all h eigenvalues for a grid kernel, with the Krylov
+    ``budget`` for an exact operator. One zero eigenvalue per row outside
+    the block goes at the tail and the eigenvectors are 0 on those rows, so
+    the result is that of the full matrix; on the low-rank path the h - r
+    smallest eigenvalues are exact zeros as well, and the low-rank, ritz and
+    krylov paths compute only the top eigenvectors. The krylov path's eigenvalues
     are its K certified ones and are not padded: the rest are not known, and
     its certified bound on them is the record's ``tail_bound``.
     Classification runs on the eigenvectors computed.
@@ -781,10 +686,7 @@ def _eigensystem(
     else:
         S = op.gram(rows)
         op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
-        if grid:
-            lam, phi, solver = _eigh_psd(S, top)
-        else:
-            lam, phi, solver, record = _top_eigh_psd(S, top, budget)
+        lam, phi, solver, record = _eigh_psd(S, top, grid, budget)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]

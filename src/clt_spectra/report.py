@@ -78,13 +78,15 @@ def report_row(r: BoundReport) -> dict:
 
 
 def reports_document(reports: Iterable[BoundReport]) -> dict:
+    """The report table and its summary; ``skipped`` names the passing ``*-skipped`` reports that stand in for checks."""
     rows = [report_row(r) for r in reports]
     if not rows:
         raise ValueError("refusing to emit an empty report table")
     failed = [row["name"] for row in rows if not row["pass"]]
+    skipped = [row["name"] for row in rows if row["name"].endswith("-skipped")]
     return {
         "reports": rows,
-        "summary": {"total": len(rows), "passed": len(rows) - len(failed), "failed": failed},
+        "summary": {"total": len(rows), "passed": len(rows) - len(failed), "failed": failed, "skipped": skipped},
     }
 
 

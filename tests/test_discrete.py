@@ -303,7 +303,7 @@ def test_generic_block_takes_the_certified_krylov_path():
         cluster = U[:, :1] if k == 0 else U[:, 1:12]
         assert np.linalg.norm(block[:, k] - cluster @ (cluster.T @ block[:, k])) <= 1e-12
 
-    vals, V, solver, record = operators._top_eigh_psd(S.copy(), 8, (16, 5))
+    vals, V, solver, record = operators._eigh_psd(S.copy(), 8, False, (16, 5))
     assert solver == "krylov" and record == {"tail_bound": sp.health["tail_bound"]}
     assert np.linalg.norm(S @ V - V * vals, axis=0).max() <= operators.RITZ_RESID_TOL * vals[-1]
     for cluster in (slice(11, 12), slice(0, 11)):  # ascending: the m/n cluster, then the constant
@@ -323,8 +323,8 @@ def test_generic_krylov_spectrum_repeats_its_bytes():
 def test_krylov_budget_only_where_no_sums_coincide():
     """Distinct n-sums bound the Krylov solve at m + 1 blocks, as wide as the first clusters holding 8 eigenvalues plus
     the guard; coinciding sums (a lattice) give no budget."""
-    assert discrete._krylov_budget(12, 5, 4, math.comb(16, 5), 8) == (12 + operators.FILTER_GUARD, 5)
-    assert discrete._krylov_budget(7, 6, 5, math.comb(12, 6), 8) == (1 + 6 + 21 + operators.FILTER_GUARD, 6)
+    assert discrete._krylov_budget(12, 5, 4, math.comb(16, 5), 8) == (12 + operators.KRYLOV_GUARD, 5)
+    assert discrete._krylov_budget(7, 6, 5, math.comb(12, 6), 8) == (1 + 6 + 21 + operators.KRYLOV_GUARD, 6)
     assert discrete._krylov_budget(12, 5, 4, math.comb(16, 5) - 1, 8) is None
     assert discrete._krylov_budget(1, 3, 2, 1, 8) is None
     op = exact_operator(NONLATTICE12, 5, 4)  # decimal atoms: some sums coincide
@@ -333,7 +333,7 @@ def test_krylov_budget_only_where_no_sums_coincide():
 
 def test_exact_blocks_never_call_eigvalsh(monkeypatch):
     """Lattice blocks (h = 64 and 130 here) go to eigh right after the rank probe and generic ones take the Krylov
-    path: neither calls eigvalsh, which the grid's Chebyshev filter alone still reads."""
+    path: neither calls eigvalsh, which only the grid's cross-check of its Krylov result reads."""
 
     def unreachable(*args, **kwargs):
         raise AssertionError("eigvalsh called on an exact block")

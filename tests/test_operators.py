@@ -271,7 +271,7 @@ def _gamma_2048_kernel():
 
 
 def test_gamma_block_takes_the_ritz_path():
-    """A gamma block fails the rank probe but passes the filter gate: eigvalsh plus top-K filtered vectors give eigh's answer."""
+    """A gamma block fails the rank probe and takes the Krylov solve: eigvalsh plus top-K Ritz vectors give eigh's answer."""
     kern, mass, nodes = _gamma_2048_kernel()
     S = _block_gram(kern, mass)
     assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] > operators.RANK_TRACE_TOL * np.trace(S)
@@ -302,40 +302,62 @@ def _psd_with_spectrum(lam, seed=5):
     return gram_matrix(q * np.sqrt(lam)), q
 
 
+def test_gamma_block_shares_the_krylov_solve():
+    """Gamma beta = 1 at (3, 2) on 1024 nodes takes the Krylov solve with the exact operators: its eigenvalues are
+    eigvalsh's bytes, and its top 8 eigenvectors are eigh's up to sign."""
+    cfg = GridConfig(node_count=1024)
+    kern = build_kernel(build_density(DistributionSpec.gamma(1.0), cfg), 3, 2, cfg)
+    mass = kern.summand.weights() * kern.summand.values
+    sp = spectrum(kern)
+    assert sp.solver == "ritz"
+    S = kern.gram(operators._hull(mass > 0))
+    lam = np.linalg.eigvalsh(S)
+    assert np.array_equal(sp.eigenvalues[: len(S)], np.clip(lam[::-1], 0.0, 1.0))
+    vals, V, solver, _ = operators._eigh_psd(S, 8, True)
+    assert solver == "ritz" and np.array_equal(vals, lam)
+    ref = np.linalg.eigh(S)[1][:, -8:]
+    signs = np.sign(np.sum(ref * V[:, -8:], axis=0))
+    assert np.abs(V[:, -8:] * signs - ref).max() <= 1e-12
+
+
 def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
-    """A remainder the probe cannot shrink (flat, or a cluster wider than the probe) keeps eigh's bytes; fast decay takes the filter."""
+    """A remainder the probe cannot shrink (flat, or a cluster wider than the probe) keeps eigh's bytes; fast decay
+    takes the Krylov solve."""
     h = 600
-    flat = np.diag(np.linspace(1.0, 2.0, h))
+    flat, _ = _psd_with_spectrum(np.linspace(1.0, 2.0, h))
     degenerate, _ = _psd_with_spectrum(np.concatenate((np.full(h // 2, 0.5), np.zeros(h - h // 2))))
     for S in (flat, degenerate):
-        lam, phi, solver = operators._eigh_psd(S, 8)
+        lam, phi, solver, _ = operators._eigh_psd(S, 8, True)
         ref_lam, ref_phi = np.linalg.eigh(S)
         assert solver == "dense"
         assert np.array_equal(lam, ref_lam) and np.array_equal(phi, ref_phi)
 
     lam_true = (1.0 + np.arange(h)) ** -6.0
     S, _ = _psd_with_spectrum(lam_true)
-    lam, phi, solver = operators._eigh_psd(S, 8)
+    lam, phi, solver, _ = operators._eigh_psd(S, 8, True)
     assert solver == "ritz" and phi.shape == (h, 8)
     assert np.abs(lam - np.sort(lam_true)).max() <= 1e-15
     assert np.linalg.norm(S @ phi - phi * lam[-8:], axis=0).max() <= operators.RITZ_RESID_TOL * lam[-1]
     assert np.abs(phi.T @ phi - np.eye(8)).max() <= 1e-14
 
 
-def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector():
-    """A start block orthogonal to the 4th eigenvector converges to exact eigenvectors (small residuals)
-    with Ritz values that skip lambda_3, which only the eigvalsh cross-check catches."""
+def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector(monkeypatch):
+    """Exact eigenpairs (small residuals) whose values skip lambda_3 are caught only by the eigvalsh cross-check, and
+    the grid solve returns eigh's bytes; the same pairs without the skip are kept."""
     h, k = 200, 8
-    lam_true = 0.9 ** np.arange(h)
-    S, q = _psd_with_spectrum(lam_true)
+    S, q = _psd_with_spectrum(0.9 ** np.arange(h))
     lam = np.linalg.eigvalsh(S)
-    tau = 1e-13  # the start blocks are exact eigenvectors: a short filter, which regrows no lost direction
-    g = k + operators.FILTER_GUARD
-    assert operators._filter_degree(lam[-k], lam[-(g + 1)], lam[0], tau) > 1  # the recurrence runs
-    V = operators._chebyshev_top(S, q[:, :g], lam, k, tau)
-    assert V is not None
-    assert np.abs(np.abs(V.T @ q[:, k - 1 :: -1]) - np.eye(k)).max() <= 1e-12
-    assert operators._chebyshev_top(S, q[:, [j for j in range(g + 1) if j != 3]], lam, k, tau) is None
+    ref_lam, ref_phi = np.linalg.eigh(S)
+    for skip, expect in ((None, "ritz"), (3, "dense")):
+        picked = [j for j in range(k + 1) if j != skip][:k][::-1]  # ascending, as _block_krylov_top returns them
+        found = lam[::-1][picked], q[:, picked], float(lam[::-1][k + 1])  # the grid path does not read the last
+        monkeypatch.setattr(operators, "_block_krylov_top", lambda *args, found=found: found)
+        vals, V, solver, _ = operators._eigh_psd(S, k, True)
+        assert solver == expect
+        if expect == "ritz":
+            assert np.array_equal(vals, lam) and V is found[1]
+        else:
+            assert np.array_equal(vals, ref_lam) and np.array_equal(V, ref_phi)
 
 
 def test_krylov_certificate_catches_a_cluster_wider_than_the_block(monkeypatch):
@@ -349,7 +371,7 @@ def test_krylov_certificate_catches_a_cluster_wider_than_the_block(monkeypatch):
     before = S.copy()
     certified, certify = [], operators._certify_tail
     monkeypatch.setattr(operators, "_certify_tail", lambda *args: certified.append(certify(*args)) or certified[-1])
-    lam, phi, solver, record = operators._top_eigh_psd(S, 8, (16, 5))
+    lam, phi, solver, record = operators._eigh_psd(S, 8, False, (16, 5))
     assert certified == [False]
     assert solver == "dense" and record == {}
     assert np.array_equal(S, before)
@@ -368,7 +390,7 @@ def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
 
     monkeypatch.setattr(operators, "_block_krylov_top", unreachable)
     monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-    lam, phi, solver, _ = operators._top_eigh_psd(S.copy(), 8, (12, 5))  # 60 columns > 200 / 4
+    lam, phi, solver, _ = operators._eigh_psd(S.copy(), 8, False, (12, 5))  # 60 columns > 200 / 4
     assert solver == "dense"
     assert np.array_equal(lam, np.linalg.eigh(S)[0])
 

@@ -42,6 +42,23 @@ def test_reports_document_rejects_empty():
         reports_document([])
 
 
+def test_reports_document_lists_skipped_reports():
+    """A skip passes, so the summary names it apart from the failures."""
+    rows = [
+        make_report("fisher-chain-skipped", 0.0, 0.0, context={"reason": "density has a hole at node 7"}),
+        make_report("demo", 0.0, 1.0),
+        make_report("score-projection-skipped", 0.0, 0.0),
+        make_report("forced-violation", 2.0, 1.0),
+    ]
+    summary = reports_document(rows)["summary"]
+    assert summary == {
+        "total": 4,
+        "passed": 3,
+        "failed": ["forced-violation"],
+        "skipped": ["fisher-chain-skipped", "score-projection-skipped"],
+    }
+
+
 def test_cli_density_json(capsys):
     assert run(["density", "--spec", "gaussian:sigma=1", "--nodes", "512"]) == 0
     doc = json.loads(capsys.readouterr().out)
