@@ -3,9 +3,9 @@
 The package measures how fast normalized sums forget their summands: the
 spectrum of C f(s) = E[f(S_m) | S_n = s], the second-eigenvalue statistic
 built from it, standardized Fisher information along the convolution
-semigroup, and a battery of inequalities tying the two together. Closed
-Hermite/Laguerre eigenvalue families and an exact finite-support pipeline
-serve as oracles for the grid numerics.
+semigroup, and a battery of inequalities tying the two together. The closed
+eigenvalues of the Meixner laws (gaussian, gamma, binomial, ...) and an
+exact finite-support pipeline serve as oracles for the grid numerics.
 
 CLT_SPECTRA_THREADS=k caps the BLAS and OpenMP thread pools at k. It is read
 here, before the first numpy import, because those pools are sized when the

@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import verify
-from .closed_forms import closed_theta, hermite_lambda, laguerre_lambda
+from .closed_forms import meixner_lambdas, meixner_theta, meixner_v2
 from .densities import (
     DistributionSpec,
     FisherUnavailableError,
@@ -246,31 +246,20 @@ def _cmd_verify_all(args) -> int:
 def _cmd_closed_form(args) -> int:
     from .report import _csv_num, json_document
 
-    if args.spec is not None:
-        fam = args.spec.family
-        if fam == "gaussian":
-            families = [("gaussian", None)]
-        elif fam == "gamma":
-            families = [("gamma", float(args.spec.params["beta"]))]
-        else:
-            raise ValueError("closed-form tables exist for gaussian and gamma families only")
-    else:
-        families = [("gaussian", None), ("gamma", 4.0)]
+    specs = [args.spec] if args.spec is not None else [DistributionSpec.gaussian(1.0), DistributionSpec.gamma(4.0)]
     n_values = list(range(2, max(4, args.n) + 1))
     entries = []
-    for fam, beta in families:
-        lam = {}
-        thetas = {}
-        for n in n_values:
-            if fam == "gaussian":
-                lam[str(n)] = [hermite_lambda(n, k) for k in range(7)]
-                thetas[str(n)] = closed_theta("gaussian", None, n)
-            else:
-                lam[str(n)] = [laguerre_lambda(beta, n, k) for k in range(7)]
-                thetas[str(n)] = closed_theta("gamma", {"beta": beta}, n)
-        entry = {"family": fam, "lambda": lam, "theta": thetas}
-        if beta is not None:
-            entry["beta"] = beta
+    for spec in specs:
+        v2 = meixner_v2(spec)
+        if v2 is None:
+            raise ValueError("closed-form tables exist for gaussian and gamma families only")
+        entry = {
+            "family": spec.family,
+            "lambda": {str(n): meixner_lambdas(v2, n, 1, 7) for n in n_values},
+            "theta": {str(n): meixner_theta(v2, n, 1) for n in n_values},
+        }
+        if "beta" in spec.params:
+            entry["beta"] = float(spec.params["beta"])
         entries.append(entry)
     if args.format == "csv":
         lines = ["family,n,k,value,kind"]

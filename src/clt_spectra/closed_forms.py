@@ -1,28 +1,33 @@
-"""Analytic oracles for the two exactly solvable families.
+"""Analytic oracles for the Meixner laws, whose spectra are closed forms.
 
-For a Gaussian summand the operator eigenfunctions are Hermite polynomials
-and the eigenvalues are n^-k; for a gamma summand they are generalized
-Laguerre polynomials with eigenvalues given by a ratio of binomial
-coefficients. Everything here is closed-form or a three-term recurrence; the
-grid pipeline is tested against these values.
+A law with a quadratic variance function V(mu) = v0 + v1 mu + v2 mu^2
+(Morris 1982) has polynomial eigenfunctions, and the (n, m) operator
+eigenvalues are lambda_k = prod_{j<k} (m + j v2)/(n + j v2), so theta =
+(n - m)/(m + v2). The gaussian (v2 = 0, Hermite polynomials) and gamma(beta)
+(v2 = 1/beta, generalized Laguerre polynomials) summands are the two spec
+families among them. Everything here is closed-form or a three-term
+recurrence; the grid pipeline is tested against these values.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from .densities import DistributionSpec
 
 __all__ = [
     "PolyFamily",
     "hermite_value",
     "laguerre_value",
-    "hermite_lambda",
-    "laguerre_lambda",
-    "laguerre_lambda_sum",
-    "closed_theta",
+    "meixner_v2",
+    "meixner_lambdas",
+    "meixner_theta",
     "gamma_jst",
     "addition_check_hermite",
     "addition_check_laguerre",
@@ -152,68 +157,53 @@ def _legendre_rule() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return t, w
 
 
-def hermite_lambda(n: int, k: int) -> float:
-    """Eigenvalue n^-k of the conditional-expectation composition, Gaussian case."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return float(n) ** (-k)
+def meixner_v2(spec: DistributionSpec) -> float | None:
+    """Leading coefficient v2 of the quadratic variance function of ``spec``'s law.
 
-
-def laguerre_lambda(beta: float, n: int, k: int) -> float:
-    """Eigenvalue C(k+beta-1, k) / C(k+beta*n-1, k) for a gamma(beta) summand.
-
-    Evaluated as the product of (beta+j)/(beta*n+j) over j < k, which is the
-    same ratio without large intermediate binomials.
+    Gaussian and gamma(beta) summands are Meixner laws, V(mu) = v0 + v1 mu +
+    v2 mu^2, with v2 = 0 and v2 = 1/beta; any other family has no closed form
+    here and gives None. This is the one place a family name selects a
+    closed form.
     """
-    _check_gamma_args(beta, n)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= (beta + j) / (beta * n + j)
+    if spec.family == "gaussian":
+        return 0.0
+    if spec.family == "gamma":
+        beta = float(spec.params["beta"])
+        if beta <= 0:
+            raise ValueError("gamma beta must be positive")
+        return 1.0 / beta
+    return None
+
+
+def meixner_lambdas(v2: float, n: int, m: int, count: int) -> list[float]:
+    """The first ``count`` eigenvalues lambda_k = prod_{j<k} (m + j v2)/(n + j v2).
+
+    These are the eigenvalues of the (n, m) composition for a Meixner summand
+    with variance coefficient v2, each the previous one times its factor:
+    (m/n)^k for the gaussian, C(k+m*beta-1, k) / C(k+n*beta-1, k) for
+    gamma(beta), and for v2 = -1/N the binomial(N, p) spectrum, which ends
+    at k = mN. A trace series is the ``sum`` of this list.
+    """
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
+    out = []
+    lam = 1.0
+    for j in range(count):
+        out.append(lam)
+        lam *= (m + j * v2) / (n + j * v2)
     return out
 
 
-def laguerre_lambda_sum(beta: float, n: int, terms: int) -> float:
-    """sum(laguerre_lambda(beta, n, k) for k in range(terms)), bit for bit.
+def meixner_theta(v2: float, n: int, m: int) -> float:
+    """Closed gap statistic theta = m/(n lambda_2) - 1 = (n - m)/(m + v2).
 
-    Each term is the previous one times (beta+k)/(beta*n+k), the same float
-    product laguerre_lambda rebuilds from 1 for every k, so the sum costs
-    O(terms) instead of O(terms^2).
+    Infinite where lambda_2 = 0 (m + v2 = 0: the Bernoulli summand at m = 1).
     """
-    _check_gamma_args(beta, n)
-
-    def lambdas():
-        lam = 1.0
-        for j in range(terms):
-            yield lam
-            lam *= (beta + j) / (beta * n + j)
-
-    return sum(lambdas())
-
-
-def _check_gamma_args(beta: float, n: int) -> None:
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-
-
-def closed_theta(family: str, params: dict | None, n: int) -> float:
-    """Closed-form gap statistic: n-1 for gaussian, beta(n-1)/(beta+1) for gamma."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    params = params or {}
-    if family == "gaussian":
-        return float(n - 1)
-    if family == "gamma":
-        beta = float(params["beta"])
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        return beta * (n - 1) / (beta + 1)
-    raise ValueError(f"no closed-form theta for family {family!r}")
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n, got (n, m) = ({n}, {m})")
+    if m + v2 == 0:
+        return math.inf
+    return (n - m) / (m + v2)
 
 
 def gamma_jst(beta: float) -> float:

@@ -131,6 +131,8 @@ class GridDensity:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
         if len(self.nodes) < 3:
             raise ValueError("grid needs at least 3 nodes")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.values).all()):
+            raise ValueError("density nodes and values must be finite")
         diffs = np.diff(self.nodes)
         if diffs.min() <= 0:
             raise ValueError("nodes must be strictly ascending")
@@ -227,6 +229,13 @@ class JstResult:
 _KNOWN_FAMILIES = ("gaussian", "gamma", "uniform", "mixture", "discrete", "file")
 
 
+def _all_finite(value: object) -> bool:
+    """False if value, or any float in its nested tuples, is nan or infinite."""
+    if isinstance(value, tuple):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Family tag plus parameter record for a summand distribution."""
@@ -237,6 +246,9 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.family not in _KNOWN_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_KNOWN_FAMILIES}")
+        for key, value in self.params.items():
+            if not _all_finite(value):
+                raise ValueError(f"{self.family} parameter {key} must be finite, got {value!r}")
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "DistributionSpec":

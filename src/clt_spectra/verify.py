@@ -16,11 +16,10 @@ from .closed_forms import (
     PolyFamily,
     addition_check_hermite,
     addition_check_laguerre,
-    closed_theta,
     gamma_jst,
-    hermite_lambda,
-    laguerre_lambda,
-    laguerre_lambda_sum,
+    meixner_lambdas,
+    meixner_theta,
+    meixner_v2,
 )
 from .densities import (
     DistributionSpec,
@@ -138,6 +137,7 @@ def family_battery(
     fam = {"family": spec.family, **{k: v for k, v in spec.params.items() if isinstance(v, (int, float, str, bool))}}
     d = build_density(spec, cfg)
     ms = moments(d, kmax=3)
+    v2 = meixner_v2(spec)
     reports: list[BoundReport] = []
 
     pairs = [(2, 1), (3, 1), (3, 2)]
@@ -172,26 +172,21 @@ def family_battery(
         )
         if m == 1:
             thetas[n] = th
-            lam_closed = None
-            if spec.family == "gaussian":
-                lam_closed = [hermite_lambda(n, k) for k in range(4)]
-            elif spec.family == "gamma":
-                lam_closed = [laguerre_lambda(float(spec.params["beta"]), n, k) for k in range(4)]
-            if lam_closed is not None:
-                skip = set(sp.trivial_indices)
-                rest = [i for i in range(len(sp.eigenvalues)) if i not in skip]
-                measured = [lam0, lam1, float(sp.eigenvalues[rest[0]]), float(sp.eigenvalues[rest[1]])]
-                worst = max(abs(a - b) / b for a, b in zip(measured, lam_closed))
-                reports.append(
-                    make_report(
-                        f"eigenvalues-vs-closed-{tag}", worst, 0.0, tol=1e-3, n=n, m=m,
-                        lhs_kind="measured", rhs_kind="closed-form", context=fam,
-                    )
+        if v2 is not None:
+            skip = set(sp.trivial_indices)
+            rest = [i for i in range(len(sp.eigenvalues)) if i not in skip]
+            measured = [lam0, lam1, float(sp.eigenvalues[rest[0]]), float(sp.eigenvalues[rest[1]])]
+            worst = max(abs(a - b) / b for a, b in zip(measured, meixner_lambdas(v2, n, m, 4)))
+            reports.append(
+                make_report(
+                    f"eigenvalues-vs-closed-{tag}", worst, 0.0, tol=1e-3, n=n, m=m,
+                    lhs_kind="measured", rhs_kind="closed-form", context=fam,
                 )
+            )
 
         if (n, m) == (2, 1):
             reports.extend(_operator_reports(kern, d, sp, rng, fam))
-            reports.extend(_trace_reports(kern, sp, spec, cfg, fam))
+            reports.extend(_trace_reports(kern, sp, spec, v2, cfg, fam))
 
     for na, nb in zip(sorted(thetas), sorted(thetas)[1:]):
         ra = thetas[na].theta / (na - 1)
@@ -206,7 +201,7 @@ def family_battery(
     reports.append(
         theta_upper_from_sigma(thetas[3].theta, ms.sigma_stat, n=3, tol=0.02 * 4 / ms.sigma_stat, **fam)
     )
-    if spec.family in ("gaussian", "gamma"):
+    if v2 is not None:
         rel_slack = abs(sig_up.rhs - theta2) / sig_up.rhs
         reports.append(
             make_report("theta-sigma-upper-tightness", rel_slack, 0.0, tol=0.02, n=2, context=fam)
@@ -343,7 +338,7 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
     return reports
 
 
-def _trace_reports(kern, sp, spec: DistributionSpec, cfg: GridConfig, fam) -> list[BoundReport]:
+def _trace_reports(kern, sp, spec: DistributionSpec, v2: float | None, cfg: GridConfig, fam) -> list[BoundReport]:
     reports = []
     tr = trace_T(kern)
     n = kern.n
@@ -355,23 +350,26 @@ def _trace_reports(kern, sp, spec: DistributionSpec, cfg: GridConfig, fam) -> li
     reports.append(
         make_report("trace-vs-eigenvalue-sum", lidskii, 0.0, tol=1e-8, n=n, m=kern.m, context=fam)
     )
-    if spec.family == "gaussian":
-        series = sum(hermite_lambda(2, k) for k in range(61))
+    if v2 is None:
+        return reports
+    # the closed trace, sum_k lambda_k at (2, 1); the gaussian terms 2^-k add
+    # nothing to the float sum past k = 53, so it is exactly 2
+    series = sum(meixner_lambdas(v2, 2, 1, 4000))
+    if v2 == 0.0:
         reports.append(
             make_report(
                 "trace-vs-closed-series", abs(tr.value - series), 0.0, tol=1e-3, n=n, m=kern.m,
                 lhs_kind="measured", rhs_kind="closed-form", context=fam,
             )
         )
-    elif spec.family == "gamma" and float(spec.params["beta"]) >= 2.0:
-        # Hard support edge: the trace integrand p(y) p(s-y)^2 / p_2(s) decays
-        # only polynomially in y (the conditional ratio cancels the exponential
-        # tail), and high-order Laguerre modes oscillate too finely near the
-        # edge for a uniform grid. Both effects push the grid trace below the
-        # closed series, so assert it as a lower bound and check that widening
-        # the window recovers a definite fraction of the deficit.
-        beta = float(spec.params["beta"])
-        series = laguerre_lambda_sum(beta, 2, 4000)
+    elif v2 <= 0.5:
+        # Gamma with beta >= 2, a hard support edge: the trace integrand
+        # p(y) p(s-y)^2 / p_2(s) decays only polynomially in y (the conditional
+        # ratio cancels the exponential tail), and high-order Laguerre modes
+        # oscillate too finely near the edge for a uniform grid. Both effects
+        # push the grid trace below the closed series, so assert it as a lower
+        # bound and check that widening the window recovers a definite
+        # fraction of the deficit.
         reports.append(
             make_report(
                 "trace-below-closed-series", tr.value, series, tol=1e-9, n=n, m=kern.m,
@@ -766,18 +764,20 @@ def addition_battery(seed: int = 42) -> list[BoundReport]:
             )
         )
 
-    series = sum(hermite_lambda(2, k) for k in range(41))
+    v2_gauss = meixner_v2(DistributionSpec.gaussian())
+    v2_gamma = {beta: meixner_v2(DistributionSpec.gamma(beta)) for beta in (1.0, 2.0, 4.0, 1e6)}
+    series = sum(meixner_lambdas(v2_gauss, 2, 1, 41))
     reports.append(
         make_report("hermite-eigenvalue-sum-rule", abs(series - 2.0), 0.0, tol=1e-12,
                     lhs_kind="closed-form", rhs_kind="closed-form")
     )
     checks = [
-        ("hermite-lambda-2-2", hermite_lambda(2, 2), 0.25),
-        ("hermite-lambda-n-0", max(abs(hermite_lambda(n, 0) - 1.0) for n in range(2, 6)), 0.0),
-        ("laguerre-lambda-1-2-2", laguerre_lambda(1.0, 2, 2), 1.0 / 3.0),
-        ("laguerre-lambda-4-2-1", laguerre_lambda(4.0, 2, 1), 0.5),
-        ("closed-theta-gaussian-5", closed_theta("gaussian", None, 5), 4.0),
-        ("closed-theta-gamma2-2", closed_theta("gamma", {"beta": 2.0}, 2), 2.0 / 3.0),
+        ("hermite-lambda-2-2", meixner_lambdas(v2_gauss, 2, 1, 3)[2], 0.25),
+        ("hermite-lambda-n-0", max(abs(meixner_lambdas(v2_gauss, n, 1, 1)[0] - 1.0) for n in range(2, 6)), 0.0),
+        ("laguerre-lambda-1-2-2", meixner_lambdas(v2_gamma[1.0], 2, 1, 3)[2], 1.0 / 3.0),
+        ("laguerre-lambda-4-2-1", meixner_lambdas(v2_gamma[4.0], 2, 1, 2)[1], 0.5),
+        ("closed-theta-gaussian-5", meixner_theta(v2_gauss, 5, 1), 4.0),
+        ("closed-theta-gamma2-2", meixner_theta(v2_gamma[2.0], 2, 1), 2.0 / 3.0),
     ]
     for name, got, want in checks:
         reports.append(
@@ -786,7 +786,7 @@ def addition_battery(seed: int = 42) -> list[BoundReport]:
     reports.append(
         make_report(
             "closed-theta-gamma-gaussian-limit",
-            abs(closed_theta("gamma", {"beta": 1e6}, 2) - 1.0),
+            abs(meixner_theta(v2_gamma[1e6], 2, 1) - 1.0),
             0.0,
             tol=2e-6,
             lhs_kind="closed-form",
@@ -798,7 +798,7 @@ def addition_battery(seed: int = 42) -> list[BoundReport]:
         reports.append(
             make_report(
                 f"closed-theta-meets-sigma-bound-beta{beta}",
-                abs(closed_theta("gamma", {"beta": beta}, 2) - 2.0 / sig_closed),
+                abs(meixner_theta(v2_gamma[beta], 2, 1) - 2.0 / sig_closed),
                 0.0,
                 tol=1e-12,
                 lhs_kind="closed-form",
@@ -806,7 +806,7 @@ def addition_battery(seed: int = 42) -> list[BoundReport]:
             )
         )
     reports.append(
-        make_report("closed-theta-meets-sigma-bound-gaussian", abs(closed_theta("gaussian", None, 2) - 1.0), 0.0, tol=1e-15,
+        make_report("closed-theta-meets-sigma-bound-gaussian", abs(meixner_theta(v2_gauss, 2, 1) - 1.0), 0.0, tol=1e-15,
                     lhs_kind="closed-form", rhs_kind="closed-form")
     )
     gj = [

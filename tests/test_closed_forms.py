@@ -7,16 +7,22 @@ import pytest
 from scipy import special
 
 from clt_spectra import (
+    DiscretePMF,
+    DistributionSpec,
+    GridDensity,
     PolyFamily,
     addition_check_hermite,
     addition_check_laguerre,
-    closed_theta,
+    exact_spectrum,
+    exact_theta,
     gamma_jst,
-    hermite_lambda,
     hermite_value,
-    laguerre_lambda,
-    laguerre_lambda_sum,
     laguerre_value,
+    meixner_lambdas,
+    meixner_theta,
+    meixner_v2,
+    theta,
+    trapezoid_weights,
 )
 from clt_spectra.closed_forms import _legendre_rule
 
@@ -83,20 +89,19 @@ def test_laguerre_addition_random():
 
 
 def test_gaussian_eigenvalue_formula():
-    assert hermite_lambda(2, 0) == 1.0
-    assert hermite_lambda(2, 2) == 0.25
-    assert abs(hermite_lambda(3, 4) - 3.0**-4) <= 1e-15
+    assert meixner_lambdas(0.0, 2, 1, 3) == [1.0, 0.5, 0.25]
+    assert abs(meixner_lambdas(0.0, 3, 1, 5)[4] - 3.0**-4) <= 1e-15
     with pytest.raises(ValueError):
-        hermite_lambda(1, 2)
+        meixner_lambdas(0.0, 1, 1, 3)
 
 
 def test_gamma_eigenvalue_formula():
     # product form of C(k+beta-1, k) / C(k+beta*n-1, k)
-    assert abs(laguerre_lambda(1.0, 2, 2) - 1.0 / 3.0) <= 1e-15
-    assert abs(laguerre_lambda(4.0, 2, 1) - 0.5) <= 1e-15
-    for k in range(8):
+    assert abs(meixner_lambdas(1.0, 2, 1, 3)[2] - 1.0 / 3.0) <= 1e-15
+    assert abs(meixner_lambdas(0.25, 2, 1, 2)[1] - 0.5) <= 1e-15
+    for k, lam in enumerate(meixner_lambdas(0.25, 2, 1, 8)):
         direct = special.binom(k + 3, k) / special.binom(k + 7, k)
-        assert abs(laguerre_lambda(4.0, 2, k) - direct) <= 1e-13
+        assert abs(lam - direct) <= 1e-13
 
 
 def test_gamma_eigenvalues_sum_to_trace():
@@ -105,7 +110,7 @@ def test_gamma_eigenvalues_sum_to_trace():
     lambda_k = 840/((k+4)(k+5)(k+6)(k+7)), so the tail past 4000 terms is
     about 840/(3 K^3) = 4.4e-9.
     """
-    total = laguerre_lambda_sum(4.0, 2, 4000)
+    total = sum(meixner_lambdas(0.25, 2, 1, 4000))
     assert abs(total - 7.0 / 3.0) <= 1e-8
 
 
@@ -113,26 +118,86 @@ def test_gamma_eigenvalues_sum_to_trace():
 @pytest.mark.parametrize("n", [2, 3])
 def test_laguerre_lambda_sum_is_the_termwise_sum(beta, n):
     """Bit for bit at every length, so a shifted term or count shows."""
-    terms = [laguerre_lambda(beta, n, k) for k in range(400)]
+    v2 = 1.0 / beta
+    terms = []
+    for k in range(400):
+        lam = 1.0
+        for j in range(k):
+            lam *= (1 + j * v2) / (n + j * v2)
+        terms.append(lam)
     for count in range(len(terms) + 1):
-        assert laguerre_lambda_sum(beta, n, count) == sum(terms[:count]), count
+        lams = meixner_lambdas(v2, n, 1, count)
+        assert lams == terms[:count] and sum(lams) == sum(terms[:count]), count
 
 
 def test_hermite_eigenvalues_sum_to_trace():
-    total = sum(hermite_lambda(2, k) for k in range(60))
+    total = sum(meixner_lambdas(0.0, 2, 1, 60))
     assert abs(total - 2.0) <= 1e-12
 
 
 def test_closed_theta_values():
-    assert abs(closed_theta("gaussian", None, 2) - 1.0) <= 1e-15
-    assert abs(closed_theta("gaussian", None, 5) - 4.0) <= 1e-15
-    assert abs(closed_theta("gamma", {"beta": 2.0}, 2) - 2.0 / 3.0) <= 1e-15
-    assert abs(closed_theta("gamma", {"beta": 4.0}, 2) - 4.0 / 5.0) <= 1e-15
+    assert abs(meixner_theta(0.0, 2, 1) - 1.0) <= 1e-15
+    assert abs(meixner_theta(0.0, 5, 1) - 4.0) <= 1e-15
+    assert abs(meixner_theta(0.5, 2, 1) - 2.0 / 3.0) <= 1e-15
+    assert abs(meixner_theta(0.25, 2, 1) - 4.0 / 5.0) <= 1e-15
 
 
 def test_closed_theta_gamma_limits_to_gaussian():
-    big = closed_theta("gamma", {"beta": 1e6}, 3)
-    assert abs(big - closed_theta("gaussian", None, 3)) <= 2e-6
+    big = meixner_theta(meixner_v2(DistributionSpec.gamma(1e6)), 3, 1)
+    assert abs(big - meixner_theta(meixner_v2(DistributionSpec.gaussian()), 3, 1)) <= 2e-6
+
+
+def test_meixner_v2_lookup():
+    assert meixner_v2(DistributionSpec.gaussian(2.0)) == 0.0
+    assert meixner_v2(DistributionSpec.gamma(4.0)) == 0.25
+    assert meixner_v2(DistributionSpec.uniform()) is None
+    assert meixner_v2(DistributionSpec.discrete([0.0, 1.0], [0.5, 0.5])) is None
+    with pytest.raises(ValueError, match="beta must be positive"):
+        meixner_v2(DistributionSpec.gamma(-1.0))
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 3), (40, 20)])
+def test_meixner_block_pairs(n, m):
+    """Beyond m = 1: (m/n)^k for the gaussian, theta = m/(n lambda_2) - 1 = (n - m)/(m + v2)."""
+    assert max(abs(lam - (m / n) ** k) for k, lam in enumerate(meixner_lambdas(0.0, n, m, 6))) <= 1e-15
+    for v2 in (0.0, 0.25, 1.0, -0.5):
+        lam2 = meixner_lambdas(v2, n, m, 3)[2]
+        assert abs(meixner_theta(v2, n, m) - (m / (n * lam2) - 1.0)) <= 1e-12 * max(1.0, n / m)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_binomial_spectrum_is_meixner_with_negative_v2(N):
+    """binomial(N, p) has V(mu) = mu - mu^2/N: the exact spectrum is the product with v2 = -1/N.
+
+    Its S_m support has mN + 1 atoms, so the spectrum stops at k = mN, where the
+    factor (m + j v2) reaches 0; for the Bernoulli at m = 1 theta is infinite.
+    """
+    p = 0.3
+    probs = np.array([math.comb(N, k) * p**k * (1 - p) ** (N - k) for k in range(N + 1)])
+    pmf = DiscretePMF(tuple(float(k) for k in range(N + 1)), tuple(probs / probs.sum()))
+    for n, m in [(2, 1), (3, 1), (3, 2), (5, 3), (10, 4), (40, 20)]:
+        count = min(6, m * N + 1)
+        got = np.sort(exact_spectrum(pmf, n, m).eigenvalues)[::-1][:count]
+        want = meixner_lambdas(-1.0 / N, n, m, count)
+        assert np.abs(got - want).max() <= 1e-14, (n, m)
+        th, closed = exact_theta(pmf, n, m).theta, meixner_theta(-1.0 / N, n, m)
+        if N * m == 1:
+            assert th == closed == math.inf, n
+        else:
+            assert abs(th - closed) <= 1e-12 * closed, (n, m)
+
+
+def test_hyperbolic_secant_grid_theta_is_meixner_with_v2_one():
+    """The hyperbolic secant law, pdf 1/(2 cosh(pi x/2)), has V(mu) = 1 + mu^2.
+
+    Its tails at +-24 are e^-37.7, so the grid theta meets (n - m)/(m + 1).
+    """
+    nodes = np.linspace(-24.0, 24.0, 512)
+    step = float(nodes[1] - nodes[0])
+    values = 1.0 / (2.0 * np.cosh(np.pi * nodes / 2.0))
+    d = GridDensity(nodes, values / (trapezoid_weights(len(nodes), step) @ values), step)
+    for n, m in [(2, 1), (3, 1), (3, 2), (4, 3)]:
+        assert abs(theta(d, n, m).theta - meixner_theta(1.0, n, m)) <= 1e-9, (n, m)
 
 
 def test_gamma_jst_values():

@@ -228,3 +228,36 @@ def test_regularized_pmf_mass_and_variance():
     assert abs(float(reg.weights() @ reg.values) - 1.0) <= 1e-9
     # smoothing by N(0, delta^2) adds exactly delta^2 of variance
     assert abs((reg.variance() - d.variance()) - 0.01) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--spec", "gaussian:sigma=inf"],
+        ["theta", "--spec", "gamma:beta=nan"],
+        ["closed-form", "--spec", "gamma:beta=nan"],
+        ["density", "--spec", "uniform:a=-inf,b=1"],
+        ["density", "--spec", "mixture:w=0.5,mu=nan,sigma=1;w=0.5,mu=1,sigma=1"],
+        ["theta", "--exact", "--spec", "discrete:0=0.5,inf=0.5"],
+        ["theta", "--exact", "--spec", "discrete:0=0.5,1=nan"],
+    ],
+)
+def test_cli_refuses_non_finite_spec_parameters(argv, capsys):
+    """nan or inf in a spec used to run on: closed-form printed a table of "nan", density a mass of "nan"."""
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_cli_refuses_a_density_file_with_a_nan(column, tmp_path, capsys):
+    """One nan in a file slipped past the sign and mass checks, which are both False on nan."""
+    x = np.linspace(-6.0, 6.0, 121)
+    table = np.column_stack([x, np.exp(-x * x / 2) / math.sqrt(2 * math.pi)])
+    table[60, column] = np.nan
+    path = tmp_path / "nan.txt"
+    np.savetxt(path, table)
+    assert run(["density", "--spec", f"file:{path}"]) == 1
+    assert "finite" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="finite"):
+        densities.GridDensity(table[:, 0], table[:, 1], float(x[1] - x[0]))
