@@ -10,16 +10,13 @@ recurrence; the grid pipeline is tested against these values.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
-if TYPE_CHECKING:
-    from .densities import DistributionSpec
+from .densities import DistributionSpec, gauss_legendre, log_gamma
 
 __all__ = [
     "PolyFamily",
@@ -95,11 +92,9 @@ class PolyFamily:
             raise ValueError("laguerre order must exceed -1")
 
     def _log_norm_sq(self, k: int) -> float:
-        from scipy.special import gammaln
-
         if self.kind == "hermite":
-            return float(gammaln(k + 1))
-        return float(gammaln(k + self.alpha + 1) - gammaln(k + 1) - gammaln(self.alpha + 1))
+            return log_gamma(k + 1)
+        return log_gamma(k + self.alpha + 1) - log_gamma(k + 1) - log_gamma(self.alpha + 1)
 
     def orthonormal_value(self, k: int, x) -> NDArray[np.float64]:
         if self.kind == "hermite":
@@ -112,11 +107,9 @@ class PolyFamily:
         x = np.asarray(x, dtype=float)
         if self.kind == "hermite":
             return np.exp(-x * x / (2 * self.alpha)) / math.sqrt(2 * math.pi * self.alpha)
-        from scipy.special import gammaln
-
         out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = np.exp(self.alpha * np.log(x[pos]) - x[pos] - gammaln(self.alpha + 1))
+        out[pos] = np.exp(self.alpha * np.log(x[pos]) - x[pos] - log_gamma(self.alpha + 1))
         return out
 
     def orthonormality_residual(self) -> float:
@@ -128,7 +121,7 @@ class PolyFamily:
         recurrence and normalization, not truncation.
         """
         kmax = ORTHONORMALITY_KMAX
-        t, w = _legendre_rule()
+        t, w = gauss_legendre(ORTHONORMALITY_NODES)
         if self.kind == "hermite":
             half = 12.0 * math.sqrt(self.alpha) + 2.0 * kmax
             x = t * half
@@ -143,20 +136,6 @@ class PolyFamily:
         return float(np.abs(gram - np.eye(kmax + 1)).max())
 
 
-@functools.cache
-def _legendre_rule() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """ORTHONORMALITY_NODES Gauss-Legendre nodes and weights on [-1, 1], computed once.
-
-    The arrays are shared by every caller, so they are made read-only.
-    """
-    from scipy.special import roots_legendre
-
-    t, w = roots_legendre(ORTHONORMALITY_NODES)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
-
-
 def meixner_v2(spec: DistributionSpec) -> float | None:
     """Leading coefficient v2 of the quadratic variance function of ``spec``'s law.
 
@@ -168,10 +147,7 @@ def meixner_v2(spec: DistributionSpec) -> float | None:
     if spec.family == "gaussian":
         return 0.0
     if spec.family == "gamma":
-        beta = float(spec.params["beta"])
-        if beta <= 0:
-            raise ValueError("gamma beta must be positive")
-        return 1.0 / beta
+        return 1.0 / float(spec.params["beta"])
     return None
 
 

@@ -16,6 +16,7 @@ from clt_spectra import (
     exact_spectrum,
     exact_theta,
     gamma_jst,
+    gauss_legendre,
     hermite_value,
     laguerre_value,
     meixner_lambdas,
@@ -24,7 +25,7 @@ from clt_spectra import (
     theta,
     trapezoid_weights,
 )
-from clt_spectra.closed_forms import _legendre_rule
+from clt_spectra.closed_forms import ORTHONORMALITY_NODES
 
 
 def test_hermite_matches_scipy():
@@ -50,11 +51,11 @@ def test_orthonormality(kind, alpha):
 
 
 def test_legendre_rule_is_read_only():
-    t, w = _legendre_rule()
+    t, w = gauss_legendre(ORTHONORMALITY_NODES)
     assert not t.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         w *= 2.0
-    assert _legendre_rule()[1] is w
+    assert gauss_legendre(ORTHONORMALITY_NODES)[1] is w
 
 
 @pytest.mark.parametrize("kind,alpha", [("hermite", 1.0), ("laguerre", 3.0)])

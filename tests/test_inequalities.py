@@ -279,6 +279,23 @@ def test_de_bruijn_rate():
         de_bruijn_rate(1.0, 2.0, 2)
 
 
+def test_de_bruijn_rate_quad_matches_closed_form_on_a_grid():
+    """The fixed Gauss-Legendre rule is within 1e-12 of the partial fractions, the battery's three triples included.
+
+    The grid reaches a pole 1e-5 past u = 1 (c = 100, d = 1e-3, n = 2).
+    """
+    triples = [
+        (c, d, n)
+        for c in (1.01, 1.5, 2.0, 3.0, 10.0, 100.0)
+        for d in (1e-3, 0.1, 0.5, 1.0, 1.5)
+        for n in (2, 3, 4, 8, 32, 1000)
+        if c > d
+    ]
+    assert {(2.0, 1.0, 2), (3.0, 1.5, 4), (2.0, 1.0, 8)} <= set(triples)
+    for c, d, n in triples:
+        assert abs(de_bruijn_rate_quad(c, d, n) - de_bruijn_rate(c, d, n)) <= 1e-12, (c, d, n)
+
+
 def test_de_bruijn_rate_halves_with_n():
     """The closed rate decays like 1/n: doubling n roughly halves it."""
     v8, v16, v32 = (de_bruijn_rate(2.0, 1.0, n) for n in (8, 16, 32))

@@ -452,22 +452,15 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_grid_and_exact_spectra_load_no_scipy(tmp_path):
-    """The eigensolve is numpy-only: grid and --exact spectrum/theta runs import no scipy module on any of its three paths.
-
-    The gamma density is read from a file, since building it calls scipy's gammaln.
-    """
-    from clt_spectra import DistributionSpec, GridConfig, build_density, write_density_file
-
-    gamma_file = tmp_path / "gamma4.txt"
-    write_density_file(str(gamma_file), build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=512)))
+def test_grid_and_exact_spectra_load_no_scipy():
+    """The eigensolve is numpy-only: grid and --exact spectrum/theta runs import no scipy module on any of its three paths."""
     argvs = [
         [cmd, *spec]
         for cmd in ("spectrum", "theta")
         for spec in (
             ["--spec", "gaussian:sigma=1", "--nodes", "512"],
             ["--spec", "uniform:a=-1,b=1", "--nodes", "512"],
-            ["--spec", f"file:{gamma_file}", "--nodes", "512"],
+            ["--spec", "gamma:beta=4", "--nodes", "512"],
             ["--exact", "--spec", "discrete:0=0.2,1=0.3,2.5=0.1,4=0.4", "--n", "4", "--m", "3"],
         )
     ]
@@ -489,6 +482,48 @@ def test_grid_and_exact_spectra_load_no_scipy(tmp_path):
     solvers, scipy_modules = json.loads(out.stdout)
     assert solvers == ["low-rank", "dense", "ritz", "dense"] * 2
     assert scipy_modules == []
+
+
+def test_every_command_prints_the_same_bytes_with_scipy_blocked():
+    """scipy is a test dependency only: with it blocked, each command prints the same bytes and exit code.
+
+    ``sys.modules["scipy"] = None`` makes any scipy import raise ImportError.
+    The unblocked run must not have imported scipy either, verify-all
+    included.
+    """
+    argvs = [
+        ["verify-all"],
+        ["bounds", "--spec", "gamma:beta=4"],
+        ["density", "--spec", "gamma:beta=2.5"],
+        ["theta", "--spec", "gamma:beta=1", "--n", "3", "--m", "2"],
+        ["closed-form"],
+    ]
+    src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from clt_spectra.cli import run\n"
+        "results = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = run(argv)\n"
+        "    results.append([code, out.getvalue()])\n"
+        "print(json.dumps([results, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    runs = {}
+    for mode in ("blocked", "normal"):
+        out = subprocess.run([sys.executable, "-c", code, mode], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        runs[mode] = json.loads(out.stdout)
+    results, scipy_modules = runs["normal"]
+    assert scipy_modules == []
+    # 2 is a failed bound, which gamma beta=4 gives under OPENBLAS_CORETYPE=Haswell; 1 is an error
+    assert all(code in (0, 2) for code, _ in results)
+    for argv, got, want in zip(argvs, runs["blocked"][0], results):
+        assert got == want, argv
 
 
 def test_cli_trace_fine_grid_runs_in_linear_memory():
