@@ -464,12 +464,23 @@ def build_density(spec: DistributionSpec, cfg: GridConfig | None = None, n_hint:
     caller planning an n-fold sum can reserve room up front. Values are
     trapezoid-normalized; mass outside the grid is estimated from the
     pre-normalization deficit and attached as ``truncated_mass``.
+
+    Gamma shapes below 1 are refused: their density is unbounded at the
+    support edge, where point samples miss a mass the deficit does not show
+    (beta=0.1 reads ``truncated_mass`` 0 with theta 34% off at 1024 nodes).
     """
     cfg = cfg or GridConfig()
     if n_hint < 1:
         raise ValueError("n_hint must be >= 1")
     if spec.family == "file":
         return _load_density_file(str(spec.params["path"]))
+    if spec.family == "gamma" and spec.params["beta"] < 1:
+        beta = spec.params["beta"]
+        edge = -beta if spec.params.get("centered", True) else 0.0
+        raise ValueError(
+            f"gamma beta={beta:g} has an unbounded density at its support edge x = {edge:g}, "
+            "which a point-sampled grid cannot resolve; use beta >= 1"
+        )
     mean, sigma = spec.mean_and_sigma()
     if sigma <= 0:
         raise ValueError("distribution must have positive variance")

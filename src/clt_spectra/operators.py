@@ -159,7 +159,6 @@ class ConditionalKernel:
     m: int
     dy: NDArray[np.float64]
     ds: NDArray[np.float64]
-    live_cols: NDArray[np.bool_]
     row_sum_err: float
     masked_mass: float
 
@@ -352,7 +351,6 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
         m=m,
         dy=np.sqrt(p_m.weights() * p_m.values),
         ds=ds,
-        live_cols=live,
         row_sum_err=row_sum_err,
         masked_mass=masked_mass,
     )
@@ -801,9 +799,9 @@ def apply_C(kernel: ConditionalKernel, f: NDArray[np.float64] | GridFunction) ->
     p_m = kernel.summand
     num = np.convolve(p_m.weights() * p_m.values * fv, kernel.partial.values)
     out = np.zeros(len(kernel.total.nodes))
-    live = kernel.live_cols
+    live = kernel.ds > 0
     out[live] = num[live] / kernel.total.values[live]
-    return GridFunction(kernel.total.nodes, out, live.copy())
+    return GridFunction(kernel.total.nodes, out, live)
 
 
 def apply_Cstar(kernel: ConditionalKernel, g: NDArray[np.float64] | GridFunction) -> GridFunction:

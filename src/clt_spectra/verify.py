@@ -29,6 +29,7 @@ from .densities import (
     ScoreUndefinedError,
     build_density,
     convolve,
+    fisher,
     jst,
     moments,
     rescale,
@@ -125,8 +126,8 @@ def family_battery(
     """Spectral, trace, operator and Fisher reports for one smooth family.
 
     Discrete specs are routed to the exact pipeline instead. Families whose
-    Fisher information is genuinely infinite (hard support edges) simply skip
-    the Fisher-chain section.
+    Fisher information is genuinely infinite (hard support edges) skip the
+    Fisher chain and the score projection, each with a ``*-skipped`` report.
     """
     if spec.family == "discrete":
         return discrete_battery(spec, n_max=n_max)
@@ -315,7 +316,10 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
         make_report("apply-cstar-linear-mode", resid, 0.0, tol=1e-6, n=kern.n, m=kern.m, context=fam)
     )
 
+    # rho_{S_n} = E[rho_{S_m}(S_m) | S_n] is a lemma for summands with finite
+    # Fisher information; the chain's screen decides that for the summand
     try:
+        fisher(d)
         rho_y = score(p_m)
         rho_n = score(p_n)
         proj = apply_C(kern, rho_y)
@@ -324,7 +328,7 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
         reports.append(
             make_report("score-projection", resid, 0.0, tol=1e-3, n=kern.n, m=kern.m, context=fam)
         )
-    except ScoreUndefinedError as exc:
+    except (FisherUnavailableError, ScoreUndefinedError) as exc:
         reports.append(
             make_report(
                 "score-projection-skipped", 0.0, 0.0, tol=0.0, n=kern.n, m=kern.m, context={**fam, "reason": str(exc)}

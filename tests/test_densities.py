@@ -314,10 +314,17 @@ def test_cli_refuses_non_finite_spec_parameters(argv, capsys):
         (["density", "--spec", "mixture:w=0.5,mu=0,sigma=1;w=0,mu=1,sigma=1"], "mixture weights and sigmas"),
         (["density", "--spec", "mixture:w=0.5,mu=0,sigma=1;w=0.5,mu=1,sigma=-1"], "mixture weights and sigmas"),
         (["theta", "--exact", "--spec", "discrete:0=0.5,1=0"], "discrete probabilities must be positive"),
+        (["theta", "--spec", "gamma:beta=0.25", "--n", "2", "--m", "1"],
+         "gamma beta=0.25 has an unbounded density at its support edge x = -0.25,"),
+        (["density", "--spec", "gamma:beta=0.5,centered=false"],
+         "gamma beta=0.5 has an unbounded density at its support edge x = 0,"),
     ],
 )
 def test_cli_refuses_out_of_range_spec_parameters(argv, message, capsys):
-    """A negative beta used to exit 1 with "math domain error"; a negative sigma printed a closed-form table."""
+    """A negative beta used to exit 1 with "math domain error"; a negative sigma printed a closed-form table.
+
+    Gamma beta < 1 is refused by the grid commands: beta=0.25 printed theta 0.249 against 0.2 and exited 0.
+    """
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
 

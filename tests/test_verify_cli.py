@@ -185,31 +185,40 @@ def test_cli_theta_and_spectrum_diagnostics_are_the_library_theta(args, capsys):
         assert doc["theta"] == th.theta
 
 
-def _cli_stdout(argv, **env):
-    """Stdout of the CLI in a fresh interpreter, with no thread variable set beyond ``env``."""
+# the thread-pool variables numpy's BLAS and OpenMP read when they load
+POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _threads(k):
+    return {"OPENBLAS_NUM_THREADS": str(k), "OMP_NUM_THREADS": str(k)}
+
+
+def _fresh_env(**env):
+    """The test environment with no pool variable set, the package on PYTHONPATH, and ``env`` on top."""
     src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("CLT_SPECTRA_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    base = {k: v for k, v in os.environ.items() if k not in POOL_VARS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(base, **env)
+
+
+def _cli_stdout(argv, **env):
+    """Stdout of the CLI in a fresh interpreter, with no pool variable set beyond ``env``."""
     cmd = [sys.executable, "-m", "clt_spectra.cli", *argv]
-    return subprocess.run(cmd, env=dict(base, **env), capture_output=True, check=True).stdout
+    return subprocess.run(cmd, env=_fresh_env(**env), capture_output=True, check=True).stdout
 
 
-def test_cli_thread_cap_env_sets_the_blas_threads():
-    """CLT_SPECTRA_THREADS=1 gives the bytes of OPENBLAS_NUM_THREADS=1 (it once left the default pool in place).
-
-    The 12-atom exact operator at (5, 4) printed different bytes at 1 and 2 BLAS threads.
-    """
-    spec = ("discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,"
-            "8.88=0.08,9.5=0.07,9.97=0.07")
-    argv = ["theta", "--exact", "--n", "5", "--m", "4", "--spec", spec]
-    assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, OPENBLAS_NUM_THREADS="1")
+def test_import_sets_no_thread_pool_variable():
+    """The pools are sized by their own variables alone: no package-prefixed alias sets them on import."""
+    alias = {f"CLT_SPECTRA_{name}": "1" for name in ("THREADS", "NUM_THREADS")}
+    code = f"import os, clt_spectra; print([os.environ.get(v) for v in {POOL_VARS!r}])"
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**alias), capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[None, None, None, None]"
 
 
 def test_cli_efron_stein_bytes_do_not_depend_on_threads():
     """The decomposition reduces by elementwise products and sums, never through BLAS."""
     argv = ["efron-stein", "--spec", "discrete:0=0.5,1=0.3,3=0.2", "--n", "5"]
-    assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, CLT_SPECTRA_THREADS="2")
+    assert _cli_stdout(argv, **_threads(1)) == _cli_stdout(argv, **_threads(2))
 
 
 @pytest.mark.parametrize(
@@ -224,7 +233,7 @@ def test_cli_low_rank_bytes_do_not_depend_on_threads(argv):
     The probe's update gemv, the QR of L^T and the r x r core solve still call BLAS and LAPACK; that their
     thread split leaves the bytes unchanged is what this test observes for the installed BLAS, not a guarantee.
     """
-    assert _cli_stdout(argv, CLT_SPECTRA_THREADS="1") == _cli_stdout(argv, CLT_SPECTRA_THREADS="2")
+    assert _cli_stdout(argv, **_threads(1)) == _cli_stdout(argv, **_threads(2))
 
 
 def test_cli_exact_trace(capsys):
@@ -350,7 +359,11 @@ def test_cli_parses_every_flag_the_command_reads(cmd):
 
 
 def test_score_projection_skip_is_reported(monkeypatch):
-    """When the score is undefined the operator battery says so, as the Fisher chain does, instead of dropping the report."""
+    """When the score is undefined the operator battery says so, as the Fisher chain does, instead of dropping the report.
+
+    The projection identity is a lemma for summands with finite Fisher information: a uniform summand, whose
+    density jumps at its edges, skips it with the chain's reason (it used to fail with lhs 1.5 against tol 1e-3).
+    """
     import numpy as np
 
     from clt_spectra import DistributionSpec, GridConfig, build_density
@@ -360,13 +373,19 @@ def test_score_projection_skip_is_reported(monkeypatch):
     def undefined(d):
         raise ScoreUndefinedError("density has a hole at node 7")
 
-    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=256), n_hint=2)
-    kern = build_kernel(d, 2, 1)
-    args = (kern, d, spectrum(kern), np.random.default_rng(0), {"family": "gaussian"})
-    names = [r.name for r in clt_spectra.verify._operator_reports(*args)]
+    def operator_reports(spec):
+        d = build_density(spec, GridConfig(node_count=256), n_hint=2)
+        kern = build_kernel(d, 2, 1)
+        args = (kern, d, spectrum(kern), np.random.default_rng(0), {"family": spec.family})
+        return clt_spectra.verify._operator_reports(*args)
+
+    uniform = {r.name: r for r in operator_reports(DistributionSpec.uniform(-1.0, 1.0))}
+    assert "score-projection" not in uniform
+    assert "jumps at its support edge" in uniform["score-projection-skipped"].context["reason"]
+    names = [r.name for r in operator_reports(DistributionSpec.gaussian(1.0))]
     assert "score-projection" in names and "score-projection-skipped" not in names
     monkeypatch.setattr(clt_spectra.verify, "score", undefined)
-    reports = clt_spectra.verify._operator_reports(*args)
+    reports = operator_reports(DistributionSpec.gaussian(1.0))
     skipped = [r for r in reports if r.name == "score-projection-skipped"]
     assert "score-projection" not in [r.name for r in reports]
     assert len(skipped) == 1 and skipped[0].passed
@@ -435,12 +454,6 @@ def test_cli_expected_failure_that_passes_trips_exit_2(monkeypatch, capsys):
 
     monkeypatch.setattr(clt_spectra.verify, "verify_all", suspicious)
     assert run(["verify-all"]) == 2
-    capsys.readouterr()
-
-
-def test_cli_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("CLT_SPECTRA_THREADS", "1")
-    assert run(["closed-form"]) == 0
     capsys.readouterr()
 
 
