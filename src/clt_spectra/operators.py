@@ -19,6 +19,8 @@ The eigenproblem is solved on the symmetrized Gram matrix S = B B^T with
 B[i, k] = sqrt(w_i p_m(y_i)) tau(y_i, s_k) sqrt(w_k p_n(s_k)), which is
 similar to the discretized C*C and keeps eigenvectors orthonormal in the
 weighted inner product; only the rows of B that carry S_m mass are solved.
+A grid kernel's B is an operator (``KernelFactor``), not a stored array:
+B z and B^T x are O(N) correlations against p_{S_{n-m}}.
 One pivoted Cholesky probe reads diag(S) and a few of its rows. A grid kernel
 gives both by direct correlations against p_{S_{n-m}}, without B or S: when
 the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
@@ -36,8 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,6 +47,7 @@ from .densities import DENSITY_FLOOR, GridConfig, GridDensity, GridFunction, _ff
 
 __all__ = [
     "ConditionalKernel",
+    "KernelFactor",
     "SpectrumResult",
     "ThetaResult",
     "TraceResult",
@@ -114,14 +116,15 @@ RITZ_RESID_TOL = 32 * np.finfo(float).eps
 KRYLOV_MAX_FRACTION = 0.25
 CHOLESKY_BLOCK = 64
 
-# Once the h x h Gram matrix S exists (and a grid block is freed), the
-# eigensolve needs about 8 SOLVE_SQUARES h^2 bytes more on its worst (dense
-# eigh) path: eigh's copy of S, its 2 h^2 workspace, its eigenvectors and the
-# reversed copy of those. The peak-RSS rise measured around one dense-path
-# spectrum call, S included, is 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four
-# exact operators at (5, 4) and five gamma and uniform grid kernels), so the
-# check stands 5-17% above it.
-SOLVE_SQUARES = 5
+# Past the rank probe, the eigensolve needs about 8 SOLVE_SQUARES h^2 bytes on
+# its worst (dense eigh) path: the h x h Gram matrix S, eigh's copy of S, its
+# 2 h^2 workspace, its eigenvectors and the reversed copy of those. It is
+# checked before S is formed, so a refused solve pays no Gram product (a grid
+# support block has its own check and is freed before the solve). The
+# peak-RSS rise measured around one dense-path spectrum call, S included, is
+# 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four exact operators at (5, 4) and
+# five gamma and uniform grid kernels), so the check stands 5-17% above it.
+SOLVE_SQUARES = 6
 
 # An eigenfunction value f(y_i) = phi_i / sqrt(mass_i) is written as 0 where
 # mass_i is below this fraction of the largest mass: there the roundoff of the
@@ -139,17 +142,64 @@ SPECTRUM_HEAD = 8
 THETA_ROUNDOFF = 1e-12
 
 
+@dataclass(frozen=True)
+class KernelFactor:
+    """The factor B = diag(dy) T diag(ds), T[i, k] = p_t[k - i], applied from its O(N) data.
+
+    ``B @ z`` is dy * correlate(ds * z, p_t, "valid") and ``B.T @ x`` is
+    ds * convolve(dy * x, p_t); a 2-D input is applied column by column.
+    Direct, not FFT, for the reason ``trace_T`` gives. ``nbytes`` counts the
+    three vectors it holds.
+    """
+
+    dy: NDArray[np.float64]
+    p_t: NDArray[np.float64]
+    ds: NDArray[np.float64]
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        ny, ns = len(self.dy), len(self.ds)
+        return (ns, ny) if self.transposed else (ny, ns)
+
+    @property
+    def nbytes(self) -> int:
+        return self.dy.nbytes + self.p_t.nbytes + self.ds.nbytes
+
+    @property
+    def T(self) -> KernelFactor:
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, z) -> NDArray[np.float64]:
+        z = np.asarray(z, dtype=float)
+        rows, cols = self.shape
+        if z.ndim not in (1, 2) or len(z) != cols:
+            raise ValueError(f"cannot apply a {rows} x {cols} kernel factor to an array of shape {z.shape}")
+        if z.ndim == 1:
+            return self._apply(z)
+        out = np.empty((rows, z.shape[1]))
+        for j in range(z.shape[1]):
+            out[:, j] = self._apply(z[:, j])
+        return out
+
+    def _apply(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
+        if self.transposed:
+            return self.ds * np.convolve(self.dy * z, self.p_t)
+        return self.dy * np.correlate(self.ds * z, self.p_t, "valid")
+
+
 @dataclass
 class ConditionalKernel:
     """Discretized kernel linking the S_m grid (rows) to the S_n grid (columns).
 
     Holds O(N) data only: the three laws and the factors ``dy`` = sqrt(w_y p_m)
     and ``ds`` = sqrt(w_s / p_n), 0 on masked columns. ``table[i, k]`` =
-    p_{S_{n-m}}(s_k - y_i) is a read-only Toeplitz view over p_t, and the dense
-    factor ``B`` = dy table ds is built on first read (memory-checked) and kept.
-    The Gram matrix of a block of B's rows is formed from that block
-    (``gram``); its diagonal and single rows come from correlations against
-    p_t alone (``gram_diag``, ``gram_row``).
+    p_{S_{n-m}}(s_k - y_i) is a read-only Toeplitz view over p_t, and the
+    factor ``B`` = dy table ds is a ``KernelFactor``, applied by correlations
+    against p_t and never stored as an array. The Gram matrix of a block of
+    B's rows is formed from that block (``gram``); its diagonal and single
+    rows come from correlations against p_t alone (``gram_diag``,
+    ``gram_row``).
     """
 
     summand: GridDensity  # law of S_m, the y-grid
@@ -169,21 +219,18 @@ class ConditionalKernel:
         padded = np.concatenate((pad, self.partial.values, pad))
         return np.lib.stride_tricks.sliding_window_view(padded, len(self.ds))[::-1]
 
-    @cached_property
-    def B(self) -> NDArray[np.float64]:
-        self._check_memory(f"a dense {len(self.dy)} x {len(self.ds)} matrix", 8 * len(self.dy) * len(self.ds))
-        B = self.dy[:, None] * self.table
-        B *= self.ds
-        return B
+    @property
+    def B(self) -> KernelFactor:
+        return KernelFactor(self.dy, self.partial.values, self.ds)
 
     def support_block(self, rows: slice) -> NDArray[np.float64]:
-        """``B[rows, cols]`` as a C-contiguous array, without building B.
+        """The block ``B[rows, cols]`` of B = dy table ds as a C-contiguous array.
 
         ``cols`` is the hull of the columns those rows touch: k is touched
         when ds_k != 0 and p_t(s_k - y_i) dy_i != 0 for some row i, which the
-        convolution of the two non-zero patterns counts exactly. The values
-        are B's elementwise products, so they equal B's bit for bit. Checked
-        with room for the h x h Gram matrix ``gram`` forms from it.
+        convolution of the two non-zero patterns counts exactly. The entries
+        are the elementwise products dy_i table[i, k] ds_k. Checked with room
+        for the h x h Gram matrix ``gram`` forms from it.
         """
         hits = _fft_convolve((self.dy[rows] > 0).astype(float), (self.partial.values > 0).astype(float))
         touched = (hits > 0.5) & (self.ds[rows.start : rows.start + len(hits)] != 0)
@@ -228,8 +275,14 @@ class ConditionalKernel:
 
     @property
     def health(self) -> dict:
-        """Numerical health signals a spectrum of this kernel reports."""
-        return {"row_sum_err": self.row_sum_err, "masked_mass": self.masked_mass}
+        """Numerical health signals a spectrum of this kernel reports, p_{S_n}'s density signals included."""
+        return {
+            "row_sum_err": self.row_sum_err,
+            "masked_mass": self.masked_mass,
+            "truncated_mass": self.total.truncated_mass,
+            "clamped_mass": self.total.clamped_mass,
+            "warnings": list(self.total.warnings),
+        }
 
 
 @dataclass
@@ -654,10 +707,10 @@ def _eigensystem(
     h doubles are checked first. A grid kernel is probed on the diagonal and
     rows of its Gram matrix computed without it (``gram_diag``, ``gram_row``):
     when that certifies the block numerically low-rank, the r x r core is all
-    that is solved. Otherwise the Gram matrix is formed, the solve's
-    SOLVE_SQUARES h^2 is checked against the memory left, and ``_eigh_psd``
-    solves it: with all h eigenvalues for a grid kernel, with the Krylov
-    ``budget`` for an exact operator. One zero eigenvalue per row outside
+    that is solved. Otherwise the solve's SOLVE_SQUARES h^2, S included, is
+    checked against the memory left before the Gram matrix is formed, and
+    ``_eigh_psd`` solves it: with all h eigenvalues for a grid kernel, with
+    the Krylov ``budget`` for an exact operator. One zero eigenvalue per row outside
     the block goes at the tail and the eigenvectors are 0 on those rows, so
     the result is that of the full matrix; on the low-rank path the h - r
     smallest eigenvalues are exact zeros as well, and the low-rank, ritz and
@@ -682,8 +735,8 @@ def _eigensystem(
     if core is not None:
         (lam, phi), solver = core, "low-rank"
     else:
-        S = op.gram(rows)
         op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
+        S = op.gram(rows)
         lam, phi, solver, record = _eigh_psd(S, top, grid, budget)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
@@ -729,7 +782,7 @@ def _eigensystem(
 
 
 def spectrum(kernel: ConditionalKernel) -> SpectrumResult:
-    """Dense eigensolve of the Gram matrix with trivial-mode classification.
+    """Eigensolve of the kernel's Gram matrix with trivial-mode classification (``_eigensystem``).
 
     The top SPECTRUM_HEAD eigenfunctions are kept; they are orthonormal under
     sum w_i p_m(y_i) f(y_i) g(y_i).

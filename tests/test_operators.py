@@ -1,5 +1,7 @@
 """Conditional-expectation kernels: spectra, adjointness, trace, trivial modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,11 @@ CFG = GridConfig(node_count=1024)
 def _gaussian_kernel(n=2, m=1, cfg=CFG):
     d = build_density(DistributionSpec.gaussian(1.0), cfg)
     return build_kernel(d, n, m, cfg)
+
+
+def _dense_B(kern):
+    """The dense factor dy table ds: the reference for the operator ``kern.B``."""
+    return kern.dy[:, None] * kern.table * kern.ds
 
 
 def test_gaussian_spectrum_geometric():
@@ -88,7 +95,7 @@ def test_apply_c_contracts_linear():
 
 
 def test_gram_matrix_symmetric_psd():
-    g = gram_matrix(_gaussian_kernel().B)
+    g = gram_matrix(_dense_B(_gaussian_kernel()))
     assert np.abs(g - g.T).max() <= 1e-12
     w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-10
@@ -104,7 +111,7 @@ def test_trace_gaussian():
 def test_trace_matches_eigenvalue_sum():
     kern = _gaussian_kernel()
     tr = trace_T(kern)
-    lam = np.linalg.eigvalsh(gram_matrix(kern.B))
+    lam = np.linalg.eigvalsh(gram_matrix(_dense_B(kern)))
     assert abs(tr.value - lam.sum()) <= 1e-8
 
 
@@ -178,7 +185,7 @@ def test_support_block_solve_matches_full_eigh(spec, n, m):
     assert (mass == 0).sum() > 0  # the case has zero-mass rows to deflate
     sp = spectrum(kern)
 
-    lam, phi = np.linalg.eigh(gram_matrix(kern.B))
+    lam, phi = np.linalg.eigh(gram_matrix(_dense_B(kern)))
     lam, phi = np.clip(lam[::-1], 0.0, 1.0), phi[:, ::-1]
     assert len(sp.eigenvalues) == ny
     assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
@@ -204,7 +211,8 @@ def test_support_block_solve_matches_full_eigh(spec, n, m):
 def _block_gram(op, mass):
     """The support-block Gram matrix ``_eigensystem`` solves."""
     rows = operators._hull(mass > 0)
-    return gram_matrix(op.B[rows, operators._hull(op.B[rows].any(axis=0))])
+    B = _dense_B(op)
+    return gram_matrix(B[rows, operators._hull(B[rows].any(axis=0))])
 
 
 def test_low_rank_factor_bounds_the_spectrum():
@@ -245,7 +253,7 @@ def test_certified_low_rank_solve_matches_eigh(n, m):
     assert nonzero < h // 4
     assert not sp.eigenvalues[nonzero:].any()  # the tail is exact zeros
 
-    lam, phi = np.linalg.eigh(gram_matrix(kern.B))
+    lam, phi = np.linalg.eigh(gram_matrix(_dense_B(kern)))
     lam, phi = np.clip(lam[::-1], 0.0, 1.0), phi[:, ::-1]
     assert len(sp.eigenvalues) == len(lam)
     assert np.abs(sp.eigenvalues - lam).max() <= 1e-13
@@ -403,7 +411,8 @@ def test_support_block_is_the_contiguous_slice_of_B():
         rows = operators._hull(kern.summand.values > 0)
         block = kern.support_block(rows)
         assert block.flags.c_contiguous
-        assert np.array_equal(block, kern.B[rows, operators._hull(kern.B[rows].any(axis=0))])
+        B = _dense_B(kern)
+        assert np.array_equal(block, B[rows, operators._hull(B[rows].any(axis=0))])
         S = gram_matrix(block)
         assert np.array_equal(S, S.T)
 
@@ -483,11 +492,83 @@ def test_rank_probe_memory_is_checked_before_the_probe(monkeypatch):
         spectrum(kern)
 
 
-def test_build_kernel_refuses_grid_larger_than_memory(monkeypatch):
-    monkeypatch.setattr(operators, "_available_bytes", lambda: 1 << 20)
-    d = build_density(DistributionSpec.gaussian(1.0), CFG)
-    with pytest.raises(ValueError, match="too large for memory"):
-        build_kernel(d, 2, 1, CFG).B
+def test_eigen_residual_through_the_factor_runs_in_linear_memory(monkeypatch):
+    """At 8192 nodes in 64 MiB, the top eigenpairs of ``spectrum`` satisfy ||B (B^T phi) - lambda phi|| <= 1e-9.
+
+    The dense factor there is 8192 x 16383, about 1.07 GB.
+    """
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 64 << 20)
+    cfg = GridConfig(node_count=8192)
+    kern = build_kernel(build_density(DistributionSpec.gaussian(1.0), cfg), 2, 1, cfg)
+    sp = spectrum(kern)
+    wy = kern.summand.weights() * kern.summand.values
+    phi = (sp.eigenfunctions * np.sqrt(wy)).T
+    B = kern.B
+    assert B.shape == (len(kern.dy), len(kern.ds)) and B.nbytes < 64 * len(kern.ds)
+    resid = np.linalg.norm(B @ (B.T @ phi) - phi * sp.eigenvalues[: phi.shape[1]], axis=0)
+    assert resid.max() <= 1e-9
+
+
+FACTOR_CASES = [
+    (DistributionSpec.gamma(4.0), 3, 2),
+    (DistributionSpec.uniform(-1.0, 1.0), 4, 3),
+]
+
+
+@pytest.mark.parametrize("spec,n,m", FACTOR_CASES, ids=["gamma-3-2", "uniform-4-3"])
+def test_kernel_factor_matches_the_dense_factor(spec, n, m):
+    """B @ z and B.T @ x equal the dense dy table ds products to 1e-14 relative, for 1-D and 8-column inputs."""
+    cfg = GridConfig(node_count=512)
+    kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+    if spec.family == "uniform":
+        assert not (kern.ds > 0).all()  # masked columns are 0 in ds
+    B, dense = kern.B, _dense_B(kern)
+    assert B.shape == dense.shape and B.T.shape == dense.T.shape
+    assert B.nbytes == kern.dy.nbytes + kern.partial.values.nbytes + kern.ds.nbytes
+    rng = np.random.default_rng(11)
+    Z = rng.standard_normal((dense.shape[1], 8))
+    X = rng.standard_normal((dense.shape[0], 8))
+    for op, ref, v in ((B, dense, Z), (B.T, dense.T, X), (B.T.T, dense, Z)):
+        for arg in (v, v[:, 0], v[:, ::2]):
+            want = ref @ arg
+            got = op @ arg
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    with pytest.raises(ValueError, match="kernel factor"):
+        B @ X
+
+
+def test_kernel_factor_allocates_linear_memory():
+    """B (B^T V) on 8 columns at (1024, 4, 3) allocates under 2 MB; the dense factor there takes about 96 MB."""
+    kern = _gaussian_kernel(4, 3)
+    ny, ns = len(kern.dy), len(kern.ds)
+    V = np.random.default_rng(2).standard_normal((ny, 8))
+    tracemalloc.start()
+    try:
+        B = kern.B
+        B @ (B.T @ V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * ny * ns > 90e6
+    assert peak < 2e6
+
+
+def test_refused_grid_solve_never_forms_the_gram_matrix(monkeypatch):
+    """A block the matrix-free probe does not certify is refused on the eigensolve's memory before ``gram`` runs."""
+    cfg = GridConfig(node_count=512)
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg), 3, 2, cfg)
+    h = np.count_nonzero(kern.summand.values > 0)
+
+    def refuse(self, rows):
+        raise AssertionError("the Gram matrix was formed")
+
+    probe = 8 * operators.PROBE_COPIES * operators.RANK_PROBE_MAX * h
+    assert probe < 8 * operators.SOLVE_SQUARES * h * h
+    monkeypatch.setattr(operators.ConditionalKernel, "gram", refuse)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: probe)
+    with pytest.raises(ValueError, match="too large for memory.*eigensolve"):
+        spectrum(kern)
 
 
 def _fake_reads(monkeypatch, files):
@@ -549,7 +630,7 @@ def test_convolution_consumers_match_dense_kernel(monkeypatch, spec, n, m):
         row_sum_err = kern.row_sum_err
     assert "B" not in vars(kern)
 
-    B, table = kern.B, kern.table
+    B, table = _dense_B(kern), kern.table
     wy, ws = kern.summand.weights(), kern.total.weights()
     live = kern.ds > 0
     ref_tr = float((B * B).sum())

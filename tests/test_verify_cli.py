@@ -176,7 +176,7 @@ def test_cli_theta_and_spectrum_diagnostics_are_the_library_theta(args, capsys):
         health = {"support_size"}
     else:
         th = theta(build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=512), n_hint=3), 3, 2)
-        health = {"row_sum_err", "masked_mass"}
+        health = {"row_sum_err", "masked_mass", "truncated_mass", "clamped_mass", "warnings"}
     assert health <= th.diagnostics.keys()
     for cmd in ("theta", "spectrum"):
         assert run([cmd, *args]) == 0
