@@ -9,7 +9,7 @@ hosts the Efron-Stein (ANOVA) decomposition of functions of a sum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -41,14 +41,19 @@ _EXACT_REMEDY = "use fewer atoms or a smaller n"
 
 @dataclass(frozen=True)
 class DiscretePMF:
+    """A pmf on ascending atoms; equality and hashing read the two tuples, ``arrays()`` their read-only float copies."""
+
     atoms: tuple[float, ...]
     probs: tuple[float, ...]
+    _arrays: tuple[NDArray[np.float64], NDArray[np.float64]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.atoms) != len(self.probs) or not self.atoms:
             raise ValueError("atoms and probs must be nonempty and equal length")
-        a = np.asarray(self.atoms, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
+        a = np.array(self.atoms, dtype=float)
+        p = np.array(self.probs, dtype=float)
+        a.flags.writeable = p.flags.writeable = False
+        object.__setattr__(self, "_arrays", (a, p))
         if (np.diff(a) <= _atom_tol(a)).any():
             raise ValueError("atoms must be ascending and separated by more than the coalescing tolerance")
         if (p <= 0).any():
@@ -67,7 +72,8 @@ class DiscretePMF:
         return cls(tuple(a[order]), tuple(p[order]))
 
     def arrays(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        return np.asarray(self.atoms, dtype=float), np.asarray(self.probs, dtype=float)
+        """The atoms and probabilities as read-only float arrays, built once at construction."""
+        return self._arrays
 
     def mean(self) -> float:
         a, p = self.arrays()
@@ -211,8 +217,8 @@ class ExactOperator:
         """Numerical health signals a spectrum of this operator reports."""
         return {"support_size": len(self.summand.atoms)}
 
-    def gram(self, rows: slice) -> NDArray[np.float64]:
-        """The Gram matrix ``B[rows] @ B[rows].T``, built from the pairs.
+    def gram(self, rows: slice, avail: int | None = None) -> NDArray[np.float64]:
+        """The Gram matrix ``B[rows] @ B[rows].T``, built from the pairs, its memory checked against ``avail``.
 
         Column k of B adds b_a b_b to S[a, b] for every two rows a, b it holds,
         so the P = sum_k c_k^2 products (c_k the rows in column k) are all of
@@ -231,13 +237,13 @@ class ExactOperator:
         cols = _hull(counts > 0)
         c = cols.stop - cols.start
         if pairs > h * c:
-            self._check_memory(f"a {h} x {c} support block and its Gram matrix", 8 * h * (c + h))
+            self._check_memory(f"a {h} x {c} support block and its Gram matrix", 8 * h * (c + h), avail)
             block = np.zeros((h, c))
             block[np.arange(h)[:, None], index - cols.start] = values
             return gram_matrix(block)
 
         # five pair-sized arrays are alive at once, then S
-        self._check_memory(f"{pairs} column-sharing pairs and a {h} x {h} Gram matrix", 8 * (5 * pairs + h * h))
+        self._check_memory(f"{pairs} column-sharing pairs and a {h} x {h} Gram matrix", 8 * (5 * pairs + h * h), avail)
         order = np.argsort(index, axis=None, kind="stable")
         col = index.ravel()[order]
         row, val = order // index.shape[1], values.ravel()[order]
@@ -256,8 +262,8 @@ class ExactOperator:
         del left, right
         return np.bincount(flat, weights=weight, minlength=h * h).reshape(h, h)
 
-    def _check_memory(self, part: str, need: int) -> None:
-        _check_memory("exact operator", self.n, self.m, part, need, _EXACT_REMEDY)
+    def _check_memory(self, part: str, need: int, avail: int | None = None) -> None:
+        _check_memory("exact operator", self.n, self.m, part, need, _EXACT_REMEDY, avail)
 
 
 def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:

@@ -25,14 +25,14 @@ One pivoted Cholesky probe reads diag(S) and a few of its rows. A grid kernel
 gives both by direct correlations against p_{S_{n-m}}, without B or S: when
 the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
 (m/n)^k), only its r x r core is diagonalized and nothing N^2-sized exists.
-Otherwise the operator forms S (a grid kernel from the support block of B,
-an exact operator from its non-zero pairs, discrete.py) and the probe runs
-on its rows. Grid and exact blocks then share one block Krylov solve for
-the top K eigenpairs. On a grid block all eigenvalues come from eigvalsh and
-the Krylov pairs are kept where their values match it (gamma summands). An
-exact operator whose sums never coincide keeps them under a Cholesky
-certificate that no eigenvalue past them was missed, and returns only those
-K. The dense eigh solves the rest.
+Otherwise the operator forms S (a grid kernel tile by tile from strips of
+B's rows, an exact operator from its non-zero pairs, discrete.py) and the
+probe runs on its rows. Grid and exact blocks then share one block Krylov
+solve for the top K eigenpairs. On a grid block all eigenvalues come from
+eigvalsh and the Krylov pairs are kept where their values match it (gamma
+summands). An exact operator whose sums never coincide keeps them under a
+Cholesky certificate that no eigenvalue past them was missed, and returns
+only those K. The dense eigh solves the rest.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .densities import DENSITY_FLOOR, GridConfig, GridDensity, GridFunction, _fft_convolve, convolve, convolve_self
+from .densities import DENSITY_FLOOR, GridConfig, GridDensity, GridFunction, convolve, convolve_self
 
 __all__ = [
     "ConditionalKernel",
@@ -116,11 +116,19 @@ RITZ_RESID_TOL = 32 * np.finfo(float).eps
 KRYLOV_MAX_FRACTION = 0.25
 CHOLESKY_BLOCK = 64
 
+# A grid kernel writes its Gram matrix tile by tile from strips of B's rows
+# (``ConditionalKernel.gram``), GRAM_STRIP rows each. Measured on four gamma
+# blocks of h = 597 to 2217 rows (2-vCPU SkylakeX, OpenBLAS, 2 threads), 256
+# took 6.6 to 76 ms, 128 5.5 to 83 ms (45 against 32 ms at h = 1248), 512 6.2
+# to 89 ms and 64 up to 1.7 times as long as 256; one product of the whole
+# h x c support block of B took 6.8 to 207 ms.
+GRAM_STRIP = 256
+
 # Past the rank probe, the eigensolve needs about 8 SOLVE_SQUARES h^2 bytes on
 # its worst (dense eigh) path: the h x h Gram matrix S, eigh's copy of S, its
 # 2 h^2 workspace, its eigenvectors and the reversed copy of those. It is
-# checked before S is formed, so a refused solve pays no Gram product (a grid
-# support block has its own check and is freed before the solve). The
+# checked before S is formed, so a refused solve pays no Gram product (the
+# grid Gram's two row strips are checked with S, freed before the solve). The
 # peak-RSS rise measured around one dense-path spectrum call, S included, is
 # 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four exact operators at (5, 4) and
 # five gamma and uniform grid kernels), so the check stands 5-17% above it.
@@ -197,9 +205,9 @@ class ConditionalKernel:
     p_{S_{n-m}}(s_k - y_i) is a read-only Toeplitz view over p_t, and the
     factor ``B`` = dy table ds is a ``KernelFactor``, applied by correlations
     against p_t and never stored as an array. The Gram matrix of a block of
-    B's rows is formed from that block (``gram``); its diagonal and single
-    rows come from correlations against p_t alone (``gram_diag``,
-    ``gram_row``).
+    B's rows is written tile by tile from strips of those rows (``gram``);
+    its diagonal and single rows come from correlations against p_t alone
+    (``gram_diag``, ``gram_row``).
     """
 
     summand: GridDensity  # law of S_m, the y-grid
@@ -223,36 +231,55 @@ class ConditionalKernel:
     def B(self) -> KernelFactor:
         return KernelFactor(self.dy, self.partial.values, self.ds)
 
-    def support_block(self, rows: slice) -> NDArray[np.float64]:
-        """The block ``B[rows, cols]`` of B = dy table ds as a C-contiguous array.
+    def gram(self, rows: slice, avail: int | None = None) -> NDArray[np.float64]:
+        """The Gram matrix S = B[rows] B[rows]^T, written tile by tile from strips of GRAM_STRIP rows.
 
-        ``cols`` is the hull of the columns those rows touch: k is touched
-        when ds_k != 0 and p_t(s_k - y_i) dy_i != 0 for some row i, which the
-        convolution of the two non-zero patterns counts exactly. The entries
-        are the elementwise products dy_i table[i, k] ds_k. Checked with room
-        for the h x h Gram matrix ``gram`` forms from it.
+        With [t0, t1) the positive span of p_t, row i of B is 0 outside the
+        columns [i + t0, i + t1), so the strip of rows [a, b) is the
+        C-contiguous array of the elementwise products dy_i table[i, k] ds_k
+        over its columns [a + t0, b - 1 + t1) alone. Its diagonal tile is the
+        strip times its transpose (numpy's syrk, which mirrors the triangle);
+        against each later strip, one gemm over the columns the two share
+        gives the tile above the diagonal, and its transpose the tile below,
+        so S is exactly symmetric. Both products write into S. S is banded:
+        S[i, j] = 0 once |i - j| >= t1 - t0, and strips that share no column
+        leave their tiles 0. Checked for S and two strips against ``avail``
+        (``_check_memory``); no h x c block of B exists.
         """
-        hits = _fft_convolve((self.dy[rows] > 0).astype(float), (self.partial.values > 0).astype(float))
-        touched = (hits > 0.5) & (self.ds[rows.start : rows.start + len(hits)] != 0)
-        span = _hull(touched)
-        cols = slice(rows.start + span.start, rows.start + span.stop)
-        h, c = rows.stop - rows.start, cols.stop - cols.start
-        self._check_memory(f"a {h} x {c} support block and its Gram matrix", 8 * h * (c + h))
-        block = self.dy[rows, None] * self.table[rows, cols]
-        block *= self.ds[cols]
-        return block
+        table = self.table
+        span = _hull(self.partial.values > 0)
+        width = span.stop - span.start  # columns one row touches
+        r0, h = rows.start, rows.stop - rows.start
+        nb = min(GRAM_STRIP, h)
+        self._check_memory(
+            f"a {h} x {h} Gram matrix and two {nb}-row strips", 8 * (h * h + 2 * nb * (nb + width - 1)), avail
+        )
 
-    def gram(self, rows: slice) -> NDArray[np.float64]:
-        """The Gram matrix of the support block on ``rows``; the block is freed on return."""
-        return gram_matrix(self.support_block(rows))
+        def strip(a: int, b: int, lo: int, hi: int) -> NDArray[np.float64]:
+            block = self.dy[a:b, None] * table[a:b, lo:hi]
+            block *= self.ds[lo:hi]
+            return block
+
+        S = np.zeros((h, h))
+        for a in range(r0, rows.stop, nb):
+            b = min(a + nb, rows.stop)
+            top = strip(a, b, a + span.start, b - 1 + span.stop)
+            np.matmul(top, top.T, out=S[a - r0 : b - r0, a - r0 : b - r0])
+            for c in range(b, min(rows.stop, b - 1 + width), nb):  # later strips that share a column
+                d = min(c + nb, rows.stop)
+                lo, hi = c + span.start, b - 1 + span.stop
+                tile = S[a - r0 : b - r0, c - r0 : d - r0]
+                np.matmul(top[:, c - a :], strip(c, d, lo, hi).T, out=tile)
+                S[c - r0 : d - r0, a - r0 : b - r0] = tile.T
+        return S
 
     def gram_diag(self, rows: slice) -> NDArray[np.float64]:
-        """The diagonal of ``gram(rows)`` without the block: dy_i^2 (ds^2 * p_t^2)_i, ``trace_T``'s correlate."""
+        """The diagonal of ``gram(rows)`` without S: dy_i^2 (ds^2 * p_t^2)_i, ``trace_T``'s correlate."""
         p_t = self.partial.values
         return self.dy[rows] ** 2 * np.correlate(self.ds[rows.start : rows.stop + len(p_t) - 1] ** 2, p_t**2, "valid")
 
     def gram_row(self, rows: slice, p: int) -> NDArray[np.float64]:
-        """Row ``p`` of ``gram(rows)`` without the block, by one direct correlation with p_t.
+        """Row ``p`` of ``gram(rows)`` without S, by one direct correlation with p_t.
 
         For the kernel row P = rows.start + p, S[P, P + l] = dy_P dy_{P+l}
         sum_j ds^2_{P+j} p_t[j] p_t[j - l]. It is computed for the lags l
@@ -270,8 +297,8 @@ class ConditionalKernel:
         out[p + lo : p + hi] = self.dy[P] * self.dy[P + lo : P + hi] * np.correlate(x, p_t, "valid")
         return out
 
-    def _check_memory(self, part: str, need: int) -> None:
-        _check_memory("grid", self.n, self.m, part, need, "use fewer grid nodes (--nodes)")
+    def _check_memory(self, part: str, need: int, avail: int | None = None) -> None:
+        _check_memory("grid", self.n, self.m, part, need, "use fewer grid nodes (--nodes)", avail)
 
     @property
     def health(self) -> dict:
@@ -352,9 +379,14 @@ def _available_bytes() -> int | None:
     return avail
 
 
-def _check_memory(what: str, n: int, m: int, part: str, need: int, remedy: str) -> None:
-    """Refuse, before allocating, ``need`` bytes for ``part`` of an (n, m) operator beyond what is available."""
-    avail = _available_bytes()
+def _check_memory(what: str, n: int, m: int, part: str, need: int, remedy: str, avail: int | None = None) -> None:
+    """Refuse, before allocating, ``need`` bytes for ``part`` of an (n, m) operator beyond what is available.
+
+    ``avail`` is a reading of ``_available_bytes`` the caller took for
+    several checks; without one the memory left is read here.
+    """
+    if avail is None:
+        avail = _available_bytes()
     if avail is not None and need > avail:
         raise ValueError(
             f"{what} too large for memory: (n, m) = ({n}, {m}) needs about {need / 2**30:.2f} GiB for {part}, "
@@ -412,11 +444,12 @@ def build_kernel(base: GridDensity, n: int, m: int = 1, cfg: GridConfig | None =
 def gram_matrix(B: NDArray[np.float64]) -> NDArray[np.float64]:
     """Symmetrized discretization of C*C (similar transform, same spectrum) from a factor ``B``.
 
-    The grid spectrum passes its support block, the exact one a dense block
-    where its sum-index pairs pile up, and the rank probe its factor L and
-    the triangle R of L^T's QR, whose Gram matrices are the small cores the
-    solve reads. numpy computes ``B @ B.T`` of a C-contiguous B with syrk and
-    mirrors the triangle, so S is exactly symmetric.
+    The exact spectrum passes a dense block where its sum-index pairs pile
+    up, and the rank probe its factor L and the triangle R of L^T's QR,
+    whose Gram matrices are the small cores the solve reads; the grid Gram
+    writes the same product tile by tile (``ConditionalKernel.gram``).
+    numpy computes ``B @ B.T`` of a C-contiguous B with syrk and mirrors the
+    triangle, so S is exactly symmetric.
     """
     return B @ B.T
 
@@ -697,14 +730,17 @@ def _eigensystem(
     """Eigensolve of the Gram matrix B B^T of ``op`` with trivial-mode classification.
 
     ``op`` is any operator that gives the Gram matrix of the rows ``rows`` of
-    its symmetrizing factor ``B`` (``gram(rows)``), checks memory
-    (``_check_memory``) and carries its ``n``, ``m`` and ``health``: the grid
-    kernel (the Gram of its support block) or the exact operator (scattered
-    from its sum-index pairs, or the block product where they pile up).
+    its symmetrizing factor ``B`` (``gram(rows, avail)``), checks memory
+    (``_check_memory(part, need, avail)``) and carries its ``n``, ``m`` and
+    ``health``: the grid kernel (written tile by tile from strips of its
+    rows) or the exact operator (scattered from its sum-index pairs, or the
+    block product where they pile up).
     ``mass`` is the quadrature mass of the S_m law at ``nodes``. A row of
     ``B`` with zero mass is zero, hence an exact null mode, so only the rows
-    spanning ``mass > 0`` are solved. The probe's PROBE_COPIES RANK_PROBE_MAX
-    h doubles are checked first. A grid kernel is probed on the diagonal and
+    spanning ``mass > 0`` are solved. Every memory check of the call (the
+    probe, the solve, the Gram matrix) measures against one reading of the
+    memory left, ``avail``. The probe's PROBE_COPIES RANK_PROBE_MAX h
+    doubles are checked first. A grid kernel is probed on the diagonal and
     rows of its Gram matrix computed without it (``gram_diag``, ``gram_row``):
     when that certifies the block numerically low-rank, the r x r core is all
     that is solved. Otherwise the solve's SOLVE_SQUARES h^2, S included, is
@@ -728,15 +764,16 @@ def _eigensystem(
     rows = _hull(mass > 0)
     h = rows.stop - rows.start
     top = min(top, len(nodes))
-    op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h)
+    avail = _available_bytes()
+    op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h, avail)
     grid = isinstance(op, ConditionalKernel)
     core = _probe_kernel(op, rows) if grid else None
     record: dict = {}
     if core is not None:
         (lam, phi), solver = core, "low-rank"
     else:
-        op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h)
-        S = op.gram(rows)
+        op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h, avail)
+        S = op.gram(rows, avail)
         lam, phi, solver, record = _eigh_psd(S, top, grid, budget)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])

@@ -49,6 +49,28 @@ def test_pmf_validation():
         DiscretePMF((0.0, 0.0), (0.5, 0.5))
 
 
+def test_pmf_arrays_are_built_once_and_read_only():
+    """``arrays()`` returns the same read-only float pair on every call; equality and hashing read the tuples."""
+    a, p = SKEW3.arrays()
+    assert SKEW3.arrays()[0] is a and SKEW3.arrays()[1] is p
+    assert a.dtype == p.dtype == np.float64
+    assert not a.flags.writeable and not p.flags.writeable
+    assert np.array_equal(a, SKEW3.atoms) and np.array_equal(p, SKEW3.probs)
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 1.0
+    twin = DiscretePMF((0.0, 1.0, 3.0), (0.5, 0.3, 0.2))
+    assert twin == SKEW3 and hash(twin) == hash(SKEW3) and twin.arrays()[0] is not a
+    assert repr(twin) == "DiscretePMF(atoms=(0.0, 1.0, 3.0), probs=(0.5, 0.3, 0.2))"
+
+
+def test_exact_spectrum_reads_the_memory_left_twice(monkeypatch):
+    """One reading for the operator's pairs and one for the whole solve (the probe, the solve, the scattered Gram)."""
+    reads, available = [], operators._available_bytes
+    monkeypatch.setattr(operators, "_available_bytes", lambda: reads.append(1) or available())
+    exact_spectrum(NONLATTICE12, 5, 4)
+    assert len(reads) == 2
+
+
 def test_pmf_power_binomial():
     p2 = pmf_power(DiscretePMF((0.0, 1.0), (0.5, 0.5)), 2)
     atoms, probs = p2.arrays()

@@ -403,18 +403,56 @@ def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
     assert np.array_equal(lam, np.linalg.eigh(S)[0])
 
 
-def test_support_block_is_the_contiguous_slice_of_B():
-    """The kernel builds the support block from dy, table and ds with B's bytes, and its Gram matrix is exactly symmetric."""
-    for spec, n, m in BLOCK_CASES:
-        cfg = GridConfig(node_count=512)
-        kern = build_kernel(build_density(spec, cfg), n, m, cfg)
-        rows = operators._hull(kern.summand.values > 0)
-        block = kern.support_block(rows)
-        assert block.flags.c_contiguous
-        B = _dense_B(kern)
-        assert np.array_equal(block, B[rows, operators._hull(B[rows].any(axis=0))])
-        S = gram_matrix(block)
-        assert np.array_equal(S, S.T)
+GRAM_CASES = [(spec, n, m, 512) for spec, n, m in BLOCK_CASES] + [
+    (DistributionSpec.uniform(-1.0, 1.0), 4, 3, 512),  # h = 220, one strip shorter than GRAM_STRIP
+    (DistributionSpec.gamma(4.0), 3, 2, 1024),  # h = 1141, five strips, the last 117 rows
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n,m,nodes", GRAM_CASES, ids=["gamma-2-1", "gaussian-3-2", "gaussian-4-3", "uniform-4-3", "gamma-3-2-1024"]
+)
+def test_tiled_gram_matches_the_dense_block_product(spec, n, m, nodes):
+    """``gram`` gives B[rows] B[rows]^T to 1e-14 of its largest entry, exactly symmetric, and exactly 0 off its band."""
+    cfg = GridConfig(node_count=nodes)
+    kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+    rows = operators._hull(kern.summand.values > 0)
+    h = rows.stop - rows.start
+    if spec.family == "uniform":
+        assert h < operators.GRAM_STRIP
+    if nodes == 1024:
+        assert h > 4 * operators.GRAM_STRIP and h % operators.GRAM_STRIP
+    B = _dense_B(kern)[rows]
+    ref = B @ B.T
+    S = kern.gram(rows)
+    assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(S, S.T)
+    span = operators._hull(kern.partial.values > 0)
+    lag = np.abs(np.subtract.outer(np.arange(h), np.arange(h)))
+    assert not S[lag >= span.stop - span.start].any()
+    if nodes == 1024:
+        assert (lag >= span.stop - span.start).sum() > h * h // 10  # the band leaves a tenth of S out
+
+
+def test_tiled_gram_allocates_only_the_matrix_and_two_strips():
+    """Gamma beta = 4 at (3, 2) on 1024 nodes: ``gram`` peaks below S, two strips and 1 MB; the whole h x c block of
+    B's rows (16 MB) beside S would exceed that."""
+    cfg = GridConfig(node_count=1024)
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg), 3, 2, cfg)
+    rows = operators._hull(kern.summand.values > 0)
+    h = rows.stop - rows.start
+    span = operators._hull(kern.partial.values > 0)
+    width = span.stop - span.start
+    strips = 2 * 8 * operators.GRAM_STRIP * (operators.GRAM_STRIP + width - 1)
+    bound = 8 * h * h + strips + (1 << 20)
+    assert 8 * h * (h + width - 1) > strips + (1 << 20)
+    tracemalloc.start()
+    try:
+        kern.gram(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 MATRIX_FREE_CASES = [
@@ -430,10 +468,10 @@ MATRIX_FREE_CASES = [
     "spec,n,m", MATRIX_FREE_CASES, ids=["gaussian-2-1", "gaussian-3-1", "gaussian-4-1", "gamma-3-2", "uniform-4-3"]
 )
 def test_matrix_free_gram_rows_match_the_block_product(spec, n, m):
-    """gram_diag and gram_row give the support block's Gram matrix without the block.
+    """gram_diag and gram_row give the rows' Gram matrix without forming it.
 
     Compared with the block product in extended precision to 1e-15 of the
-    largest diagonal entry, and with ``gram``'s syrk, whose own rounding
+    largest diagonal entry, and with ``gram``'s tiles, whose own rounding
     reaches about 2e-15 on these blocks, to 4e-15.
     """
     cfg = GridConfig(node_count=512)
@@ -444,7 +482,7 @@ def test_matrix_free_gram_rows_match_the_block_product(spec, n, m):
         assert len(kern.partial.values) > h  # p_t is longer than the hull: lags are cut at both ends
     if spec.family == "uniform":
         assert not (kern.ds > 0).all()  # masked columns are 0 in ds
-    block = kern.support_block(rows).astype(np.longdouble)  # 80-bit on x86-64
+    block = _dense_B(kern)[rows].astype(np.longdouble)  # 80-bit on x86-64
     S = kern.gram(rows)
     scale = S.diagonal().max()
 
@@ -460,15 +498,14 @@ def test_matrix_free_gram_rows_match_the_block_product(spec, n, m):
 def test_low_rank_spectrum_never_forms_the_gram_matrix(monkeypatch):
     """A gaussian block is certified and solved from probe rows alone: 8192 nodes run in 64 MiB.
 
-    Forming the support block there would take about 1.6 GB.
+    Forming the 8192 x 8192 Gram matrix there would take about 537 MB.
     """
     cfg = GridConfig(node_count=8192)
     kern = build_kernel(build_density(DistributionSpec.gaussian(1.0), cfg), 2, 1, cfg)
 
-    def refuse(self, rows):
-        raise AssertionError("the N^2 support block or its Gram matrix was built")
+    def refuse(self, *args):
+        raise AssertionError("the N^2 Gram matrix was built")
 
-    monkeypatch.setattr(operators.ConditionalKernel, "support_block", refuse)
     monkeypatch.setattr(operators.ConditionalKernel, "gram", refuse)
     monkeypatch.setattr(operators, "_available_bytes", lambda: 64 << 20)
     sp = spectrum(kern)
@@ -560,7 +597,7 @@ def test_refused_grid_solve_never_forms_the_gram_matrix(monkeypatch):
     kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg), 3, 2, cfg)
     h = np.count_nonzero(kern.summand.values > 0)
 
-    def refuse(self, rows):
+    def refuse(self, *args):
         raise AssertionError("the Gram matrix was formed")
 
     probe = 8 * operators.PROBE_COPIES * operators.RANK_PROBE_MAX * h
@@ -569,6 +606,20 @@ def test_refused_grid_solve_never_forms_the_gram_matrix(monkeypatch):
     monkeypatch.setattr(operators, "_available_bytes", lambda: probe)
     with pytest.raises(ValueError, match="too large for memory.*eigensolve"):
         spectrum(kern)
+
+
+def test_grid_spectrum_reads_the_memory_left_once(monkeypatch):
+    """The probe's, the solve's and the Gram matrix's checks of one gamma spectrum share one reading."""
+    cfg = GridConfig(node_count=512)
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg), 3, 2, cfg)
+    reads, checks, available, check = [], [], operators._available_bytes, operators._check_memory
+    monkeypatch.setattr(operators, "_available_bytes", lambda: reads.append(1) or available())
+    monkeypatch.setattr(operators, "_check_memory", lambda *args: checks.append(args[3]) or check(*args))
+    assert spectrum(kern).solver == "ritz"
+    assert len(checks) == 3 and "strips" in checks[-1]
+    assert len(reads) == 1
+    check("grid", 3, 2, "a part", 8, "none")  # outside a solve every check reads again
+    assert len(reads) == 2
 
 
 def _fake_reads(monkeypatch, files):
