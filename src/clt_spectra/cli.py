@@ -138,8 +138,9 @@ def _cmd_density(args) -> int:
 
 
 def _spectrum(args):
+    """The spectrum ``theta`` and ``spectrum`` print: only its head is read, so a grid kernel takes the top-K solve."""
     if not args.exact:
-        return spectrum(build_kernel(_base_density(args), args.n, args.m))
+        return spectrum(build_kernel(_base_density(args), args.n, args.m), full=False)
     return exact_spectrum(_exact_pmf(args), args.n, args.m)
 
 

@@ -28,17 +28,20 @@ the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
 Otherwise the operator forms S (a grid kernel tile by tile from strips of
 B's rows, an exact operator from its non-zero pairs, discrete.py) and the
 probe runs on its rows. Grid and exact blocks then share one block Krylov
-solve for the top K eigenpairs. On a grid block all eigenvalues come from
-eigvalsh and the Krylov pairs are kept where their values match it (gamma
-summands). An exact operator whose sums never coincide keeps them under a
-Cholesky certificate that no eigenvalue past them was missed, and returns
-only those K. The dense eigh solves the rest.
+solve for the top K eigenpairs, kept under a Cholesky certificate that no
+eigenvalue past them was missed, and return only those K: every grid block
+whose head alone is read (theta, the CLI, all but one battery pair) and an
+exact operator whose sums never coincide. A grid spectrum asked for all its
+eigenvalues (``spectrum``'s default, for callers that sum or count them)
+takes them from eigvalsh and keeps the Krylov pairs where their values match
+it. The dense eigh solves the rest.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,7 +106,8 @@ PROBE_WINDOW = 8
 # itself reaches (about 6 eps on the grid blocks). An exact operator whose
 # sums never coincide names a budget of m + 1 blocks of width columns
 # (discrete._krylov_budget); a grid block is as wide as the ``_ritz_count``
-# of its eigvalsh spectrum plus the guard and takes as many blocks as fit.
+# of the probe's core spectrum (of its eigvalsh spectrum, where every
+# eigenvalue is asked for) plus the guard and takes as many blocks as fit.
 # The solve runs where the blocks are at most KRYLOV_MAX_FRACTION of the h
 # rows. Measured against eigh after the probe (2-vCPU SkylakeX, OpenBLAS, 2
 # threads, generic laws of 8 to 20 atoms, h = 120 to 1365): budgets of 0.06
@@ -325,9 +329,9 @@ class SpectrumResult:
     clamp_magnitude: float
     n: int
     m: int
-    solver: str = "dense"  # "low-rank", "ritz" (grid), "krylov" (exact) or "dense" (see _eigh_psd)
+    solver: str = "dense"  # "low-rank", "ritz" (grid, full), "krylov" (grid head or exact) or "dense" (_eigh_psd)
     k: int = 0  # eigenvectors computed: r, K or the block size
-    health: dict = field(default_factory=dict)  # the operator's numerical health signals (its ``health``)
+    health: dict = field(default_factory=dict)  # the operator's ``health`` signals and the solver's record
 
 
 @dataclass
@@ -573,8 +577,8 @@ def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
 
 def _block_krylov_top(
     S: NDArray[np.float64], Y: NDArray[np.float64], top: int, blocks: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64], float] | None:
-    """The top K Ritz pairs of S from the block Krylov space of ``Y``, and the next Ritz value, or None.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float, dict] | None:
+    """The top K Ritz pairs of S from the block Krylov space of ``Y``, the next Ritz value and a record, or None.
 
     Block Lanczos (Golub & Underwood, 1977) with full reorthogonalization:
     the basis grows by the block S X, projected off the whole basis twice
@@ -583,8 +587,10 @@ def _block_krylov_top(
     lean on the three-term recurrence). K is the ``_ritz_count`` of the Ritz
     values; once the top K residuals ||S v - theta v|| are at most
     RITZ_RESID_TOL * theta_max and the Ritz vectors are orthonormal to the
-    same level, the Ritz values (ascending), the vectors (columns) and
-    theta_{K+1} are returned. The basis is held as rows (X S is the faster
+    same level, the Ritz values (ascending), the vectors (columns),
+    theta_{K+1} and the record {"ritz_residual": the largest of those
+    residuals, "krylov_blocks": the blocks the basis holds} are returned.
+    The basis is held as rows (X S is the faster
     product) that grow a block at a time, up to ``blocks`` blocks: one that
     has not converged by then returns None.
     """
@@ -608,9 +614,10 @@ def _block_krylov_top(
             V = Wk @ Q
             R = Wk @ SQ
             R -= ritz[-k:, None] * V
+            resid = float(np.linalg.norm(R, axis=1).max())
             orth = np.abs(V @ V.T - np.eye(k)).max()
-            if np.linalg.norm(R, axis=1).max() <= RITZ_RESID_TOL * ritz[-1] and orth <= RITZ_RESID_TOL:
-                return ritz[-k:], V.T, float(ritz[-k - 1])
+            if resid <= RITZ_RESID_TOL * ritz[-1] and orth <= RITZ_RESID_TOL:
+                return ritz[-k:], V.T, float(ritz[-k - 1]), {"ritz_residual": resid, "krylov_blocks": D // g}
         if D + g > cap:
             return None
         X = np.linalg.qr((SQ[new] - C @ Q).T)[0].T
@@ -667,53 +674,68 @@ def _certify_tail(S: NDArray[np.float64], V: NDArray[np.float64], ritz: NDArray[
 
 
 def _eigh_psd(
-    S: NDArray[np.float64], top: int, full: bool, budget: tuple[int, int] | None = None
+    S: NDArray[np.float64], top: int, full: bool, budget: tuple[int, int] | Literal["probe"] | None = None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict]:
     """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, the solver and its record.
 
     One pivoted Cholesky probe on the rows of S, S = L^T L + E, runs first.
     Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
     each eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left
-    out included (taken as 0), and only the r are returned. Otherwise a
-    ``full`` solve (a grid block) takes all h eigenvalues from eigvalsh and
-    its budget from them: a width of their ``_ritz_count`` plus
-    KRYLOV_GUARD, and as many blocks as fit in KRYLOV_MAX_FRACTION of the
-    rows. An exact block takes ``budget``, the (width, blocks) of
-    ``discrete._krylov_budget`` or None. Where the probe has width -
-    KRYLOV_GUARD rows and the blocks fit, ``_block_krylov_top`` runs from the
-    start block the comment at KRYLOV_GUARD describes. A grid result is kept
-    where its Ritz values match eigvalsh's top ones within RITZ_RESID_TOL *
-    lambda_max, which catches a Krylov space that skipped an eigenvalue
-    ("ritz", all h eigenvalues and the top K eigenvectors). An exact result
-    must pass ``_certify_tail`` at sigma, the midpoint of the Ritz gap below
-    theta_K; then only the K certified eigenvalues and their vectors are
-    returned ("krylov"), with sigma as ``tail_bound`` in the record.
-    Otherwise (no budget, one too large, a block that does not converge, a
-    check that fails) the dense eigh ("dense").
+    out included (taken as 0), and only the r are returned. Otherwise the
+    block Krylov solve (``_block_krylov_top``) runs on a (width, blocks)
+    budget, from the start block the comment at KRYLOV_GUARD describes,
+    where the probe has width - KRYLOV_GUARD rows and the blocks fit in
+    KRYLOV_MAX_FRACTION of the rows. Three callers name the budget:
+    - a ``full`` solve (a grid block whose every eigenvalue is read) takes
+      all h eigenvalues from eigvalsh, a width of their ``_ritz_count``
+      plus KRYLOV_GUARD, and as many blocks as fit. Its Krylov result is
+      kept where the Ritz values match eigvalsh's top ones within
+      RITZ_RESID_TOL * lambda_max, which catches a Krylov space that skipped
+      an eigenvalue ("ritz": all h eigenvalues, the top K eigenvectors);
+    - ``budget`` "probe" (a grid block whose head alone is read) reads the
+      width the same way off the probe's core eigenvalues mu, the non-zero
+      eigenvalues of L^T L, and calls no eigvalsh;
+    - an exact block passes the (width, blocks) of
+      ``discrete._krylov_budget``, or None.
+    Outside the full solve the result must pass ``_certify_tail`` at sigma =
+    theta_K - (theta_K - theta_{K+1}) / 4; then only the K certified
+    eigenvalues and their vectors are returned ("krylov"), with sigma as
+    ``tail_bound`` in the record. Sigma stays strictly below theta_K (the
+    Ritz gap is wider than CLUSTER_TOL), and lambda_K >= theta_K by
+    interlacing, so lambda_{K+1} < sigma also proves that no eigenvalue of
+    the top K was missed. The gap's midpoint can sit below lambda_{K+1}
+    where theta_{K+1} is still far from it: on gamma beta = 2.5 at (3, 1),
+    1024 nodes, theta_K = 4.420e-3, theta_{K+1} = 1.5e-5 and the midpoint
+    2.218e-3 lie under lambda_{K+1} = 2.247e-3. The ritz and krylov records
+    carry the solve's ``ritz_residual`` and ``krylov_blocks``. Otherwise (no
+    budget, one too large, a block that does not converge, a check that
+    fails) the dense eigh ("dense").
     """
     L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
     if traces[-1] <= RANK_TRACE_TOL * traces[0]:
         return (*_core_eigh(L), "low-rank", {})
     h = len(S)
+    core = np.linalg.eigh(gram_matrix(L)) if full or budget is not None else None  # no budget: eigh next
     if full:
         lam = np.linalg.eigvalsh(S)
-        width = _ritz_count(lam, top) + KRYLOV_GUARD
+    if full or budget == "probe":
+        width = _ritz_count(lam if full else core[0], top) + KRYLOV_GUARD
         budget = width, int(KRYLOV_MAX_FRACTION * h) // width
     width, blocks = budget or (0, 0)
     j = width - KRYLOV_GUARD
     if 0 < j <= len(L) and 0 < blocks * width <= KRYLOV_MAX_FRACTION * h:
-        mu, W = np.linalg.eigh(gram_matrix(L))
+        mu, W = core
         extra = np.random.default_rng(0).standard_normal((h, KRYLOV_GUARD))
         found = _block_krylov_top(S, np.hstack(((L.T @ W[:, -j:]) / np.sqrt(mu[-j:]), extra)), top, blocks)
         if found is not None:
-            ritz, V, below = found
+            ritz, V, below, record = found
             if full:
                 if np.abs(ritz - lam[-len(ritz) :]).max() <= RITZ_RESID_TOL * lam[-1]:
-                    return lam, V, "ritz", {}
+                    return lam, V, "ritz", record
             else:
-                sigma = 0.5 * (ritz[0] + below)
+                sigma = ritz[0] - 0.25 * (ritz[0] - below)
                 if _certify_tail(S, V, ritz, sigma):
-                    return ritz, V, "krylov", {"tail_bound": float(sigma)}
+                    return ritz, V, "krylov", {"tail_bound": float(sigma), **record}
     lam, phi = np.linalg.eigh(S)
     return lam, phi, "dense", {}
 
@@ -725,7 +747,12 @@ def _probe_kernel(kernel: ConditionalKernel, rows: slice) -> tuple[NDArray[np.fl
 
 
 def _eigensystem(
-    op, mass: NDArray[np.float64], nodes: NDArray[np.float64], top: int, budget: tuple[int, int] | None = None
+    op,
+    mass: NDArray[np.float64],
+    nodes: NDArray[np.float64],
+    top: int,
+    budget: tuple[int, int] | Literal["probe"] | None = None,
+    full: bool = False,
 ) -> SpectrumResult:
     """Eigensolve of the Gram matrix B B^T of ``op`` with trivial-mode classification.
 
@@ -745,8 +772,9 @@ def _eigensystem(
     when that certifies the block numerically low-rank, the r x r core is all
     that is solved. Otherwise the solve's SOLVE_SQUARES h^2, S included, is
     checked against the memory left before the Gram matrix is formed, and
-    ``_eigh_psd`` solves it: with all h eigenvalues for a grid kernel, with
-    the Krylov ``budget`` for an exact operator. One zero eigenvalue per row outside
+    ``_eigh_psd`` solves it with ``full`` and ``budget``: a grid kernel
+    passes "probe" (its ``full`` solve ignores it), an exact operator its
+    Krylov budget. One zero eigenvalue per row outside
     the block goes at the tail and the eigenvectors are 0 on those rows, so
     the result is that of the full matrix; on the low-rank path the h - r
     smallest eigenvalues are exact zeros as well, and the low-rank, ritz and
@@ -766,15 +794,14 @@ def _eigensystem(
     top = min(top, len(nodes))
     avail = _available_bytes()
     op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h, avail)
-    grid = isinstance(op, ConditionalKernel)
-    core = _probe_kernel(op, rows) if grid else None
+    core = _probe_kernel(op, rows) if isinstance(op, ConditionalKernel) else None
     record: dict = {}
     if core is not None:
         (lam, phi), solver = core, "low-rank"
     else:
         op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h, avail)
         S = op.gram(rows, avail)
-        lam, phi, solver, record = _eigh_psd(S, top, grid, budget)
+        lam, phi, solver, record = _eigh_psd(S, top, full, budget)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]
@@ -818,14 +845,20 @@ def _eigensystem(
     )
 
 
-def spectrum(kernel: ConditionalKernel) -> SpectrumResult:
+def spectrum(kernel: ConditionalKernel, full: bool = True) -> SpectrumResult:
     """Eigensolve of the kernel's Gram matrix with trivial-mode classification (``_eigensystem``).
 
     The top SPECTRUM_HEAD eigenfunctions are kept; they are orthonormal under
-    sum w_i p_m(y_i) f(y_i) g(y_i).
+    sum w_i p_m(y_i) f(y_i) g(y_i). With ``full`` every eigenvalue is
+    returned, for callers that sum or count past the head: a block the probe
+    does not certify low-rank takes eigvalsh and keeps the Krylov vectors
+    where they match it ("ritz"). Without it such a block returns only its K
+    certified head eigenvalues ("krylov", with ``tail_bound``), or all of
+    them where the certified solve falls back to eigh; a low-rank block
+    returns all of them either way.
     """
     p_m = kernel.summand
-    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD)
+    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD, "probe", full)
 
 
 def theta_from_spectrum(spec: SpectrumResult) -> ThetaResult:
@@ -858,8 +891,12 @@ def theta_from_spectrum(spec: SpectrumResult) -> ThetaResult:
 
 
 def theta(base: GridDensity, n: int, m: int = 1) -> ThetaResult:
-    """End-to-end theta for the (n, m) pair built from a summand density."""
-    return theta_from_spectrum(spectrum(build_kernel(base, n, m)))
+    """End-to-end theta for the (n, m) pair built from a summand density.
+
+    theta reads only the spectrum's head, so the solve is the certified
+    top-K one (``spectrum`` without ``full``).
+    """
+    return theta_from_spectrum(spectrum(build_kernel(base, n, m), full=False))
 
 
 def trace_T(kernel: ConditionalKernel) -> TraceResult:

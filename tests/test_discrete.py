@@ -326,7 +326,7 @@ def test_generic_block_takes_the_certified_krylov_path():
         assert np.linalg.norm(block[:, k] - cluster @ (cluster.T @ block[:, k])) <= 1e-12
 
     vals, V, solver, record = operators._eigh_psd(S.copy(), 8, False, (16, 5))
-    assert solver == "krylov" and record == {"tail_bound": sp.health["tail_bound"]}
+    assert solver == "krylov" and record == {k: sp.health[k] for k in ("tail_bound", "ritz_residual", "krylov_blocks")}
     assert np.linalg.norm(S @ V - V * vals, axis=0).max() <= operators.RITZ_RESID_TOL * vals[-1]
     for cluster in (slice(11, 12), slice(0, 11)):  # ascending: the m/n cluster, then the constant
         mine, ref = V[:, cluster], U[:, 11 - cluster.stop + 1 : 12 - cluster.start][:, ::-1]

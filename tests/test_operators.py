@@ -113,6 +113,12 @@ def test_trace_matches_eigenvalue_sum():
     tr = trace_T(kern)
     lam = np.linalg.eigvalsh(gram_matrix(_dense_B(kern)))
     assert abs(tr.value - lam.sum()) <= 1e-8
+    # the default spectrum of a block the probe does not certify still returns every eigenvalue: the full list the
+    # trace is checked against
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), CFG), 3, 2, CFG)
+    sp = spectrum(kern)
+    assert sp.solver == "ritz" and len(sp.eigenvalues) == len(kern.summand.nodes)
+    assert abs(trace_T(kern).value - sp.eigenvalues.sum()) <= 1e-8
 
 
 def test_theta_from_spectrum_requires_nontrivial():
@@ -358,7 +364,7 @@ def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector(monkeypatch):
     ref_lam, ref_phi = np.linalg.eigh(S)
     for skip, expect in ((None, "ritz"), (3, "dense")):
         picked = [j for j in range(k + 1) if j != skip][:k][::-1]  # ascending, as _block_krylov_top returns them
-        found = lam[::-1][picked], q[:, picked], float(lam[::-1][k + 1])  # the grid path does not read the last
+        found = lam[::-1][picked], q[:, picked], float(lam[::-1][k + 1]), {}  # the grid path does not read theta_{K+1}
         monkeypatch.setattr(operators, "_block_krylov_top", lambda *args, found=found: found)
         vals, V, solver, _ = operators._eigh_psd(S, k, True)
         assert solver == expect
@@ -401,6 +407,67 @@ def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
     lam, phi, solver, _ = operators._eigh_psd(S.copy(), 8, False, (12, 5))  # 60 columns > 200 / 4
     assert solver == "dense"
     assert np.array_equal(lam, np.linalg.eigh(S)[0])
+
+
+HEAD_CASES = [
+    (DistributionSpec.gamma(4.0), 2, 1),
+    (DistributionSpec.gamma(4.0), 3, 2),
+    (DistributionSpec.gamma(4.0), 4, 3),
+    (DistributionSpec.uniform(-1.0, 1.0), 4, 3),
+]
+
+
+@pytest.mark.parametrize("spec,n,m", HEAD_CASES, ids=["gamma-2-1", "gamma-3-2", "gamma-4-3", "uniform-4-3"])
+def test_head_spectrum_takes_the_certified_krylov_solve(spec, n, m, monkeypatch):
+    """Without ``full`` a block the probe does not certify takes the exact operators' certified top-K solve and never
+    calls eigvalsh: its K values are eigvalsh's top K within RITZ_RESID_TOL * lambda_max, lambda_{K+1} <= tail_bound
+    < lambda_K, and theta is the full solve's to 1e-12."""
+    kern = build_kernel(build_density(spec, CFG), n, m, CFG)
+    lam = np.linalg.eigvalsh(kern.gram(operators._hull(kern.summand.values > 0)))[::-1]
+    full = theta_from_spectrum(spectrum(kern)).theta
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a head solve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    sp = spectrum(kern, full=False)
+    K = len(sp.eigenvalues)
+    assert sp.solver == "krylov" and sp.k == K >= operators.SPECTRUM_HEAD
+    assert np.abs(sp.eigenvalues - np.clip(lam[:K], 0.0, 1.0)).max() <= operators.RITZ_RESID_TOL * lam[0]
+    assert lam[K] <= sp.health["tail_bound"] < lam[K - 1]
+    assert sp.health["ritz_residual"] <= operators.RITZ_RESID_TOL * lam[0] and sp.health["krylov_blocks"] >= 1
+    assert abs(theta_from_spectrum(sp).theta - full) <= 1e-12
+
+
+def test_head_certificate_sits_above_the_gap_midpoint():
+    """Gamma beta = 2.5 at (3, 1) on 1024 nodes: theta_{K+1} is far below lambda_{K+1}, so the Ritz gap's midpoint
+    lies under lambda_{K+1} and could not be certified. Sigma three quarters up the gap is, and bounds lambda_{K+1}."""
+    cfg = GridConfig(node_count=1024)
+    kern = build_kernel(build_density(DistributionSpec.gamma(2.5), cfg), 3, 1, cfg)
+    lam = np.linalg.eigvalsh(kern.gram(operators._hull(kern.summand.values > 0)))[::-1]
+    sp = spectrum(kern, full=False)
+    K = len(sp.eigenvalues)
+    sigma, theta_k = sp.health["tail_bound"], sp.eigenvalues[-1]
+    assert sp.solver == "krylov"
+    assert lam[K] <= sigma < theta_k
+    midpoint = theta_k - 2.0 * (theta_k - sigma)  # sigma = theta_K - (theta_K - theta_{K+1}) / 4
+    assert midpoint < lam[K]
+
+
+def test_head_spectrum_holds_one_gram_matrix():
+    """Gamma beta = 4 at (3, 2) on 1024 nodes (h = 1140): the head solve's numpy arrays peak below 1.5 h^2 doubles, S
+    and the probe's arrays included, so no second h x h array exists (a dense fallback's eigenvectors would be one).
+    LAPACK's own workspace is not traced; the eigvalsh test above covers that copy."""
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), CFG), 3, 2, CFG)
+    h = np.count_nonzero(kern.summand.values > 0)
+    tracemalloc.start()
+    try:
+        sp = spectrum(kern, full=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.solver == "krylov"
+    assert 8 * h * h < peak < 1.5 * 8 * h * h
 
 
 GRAM_CASES = [(spec, n, m, 512) for spec, n, m in BLOCK_CASES] + [

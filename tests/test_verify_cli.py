@@ -493,7 +493,7 @@ def test_grid_and_exact_spectra_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     solvers, scipy_modules = json.loads(out.stdout)
-    assert solvers == ["low-rank", "dense", "ritz", "dense"] * 2
+    assert solvers == ["low-rank", "dense", "krylov", "dense"] * 2
     assert scipy_modules == []
 
 
