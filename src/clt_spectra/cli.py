@@ -16,9 +16,7 @@ from . import verify
 from .closed_forms import meixner_lambdas, meixner_theta, meixner_v2
 from .densities import (
     DistributionSpec,
-    FisherUnavailableError,
     GridConfig,
-    ScoreUndefinedError,
     build_density,
     gaussian_regularize,
     jst,
@@ -49,6 +47,16 @@ _FLAGS = {
     "--delta": dict(type=float, default=None, help="gaussian regularization width applied before grid work"),
 }
 _UNSET_DEFAULTS = {"n": 2, "nodes": 1024, "half_width": 12.0, "seed": 42}
+# the help of a flag that a command reads otherwise than _FLAGS says
+_WINDOW = "sizes the grid window, whose half width is in units of sigma*sqrt(n) (default 2)"
+_SIGMA = "grid half width in units of sigma (default 12)"
+_HELP = {
+    ("density", "--n"): _WINDOW, ("monotonicity", "--n"): _WINDOW,
+    ("bounds", "--half-width"): _SIGMA, ("verify-all", "--half-width"): _SIGMA,
+    ("bounds", "--n"): "number of summands of the smoothed sum, read only with --delta (default 2)",
+    ("bounds", "--delta"): "smoothing width of the added sub-gaussian chi-square ceiling (the battery is unsmoothed)",
+    ("closed-form", "--n"): "tabulate n = 2 up to max(4, N) (default 2)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                            allow_abbrev=False)
         p.set_defaults(subcommand=name)
         for flag in _READS[name]:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, **{**_FLAGS[flag], "help": _HELP.get((name, flag), _FLAGS[flag].get("help"))})
     return parser
 
 
@@ -112,7 +120,7 @@ def _cmd_density(args) -> int:
     jst_value = None
     try:
         jst_value = jst(d).value
-    except (FisherUnavailableError, ScoreUndefinedError, ValueError):
+    except ValueError:
         pass
     if args.format == "csv":
         lines = [f"{x:.17g} {v:.17g}" for x, v in zip(d.nodes, d.values)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -192,24 +192,17 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Raw and central moments of a grid density.
+    """Central moments of a grid density.
 
-    raw_moments[j] is E Y^(j+1); central_moments[j] is E (Y - EY)^(j+1).
-    sigma_stat is the fourth-moment statistic kurt - skew^2 - 1 that controls
-    the second-eigenvalue bounds (2 for Gaussian, 2 + 2/beta for gamma).
+    central_moments[j] is E (Y - EY)^(j+1). sigma_stat is the fourth-moment
+    statistic kurt - skew^2 - 1 that controls the second-eigenvalue bounds
+    (2 for Gaussian, 2 + 2/beta for gamma).
     """
 
-    raw_moments: tuple[float, ...]
     central_moments: tuple[float, ...]
     variance: float
     skewness: float
     sigma_stat: float
-
-    def raw(self, j: int) -> float:
-        """E Y^j for 0 <= j <= 2*kmax."""
-        if j == 0:
-            return 1.0
-        return self.raw_moments[j - 1]
 
     def central(self, j: int) -> float:
         if j == 0:
@@ -306,12 +299,16 @@ class DistributionSpec:
             second = sum(w * (s * s + m * m) for w, m, s in comps) / wsum
             return mu, math.sqrt(second - mu * mu)
         if self.family == "discrete":
-            atoms = np.asarray(p["atoms"], dtype=float)
-            probs = np.asarray(p["probs"], dtype=float)
-            probs = probs / probs.sum()
+            atoms, probs = _discrete_arrays(self)
             mu = float(probs @ atoms)
             return mu, float(math.sqrt(probs @ (atoms - mu) ** 2))
         raise ValueError(f"no closed-form scale for family {self.family!r}")
+
+
+def _discrete_arrays(spec: DistributionSpec) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """A discrete spec's atoms, in the order given, and its probabilities divided by their sum."""
+    probs = np.asarray(spec.params["probs"], dtype=float)
+    return np.asarray(spec.params["atoms"], dtype=float), probs / probs.sum()
 
 
 def parse_spec(text: str) -> DistributionSpec:
@@ -540,9 +537,7 @@ def _family_pdf(spec: DistributionSpec) -> Callable[[NDArray[np.float64]], NDArr
 
 
 def _discrete_spikes(spec: DistributionSpec, nodes: NDArray[np.float64], step: float) -> GridDensity:
-    atoms = np.asarray(spec.params["atoms"], dtype=float)
-    probs = np.asarray(spec.params["probs"], dtype=float)
-    probs = probs / probs.sum()
+    atoms, probs = _discrete_arrays(spec)
     values = np.zeros(len(nodes))
     for a, pr in zip(atoms, probs):
         i = int(round((a - nodes[0]) / step))
@@ -584,26 +579,28 @@ def write_density_file(path: str, d: GridDensity) -> None:
             fh.write(f"{x:.17g} {v:.17g}\n")
 
 
-def moments(d: GridDensity, kmax: int = 4) -> MomentSet:
-    """Raw and central moments up to order 2*kmax by trapezoid quadrature.
+def _skew_and_sigma(m2: float, m3: float, m4: float) -> tuple[float, float]:
+    """Skewness and the statistic Sigma = kurtosis - skewness^2 - 1 from the central moments of orders 2 to 4."""
+    skew = m3 / m2**1.5
+    return skew, m4 / m2**2 - skew**2 - 1.0
 
-    kmax is capped at 12: beyond that the integrand x^24 p(x) is tail-dominated
-    and the grid truncation makes the numbers meaningless.
+
+def moments(d: GridDensity, kmax: int = 4) -> MomentSet:
+    """Central moments up to order 2*kmax by trapezoid quadrature.
+
+    kmax lies in [2, 12]: Sigma reads the fourth moment, and past 12 the
+    tail-dominated integrand x^24 p(x) makes truncated-grid numbers meaningless.
     """
-    if not 1 <= kmax <= 12:
-        raise ValueError(f"kmax must lie in [1, 12], got {kmax}")
+    if not 2 <= kmax <= 12:
+        raise ValueError(f"kmax must lie in [2, 12], got {kmax}")
     order = 2 * kmax
     wv = d.weights() * d.values
-    raw = tuple(float(wv @ d.nodes**j) for j in range(1, order + 1))
-    mu = raw[0]
-    centered = d.nodes - mu
+    centered = d.nodes - float(wv @ d.nodes)
     central = tuple(float(wv @ centered**j) for j in range(1, order + 1))
     var = central[1]
     if var <= 0:
         raise ValueError("density has nonpositive variance")
-    skew = central[2] / var**1.5
-    sigma_stat = central[3] / var**2 - skew**2 - 1.0
-    return MomentSet(raw, central, var, skew, sigma_stat)
+    return MomentSet(central, var, *_skew_and_sigma(*central[1:4]))
 
 
 def score(d: GridDensity) -> GridFunction:
@@ -640,10 +637,10 @@ def score(d: GridDensity) -> GridFunction:
 def fisher(d: GridDensity) -> float:
     """Fisher information J = integral of p * rho^2 over the valid window.
 
-    Refuses densities that fail the absolute-continuity screen; see
-    FisherUnavailableError cases in the module notes. Gamma shapes below 3
-    are rejected by the edge screen, which is conservative for 2 < beta < 3
-    (finite J) and correct for beta <= 2 (infinite J).
+    Raises ScoreUndefinedError where ``score`` does, and FisherUnavailableError
+    where a positive-window edge value exceeds EDGE_JUMP_REL of the maximum (a
+    jump, so J diverges: gamma shapes below 3, conservative for 2 < beta < 3)
+    or invalid-score nodes carry over INVALID_MASS_FRACTION of the mass.
     """
     rho = score(d)
     i0, i1 = d.positive_window()
@@ -679,7 +676,7 @@ def jst(d: GridDensity) -> JstResult:
         coarse = _normalized(d.nodes[::2], d.values[::2], 2 * d.step)
         jc = fisher(coarse)
         unc = abs(value - (coarse.variance() * jc - 1.0))
-    except (ValueError, FisherUnavailableError):
+    except ValueError:
         unc = math.nan
     return JstResult(value=value, fisher_info=j, variance=var, uncertainty=unc)
 
@@ -740,13 +737,21 @@ def convolve(d1: GridDensity, d2: GridDensity) -> GridDensity:
     )
 
 
-def convolve_self(d: GridDensity, n: int) -> GridDensity:
-    """Density of the n-fold i.i.d. sum S_n on the widened lattice."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _partial_sums(d: GridDensity, n: int) -> Iterator[GridDensity]:
+    """The laws of S_1, ..., S_n by the left fold S_k = convolve(S_{k-1}, d), one held at a time."""
     out = d
+    yield out
     for _ in range(n - 1):
         out = convolve(out, d)
+        yield out
+
+
+def convolve_self(d: GridDensity, n: int) -> GridDensity:
+    """Density of the n-fold i.i.d. sum S_n on the widened lattice: the last law of ``_partial_sums``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for out in _partial_sums(d, n):
+        pass
     return out
 
 

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 from numpy.typing import NDArray
 
-from .densities import DistributionSpec
+from .densities import DistributionSpec, _discrete_arrays
 from .operators import KRYLOV_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
 from .operators import _check_memory, _eigensystem, _hull, gram_matrix
 
@@ -65,9 +65,7 @@ class DiscretePMF:
     def from_spec(cls, spec: DistributionSpec) -> "DiscretePMF":
         if spec.family != "discrete":
             raise ValueError(f"expected a discrete spec, got {spec.family!r}")
-        a = np.asarray(spec.params["atoms"], dtype=float)
-        p = np.asarray(spec.params["probs"], dtype=float)
-        p = p / p.sum()
+        a, p = _discrete_arrays(spec)
         order = np.argsort(a)
         return cls(tuple(a[order]), tuple(p[order]))
 
@@ -78,11 +76,6 @@ class DiscretePMF:
     def mean(self) -> float:
         a, p = self.arrays()
         return float(p @ a)
-
-    def variance(self) -> float:
-        a, p = self.arrays()
-        mu = p @ a
-        return float(p @ (a - mu) ** 2)
 
 
 def _atom_tol(atoms: NDArray[np.float64]) -> float:

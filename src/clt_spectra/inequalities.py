@@ -18,6 +18,8 @@ from .densities import (
     GridConfig,
     GridDensity,
     MomentSet,
+    _discrete_arrays,
+    _partial_sums,
     build_density,
     convolve,
     gauss_legendre,
@@ -284,17 +286,12 @@ def monotonicity_sequence(base: GridDensity, theta2: float, n_max: int) -> list[
 
     The sequence is non-increasing when theta2 is (a lower bound on) the true
     gap statistic; theta2 = 0 recovers plain monotonicity of standardized
-    Fisher information.
+    Fisher information. The laws S_n are those of one fold, ``_partial_sums``.
     """
     if not 1 <= n_max <= 8:
         raise ValueError("n_max must lie in [1, 8]")
-    out = []
-    d_n = base
-    for n in range(1, n_max + 1):
-        if n > 1:
-            d_n = convolve(d_n, base)  # the left fold convolve_self(base, n) does, kept between steps
-        out.append((n, (1.0 + (n - 1) * theta2) * jst(d_n).value))
-    return out
+    sums = _partial_sums(base, n_max)
+    return [(n, (1.0 + (n - 1) * theta2) * jst(d_n).value) for n, d_n in enumerate(sums, start=1)]
 
 
 def monotonicity_reports(seq: list[tuple[int, float]]) -> list[BoundReport]:
@@ -374,9 +371,7 @@ def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int) -> Subgaus
     prefactor = n / (n - 1.0)
 
     if spec.family == "discrete":
-        atoms = np.asarray(spec.params["atoms"], dtype=float)
-        probs = np.asarray(spec.params["probs"], dtype=float)
-        probs = probs / probs.sum()
+        atoms, probs = _discrete_arrays(spec)
         e = float(probs @ np.exp(t * (atoms[:, None] - atoms[None, :]) ** 2) @ probs)
         return SubgaussResult(prefactor * e, e, t, False, 0.0)
     if spec.family == "file":

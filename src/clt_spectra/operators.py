@@ -160,8 +160,8 @@ class KernelFactor:
 
     ``B @ z`` is dy * correlate(ds * z, p_t, "valid") and ``B.T @ x`` is
     ds * convolve(dy * x, p_t); a 2-D input is applied column by column.
-    Direct, not FFT, for the reason ``trace_T`` gives. ``nbytes`` counts the
-    three vectors it holds.
+    Direct, not FFT, for the reason ``ConditionalKernel.gram_diag`` gives.
+    ``nbytes`` counts the three vectors it holds.
     """
 
     dy: NDArray[np.float64]
@@ -278,7 +278,10 @@ class ConditionalKernel:
         return S
 
     def gram_diag(self, rows: slice) -> NDArray[np.float64]:
-        """The diagonal of ``gram(rows)`` without S: dy_i^2 (ds^2 * p_t^2)_i, ``trace_T``'s correlate."""
+        """The diagonal of ``gram(rows)`` without S, dy_i^2 (ds^2 * p_t^2)_i; ``trace_T`` sums it over every row.
+
+        Direct, not FFT: ds^2 spans up to 1e14 and FFT roundoff would swamp the small terms.
+        """
         p_t = self.partial.values
         return self.dy[rows] ** 2 * np.correlate(self.ds[rows.start : rows.stop + len(p_t) - 1] ** 2, p_t**2, "valid")
 
@@ -289,7 +292,7 @@ class ConditionalKernel:
         sum_j ds^2_{P+j} p_t[j] p_t[j - l]. It is computed for the lags l
         that reach a row in ``rows`` and can overlap p_t (|l| < len(p_t));
         the rest of the row is 0. Direct, not FFT, for the reason
-        ``trace_T`` gives.
+        ``gram_diag`` gives.
         """
         p_t = self.partial.values
         nt, P = len(p_t), rows.start + p
@@ -458,6 +461,11 @@ def gram_matrix(B: NDArray[np.float64]) -> NDArray[np.float64]:
     return B @ B.T
 
 
+def _cluster_starts(desc: NDArray[np.float64]) -> NDArray[np.intp]:
+    """The start of every cluster of the descending ``desc`` but the first: one past each drop above CLUSTER_TOL."""
+    return np.flatnonzero(desc[:-1] - desc[1:] > CLUSTER_TOL) + 1
+
+
 def classify_trivial(
     lam: NDArray[np.float64],
     phi: NDArray[np.float64],
@@ -481,7 +489,7 @@ def classify_trivial(
     """
     coef_const = phi.T @ e_const
     coef_lin = phi.T @ e_lin
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(lam) < -CLUSTER_TOL) + 1))
+    starts = np.concatenate(([0], _cluster_starts(lam)))
     stops = np.append(starts[1:], len(lam))
 
     def pick(coef):
@@ -566,11 +574,10 @@ def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
     """Eigenvectors the Ritz path computes, for the ascending spectrum ``lam``.
 
     The smallest K >= ``top`` that covers the first two eigenvalue clusters
-    (the constant mode and the m/n cluster) and ends at a gap larger than
-    CLUSTER_TOL, so ``classify_trivial`` sees whole clusters.
+    (the constant mode and the m/n cluster) and ends where a cluster ends, so
+    ``classify_trivial``, which splits at the same ``_cluster_starts``, sees whole clusters.
     """
-    desc = lam[::-1]
-    ends = np.flatnonzero(desc[:-1] - desc[1:] > CLUSTER_TOL)[1:] + 1
+    ends = _cluster_starts(lam[::-1])[1:]
     j = int(np.searchsorted(ends, top))
     return int(ends[j]) if j < len(ends) else len(lam)
 
@@ -905,10 +912,14 @@ def trace_T(kernel: ConditionalKernel) -> TraceResult:
     If masked columns carried visible p_n mass the quadrature undershoots and
     only a lower bound is claimed.
     """
-    # direct, not FFT: ds^2 spans up to 1e14 and FFT roundoff would swamp the small terms
-    value = float((kernel.dy**2 * np.correlate(kernel.ds**2, kernel.partial.values**2, "valid")).sum())
+    value = float(kernel.gram_diag(slice(0, len(kernel.dy))).sum())
     lower_only = kernel.masked_mass > 1e-9
     return TraceResult(value=value, chi2=value - 1.0, masked_mass=kernel.masked_mass, lower_bound_only=lower_only)
+
+
+def _valid_values(f: NDArray[np.float64] | GridFunction) -> NDArray[np.float64]:
+    """The values of ``f`` as floats, 0 at the invalid nodes of a GridFunction."""
+    return np.where(f.valid, f.values, 0.0) if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
 
 
 def apply_C(kernel: ConditionalKernel, f: NDArray[np.float64] | GridFunction) -> GridFunction:
@@ -917,10 +928,7 @@ def apply_C(kernel: ConditionalKernel, f: NDArray[np.float64] | GridFunction) ->
     Invalid nodes of a GridFunction input are excluded from the quadrature;
     output validity marks the live s-columns.
     """
-    if isinstance(f, GridFunction):
-        fv = np.where(f.valid, f.values, 0.0)
-    else:
-        fv = np.asarray(f, dtype=float)
+    fv = _valid_values(f)
     if fv.shape != kernel.summand.nodes.shape:
         raise ValueError("f must be sampled on the kernel's y-grid")
     p_m = kernel.summand
@@ -933,10 +941,7 @@ def apply_C(kernel: ConditionalKernel, f: NDArray[np.float64] | GridFunction) ->
 
 def apply_Cstar(kernel: ConditionalKernel, g: NDArray[np.float64] | GridFunction) -> GridFunction:
     """Adjoint map (C* g)(y) = E[g(S_n) | S_m = y] on the y-grid."""
-    if isinstance(g, GridFunction):
-        gv = np.where(g.valid, g.values, 0.0)
-    else:
-        gv = np.asarray(g, dtype=float)
+    gv = _valid_values(g)
     if gv.shape != kernel.total.nodes.shape:
         raise ValueError("g must be sampled on the kernel's s-grid")
     out = np.correlate(kernel.total.weights() * gv, kernel.partial.values, "valid")

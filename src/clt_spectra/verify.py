@@ -27,8 +27,9 @@ from .densities import (
     GridConfig,
     GridDensity,
     ScoreUndefinedError,
+    _partial_sums,
+    _skew_and_sigma,
     build_density,
-    convolve,
     fisher,
     jst,
     moments,
@@ -101,13 +102,13 @@ def _wl2(weight_vec: np.ndarray, resid: np.ndarray) -> float:
 
 def _pmf_sigma_stat(p: DiscretePMF) -> float:
     a, q = p.arrays()
-    mu = float(q @ a)
-    c = a - mu
-    m2 = float(q @ c**2)
-    m3 = float(q @ c**3)
-    m4 = float(q @ c**4)
-    skew = m3 / m2**1.5
-    return m4 / m2**2 - skew**2 - 1.0
+    c = a - float(q @ a)
+    return _skew_and_sigma(float(q @ c**2), float(q @ c**3), float(q @ c**4))[1]
+
+
+def _skipped(check: str, exc: Exception, fam: dict, n: int | None = None, m: int | None = None) -> BoundReport:
+    """The passing ``{check}-skipped`` report that stands in for a check the density cannot run, ``exc`` its reason."""
+    return make_report(f"{check}-skipped", 0.0, 0.0, tol=0.0, n=n, m=m, context={**fam, "reason": str(exc)})
 
 
 def _standardized_poly(nodes: np.ndarray, mean: float, std: float, coefs: np.ndarray) -> np.ndarray:
@@ -126,9 +127,10 @@ def family_battery(
 ) -> list[BoundReport]:
     """Spectral, trace, operator and Fisher reports for one smooth family.
 
-    Discrete specs are routed to the exact pipeline instead. Families whose
-    Fisher information is genuinely infinite (hard support edges) skip the
-    Fisher chain and the score projection, each with a ``*-skipped`` report.
+    Discrete specs are routed to the exact pipeline instead. The Fisher chain
+    and the score projection each leave a ``*-skipped`` report where ``fisher``
+    refuses the law (a hard support edge: J is infinite) or ``score`` raises on
+    a hole inside the positive window (FFT noise in a sum law's far tail).
     """
     if spec.family == "discrete":
         return discrete_battery(spec, n_max=n_max)
@@ -271,11 +273,7 @@ def family_battery(
     try:
         reports.extend(_fisher_reports(spec, d_hi, ms, theta2, n_max, fam))
     except (FisherUnavailableError, ScoreUndefinedError) as exc:
-        reports.append(
-            make_report(
-                "fisher-chain-skipped", 0.0, 0.0, tol=0.0, context={**fam, "reason": str(exc)}
-            )
-        )
+        reports.append(_skipped("fisher-chain", exc, fam))
     return reports
 
 
@@ -331,11 +329,7 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
             make_report("score-projection", resid, 0.0, tol=1e-3, n=kern.n, m=kern.m, context=fam)
         )
     except (FisherUnavailableError, ScoreUndefinedError) as exc:
-        reports.append(
-            make_report(
-                "score-projection-skipped", 0.0, 0.0, tol=0.0, n=kern.n, m=kern.m, context={**fam, "reason": str(exc)}
-            )
-        )
+        reports.append(_skipped("score-projection", exc, fam, kern.n, kern.m))
 
     count = int(np.sum(np.abs(sp.eigenvalues - kern.m / kern.n) <= 1e-4))
     reports.append(
@@ -406,7 +400,8 @@ def _trace_reports(kern, sp, spec: DistributionSpec, v2: float | None, cfg: Grid
 
 
 def _fisher_reports(spec, d, ms, theta2, n_max, fam) -> list[BoundReport]:
-    jy = jst(d)
+    sums = _partial_sums(d, n_max)
+    jy = jst(next(sums))
     reports = [
         make_report("cramer-rao-nonneg", 0.0, jy.value, tol=1e-6, n=1, context=fam),
         make_report(
@@ -415,9 +410,7 @@ def _fisher_reports(spec, d, ms, theta2, n_max, fam) -> list[BoundReport]:
     ]
     beta = float(spec.params["beta"]) if spec.family == "gamma" else None
     jst_values = {1: jy.value}
-    dn = d
-    for n in range(2, n_max + 1):
-        dn = convolve(dn, d)  # the left fold convolve_self(d, n) does, kept between steps
+    for n, dn in enumerate(sums, start=2):
         jn = jst(dn).value
         jst_values[n] = jn
         reports.append(fisher_upper_bound(jn, jy.value, theta2, n, tol=1e-6, **fam))

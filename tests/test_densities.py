@@ -94,6 +94,14 @@ def test_moments_gamma():
     assert abs(ms.sigma_stat - 2.5) <= 1e-4
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 13])
+def test_moments_refuses_kmax_outside_2_to_12(kmax):
+    """Sigma reads the fourth moment: kmax = 1 was accepted and then raised IndexError on central[2]."""
+    d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=256))
+    with pytest.raises(ValueError, match=r"kmax must lie in \[2, 12\]"):
+        moments(d, kmax=kmax)
+
+
 def test_convolution_doubles_gaussian_variance():
     d = build_density(DistributionSpec.gaussian(1.0), GridConfig(node_count=1024))
     d2 = convolve_self(d, 2)

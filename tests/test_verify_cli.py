@@ -570,3 +570,144 @@ def test_verify_all_includes_control():
     assert "negative-control-inflated-theta" in names
     hard = [r for r in reports if not r.passed and not r.context.get("expected_failure")]
     assert hard == []
+
+
+def _help_text(cmd, capsys):
+    assert run([cmd, "--help"]) == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_help_states_the_grid_unit_and_the_use_of_n_per_command(capsys):
+    """bounds and verify-all build their grids at n_hint 1, so their half width is in sigma; density and
+    monotonicity read --n only to size the window. Every command's help once said sigma*sqrt(n) and "number of
+    summands" alike."""
+    bounds = _help_text("bounds", capsys)
+    assert "--half-width HALF_WIDTH grid half width in units of sigma (default 12)" in bounds
+    assert "--n N number of summands of the smoothed sum, read only with --delta (default 2)" in bounds
+    assert "sqrt(n)" not in bounds
+    assert "sqrt(n)" not in _help_text("verify-all", capsys)
+    mono = _help_text("monotonicity", capsys)
+    assert "--n N sizes the grid window, whose half width is in units of sigma*sqrt(n) (default 2)" in mono
+    assert "number of summands" not in mono
+    assert "--n N number of summands (default 2)" in _help_text("theta", capsys)
+
+
+# exit codes a documented argv may give: 2 (a failed bound) only on the grid, where the BLAS kernel can move a
+# bound (gamma beta=4 under OPENBLAS_CORETYPE=Haswell); the exact pipeline must exit 0
+GRID_CODES, EXACT_CODES = (0, 2), (0,)
+
+
+def _cli_document(argv, codes, capsys):
+    code = run(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code in codes
+    if "reports" in doc and argv[0] != "verify-all":
+        assert (code == 2) == bool(doc["summary"]["failed"])
+    return doc
+
+
+def _names(doc):
+    return [r["name"] for r in doc["reports"]]
+
+
+def test_cli_monotonicity_reports_every_step(capsys):
+    doc = _cli_document(["monotonicity", "--spec", "gamma:beta=4", "--n-max", "4"], GRID_CODES, capsys)
+    assert _names(doc) == [f"monotone-product-step-{n}-{n + 1}" for n in (1, 2, 3)]
+    assert [n for n, _ in doc["sequence"]] == [1, 2, 3, 4]
+
+
+def test_cli_bounds_delta_adds_the_subgauss_ceiling(capsys):
+    doc = _cli_document(["bounds", "--spec", "gamma:beta=4", "--delta", "1.5", "--n", "6"], GRID_CODES, capsys)
+    last = doc["reports"][-1]
+    assert _names(doc).count("subgauss-chi2-ceiling") == 1
+    assert last["name"] == "subgauss-chi2-ceiling" and last["n"] == 6 and last["pass"]
+    assert set(last["context"]) == {"value", "exp_factor", "t", "divergent", "method"}
+    assert last["context"]["t"] == 1.0 / (5 * 1.5 * 1.5)
+    # gamma tails are exponential, so E exp(t (X - X')^2) diverges at every t > 0
+    assert last["context"]["divergent"] is True
+
+
+def test_cli_bounds_on_a_discrete_spec_runs_the_exact_battery(capsys):
+    doc = _cli_document(["bounds", "--spec", "discrete:0=0.2,1=0.5,3=0.3"], EXACT_CODES, capsys)
+    assert _names(doc) == [
+        "exact-dks-(2,1)", "exact-dks-(3,1)", "exact-dks-(3,2)", "exact-theta-nonneg", "theta-sigma-upper",
+        "exact-chain-(3,2)",
+    ]
+    doc = _cli_document(["bounds", "--spec", "discrete:0=0.5,1=0.5"], EXACT_CODES, capsys)
+    assert _names(doc) == ["exact-two-atom-sentinel"]
+    assert doc["reports"][0]["context"]["theta"] == "inf"
+
+
+def test_cli_bounds_n_max_4_adds_the_pairs_4_1_and_4_3(capsys):
+    names = _names(_cli_document(["bounds", "--n-max", "4"], GRID_CODES, capsys))
+    for tag in ("(4,1)", "(4,3)"):
+        pair = [f"{kind}-{tag}" for kind in (
+            "lambda0-unit", "dks-lambda1", "lambda2-below-dks", "theta-nonneg", "eigenfunction-orthonormality",
+            "eigenvalues-vs-closed",
+        )]
+        start = names.index(pair[0])
+        assert names[start : start + len(pair)] == pair
+    assert names.index("theta-ratio-chain-2-3") + 1 == names.index("theta-ratio-chain-3-4")
+
+
+# the family battery of the uniform law: no Meixner closed form, and a jump at the support edge skips the score
+# projection and the Fisher chain
+UNIFORM_NAMES = [
+    *(f"{kind}-(2,1)" for kind in (
+        "lambda0-unit", "dks-lambda1", "lambda2-below-dks", "theta-nonneg", "eigenfunction-orthonormality")),
+    "adjointness-random-polys", "apply-c-preserves-constants", "apply-c-constants-weighted-l2",
+    "apply-cstar-linear-mode", "score-projection-skipped", "dks-eigenvalue-multiplicity", "trace-floor",
+    "trace-vs-eigenvalue-sum",
+    *(f"{kind}-{tag}" for tag in ("(3,1)", "(3,2)") for kind in (
+        "lambda0-unit", "dks-lambda1", "lambda2-below-dks", "theta-nonneg", "eigenfunction-orthonormality")),
+    "theta-ratio-chain-2-3", "theta-sigma-upper", "theta-sigma-upper", "theta-moment-upper-k2",
+    "theta-moment-k2-equals-sigma-bound", "theta-moment-upper-k3", "theta-moment-k3-route-agreement",
+    "theta-moment-k3-projection-identity", "fisher-chain-skipped",
+]
+
+
+def test_cli_bounds_uniform_has_no_closed_form_reports(capsys):
+    doc = _cli_document(["bounds", "--spec", "uniform:a=-1,b=1"], GRID_CODES, capsys)
+    assert _names(doc) == UNIFORM_NAMES
+    assert doc["summary"]["skipped"] == ["score-projection-skipped", "fisher-chain-skipped"]
+
+
+def test_cli_verify_all_spec_runs_one_family_and_the_shared_suites(capsys):
+    doc = _cli_document(["verify-all", "--spec", "uniform:a=-1,b=1"], GRID_CODES, capsys)
+    names = _names(doc)
+    assert names[: len(UNIFORM_NAMES)] == UNIFORM_NAMES
+    assert names[len(UNIFORM_NAMES)] == "exact-gram-uniform3"
+    assert names[-1] == "negative-control-inflated-theta"
+    assert "negative-control-inflated-theta" in doc["summary"]["failed"]
+    assert {r["context"].get("family") for r in doc["reports"]} == {"uniform", None}
+
+
+def test_cli_density_of_a_law_without_fisher_information_prints_null_jst(capsys):
+    assert run(["density", "--spec", "uniform:a=-1,b=1"]) == 0
+    out = capsys.readouterr().out
+    assert '"jst": null' in out and json.loads(out)["jst"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["theta"], ["trace"], ["density"], ["efron-stein", "--spec", EXACT3, "--n", "3"]],
+    ids=["theta", "trace", "density", "efron-stein"],
+)
+def test_cli_csv_form_prints_the_json_numbers(argv, capsys):
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert run([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if argv[0] == "theta":
+        assert lines == ["n,m,theta,lambda2", f"2,1,{doc['theta']!r},{doc['lambda2']!r}"]
+    elif argv[0] == "trace":
+        assert lines == ["n,m,trace,chi2,lower_bound_only", f"2,1,{doc['trace']!r},{doc['chi2']!r},false"]
+    elif argv[0] == "density":
+        table = [[float(v) for v in line.split(" ")] for line in lines]
+        assert len(table) == doc["node_count"] and all(len(row) == 2 for row in table)
+        assert abs((table[1][0] - table[0][0]) - doc["step"]) <= 1e-12
+    else:
+        comps = doc["components"]
+        assert lines == ["r,choose,second_moment"] + [
+            f"{r},{c['choose']},{c['second_moment']!r}" for r, c in comps.items()
+        ]
