@@ -72,7 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                            allow_abbrev=False)
         p.set_defaults(subcommand=name)
         for flag in _READS[name]:
-            p.add_argument(flag, **{**_FLAGS[flag], "help": _HELP.get((name, flag), _FLAGS[flag].get("help"))})
+            kw = {**_FLAGS[flag], "help": _HELP.get((name, flag), _FLAGS[flag].get("help"))}
+            if (name, flag) == ("efron-stein", "--spec"):
+                kw["required"] = True  # the default law, gaussian:sigma=1, is not discrete
+            p.add_argument(flag, **kw)
     return parser
 
 

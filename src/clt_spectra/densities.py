@@ -214,12 +214,11 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class JstResult:
-    """Standardized Fisher information with a resolution-based error estimate."""
+    """Standardized Fisher information Var(Y) * J(Y) - 1 and its two factors."""
 
     value: float
     fisher_info: float
     variance: float
-    uncertainty: float
 
 
 _KNOWN_FAMILIES = ("gaussian", "gamma", "uniform", "mixture", "discrete", "file")
@@ -665,20 +664,11 @@ def jst(d: GridDensity) -> JstResult:
     """Standardized Fisher information Var(Y) * J(Y) - 1.
 
     Nonnegative by Cramer-Rao, zero exactly for Gaussian, and invariant under
-    rescale. The uncertainty field is the difference against the same
-    computation on the half-resolution grid, which tracks the discretization
-    error of the score near steep regions.
+    rescale.
     """
     j = fisher(d)
     var = d.variance()
-    value = var * j - 1.0
-    try:
-        coarse = _normalized(d.nodes[::2], d.values[::2], 2 * d.step)
-        jc = fisher(coarse)
-        unc = abs(value - (coarse.variance() * jc - 1.0))
-    except ValueError:
-        unc = math.nan
-    return JstResult(value=value, fisher_info=j, variance=var, uncertainty=unc)
+    return JstResult(value=var * j - 1.0, fisher_info=j, variance=var)
 
 
 def _fft_length(n: int) -> int:

@@ -311,17 +311,15 @@ def _krylov_budget(d: int, n: int, m: int, total: int, top: int) -> tuple[int, i
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     """Eigen-decomposition of the exact C*C on the S_m support.
 
-    The rank probe reads the rows of the Gram matrix built from the
-    sum-index pairs (``ExactOperator.gram``); it certifies low rank where
-    the eigenvalues decay fast (two atoms, m well below n) and otherwise
-    leaves a remainder of 0.4 to 0.9 of the trace. A law whose n-sums never
-    coincide has a Krylov budget (``_krylov_budget``): where it fits, the
-    top K eigenpairs come from the certified block Krylov solve and
-    ``eigenvalues`` holds only those K (for 10 and 12 generic atoms at
-    (5, 4), h = 715 and 1365), with the certified bound on the rest as
-    ``health["tail_bound"]``. Every other block (lattices, small blocks)
-    goes to eigh right after the probe and returns all its eigenvalues. No
-    exact block calls eigvalsh.
+    No rank probe runs: the Gram matrix is built from the sum-index pairs
+    (``ExactOperator.gram``), and a law whose n-sums never coincide has a
+    Krylov budget (``_krylov_budget``). Where it fits, the top K eigenpairs
+    come from the certified block Krylov solve, started on fixed
+    pseudo-random columns, and ``eigenvalues`` holds only those K (for 10
+    and 12 generic atoms at (5, 4), h = 715 and 1365), with the certified
+    bound on the rest as ``health["tail_bound"]``. Every other block
+    (lattices, small blocks) goes straight to eigh and returns all its
+    eigenvalues. No exact block calls eigvalsh.
     """
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()

@@ -290,8 +290,12 @@ def monotonicity_sequence(base: GridDensity, theta2: float, n_max: int) -> list[
     """
     if not 1 <= n_max <= 8:
         raise ValueError("n_max must lie in [1, 8]")
-    sums = _partial_sums(base, n_max)
-    return [(n, (1.0 + (n - 1) * theta2) * jst(d_n).value) for n, d_n in enumerate(sums, start=1)]
+    return _monotone_products([jst(d_n).value for d_n in _partial_sums(base, n_max)], theta2)
+
+
+def _monotone_products(jst_values: list[float], theta2: float) -> list[tuple[int, float]]:
+    """The products (n, (1 + (n-1) theta2) J_st(S_n)) of J_st(S_1), J_st(S_2), ... in ``jst_values``."""
+    return [(n, (1.0 + (n - 1) * theta2) * j) for n, j in enumerate(jst_values, start=1)]
 
 
 def monotonicity_reports(seq: list[tuple[int, float]]) -> list[BoundReport]:
@@ -323,8 +327,8 @@ class SubgaussResult:
     """Regularized chi-square ceiling n/(n-1) E exp((X-X')^2 / ((n-1) delta^2)).
 
     divergent means the pair expectation kept growing when the quadrature
-    window was widened: the reported value is then window-dependent and only
-    the flag is meaningful.
+    window was widened: any finite value would then be set by the window, so
+    value and exp_factor are reported as inf.
     """
 
     value: float
@@ -382,10 +386,10 @@ def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int) -> Subgaus
     wide = build_density(spec, GridConfig(node_count=int(SUBGAUSS_NODES * 1.5), half_width_sigmas=18.0))
     e_base = _pair_expectation(base, t)
     e_wide = _pair_expectation(wide, t)
-    if not math.isfinite(e_base) or not math.isfinite(e_wide):
-        return SubgaussResult(math.inf, math.inf, t, True, math.inf)
-    growth = e_wide / e_base - 1.0
-    return SubgaussResult(prefactor * e_base, e_base, t, growth > SUBGAUSS_GROWTH_TOL, growth)
+    growth = e_wide / e_base - 1.0 if math.isfinite(e_base) and math.isfinite(e_wide) else math.inf
+    if growth > SUBGAUSS_GROWTH_TOL:
+        return SubgaussResult(math.inf, math.inf, t, True, growth)
+    return SubgaussResult(prefactor * e_base, e_base, t, False, growth)
 
 
 def gauss_chi2_closed(x, y, rho: float, delta: float) -> float:

@@ -21,28 +21,27 @@ similar to the discretized C*C and keeps eigenvectors orthonormal in the
 weighted inner product; only the rows of B that carry S_m mass are solved.
 A grid kernel's B is an operator (``KernelFactor``), not a stored array:
 B z and B^T x are O(N) correlations against p_{S_{n-m}}.
-One pivoted Cholesky probe reads diag(S) and a few of its rows. A grid kernel
-gives both by direct correlations against p_{S_{n-m}}, without B or S: when
-the probe certifies S as numerically low-rank (gaussian summands: eigenvalues
-(m/n)^k), only its r x r core is diagonalized and nothing N^2-sized exists.
-Otherwise the operator forms S (a grid kernel tile by tile from strips of
-B's rows, an exact operator from its non-zero pairs, discrete.py) and the
-probe runs on its rows. Grid and exact blocks then share one block Krylov
-solve for the top K eigenpairs, kept under a Cholesky certificate that no
-eigenvalue past them was missed, and return only those K: every grid block
-whose head alone is read (theta, the CLI, all but one battery pair) and an
-exact operator whose sums never coincide. A grid spectrum asked for all its
-eigenvalues (``spectrum``'s default, for callers that sum or count them)
-takes them from eigvalsh and keeps the Krylov pairs where their values match
-it. The dense eigh solves the rest.
+A grid kernel's Gram matrix S is probed first by one pivoted Cholesky that
+reads diag(S) and a few of its rows by direct correlations against
+p_{S_{n-m}}, without B or S: when the probe certifies S as numerically
+low-rank (gaussian summands: eigenvalues (m/n)^k), only its r x r core is
+diagonalized and nothing N^2-sized exists. Otherwise the operator forms S (a
+grid kernel tile by tile from strips of B's rows, an exact operator from its
+non-zero pairs, discrete.py), and grid and exact blocks share one block
+Krylov solve for the top K eigenpairs, started on the probe's Ritz vectors
+(grid) or on fixed pseudo-random columns (exact), kept under a Cholesky
+certificate that no eigenvalue past them was missed, and return only those
+K: every grid block whose head alone is read (theta, the CLI, all but one
+battery pair) and an exact operator whose sums never coincide. A grid
+spectrum asked for all its eigenvalues (``spectrum``'s default, for callers
+that sum or count them) takes them from eigvalsh and keeps the Krylov pairs
+where their values match it. The dense eigh solves the rest.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import Literal
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -77,44 +76,45 @@ TRIVIAL_CORR_MIN = 0.99
 # genuinely distinct neighboring modes sit orders of magnitude further apart.
 CLUSTER_TOL = 1e-8
 
-# Rank probe: a pivoted Cholesky of the Gram matrix S (Harbrecht, Peters &
-# Schneider, Appl. Numer. Math. 62, 2012) stops once the diagonal of the Schur
-# complement E = S - L^T L sums to at most RANK_TRACE_TOL * trace(S), which
-# bounds every eigenvalue error (Weyl) and the eigenvalue sum by trace(E). It
-# gives up after RANK_PROBE_MAX pivots or a quarter of the block, where the
-# r x r core would no longer be much cheaper than the dense solve. Its arrays
-# (L, the QR's copy of L^T, Q and the eigenvectors Q W) take at most
-# PROBE_COPIES RANK_PROBE_MAX h doubles.
+# Rank probe: a pivoted Cholesky of a grid kernel's Gram matrix S (Harbrecht,
+# Peters & Schneider, Appl. Numer. Math. 62, 2012), its rows computed by
+# ``gram_row``, stops once the diagonal of the Schur complement
+# E = S - L^T L sums to at most RANK_TRACE_TOL * trace(S), which bounds every
+# eigenvalue error (Weyl) and the eigenvalue sum by trace(E). It gives up
+# after RANK_PROBE_MAX pivots or a quarter of the block, where the r x r core
+# would no longer be much cheaper than the dense solve. Its arrays (L, the
+# QR's copy of L^T, Q and the eigenvectors Q W) take at most PROBE_COPIES
+# RANK_PROBE_MAX h doubles. Exact operators are not probed.
 RANK_PROBE_MAX = 128
 RANK_TRACE_TOL = 64 * np.finfo(float).eps
 PROBE_COPIES = 4
 
-# A probe whose rows are computed (not read from S) also gives up once the
-# decay of trace(E) has slowed over its last two windows of PROBE_WINDOW
-# pivots and, slowing on at that ratio, would not reach the tolerance within
-# the pivot budget. Gaussian decays speed up and never trip it; gamma and
-# uniform blocks trip it after 16 to 24 pivots, short of the 128 that would
-# not certify them either (one that certifies late is then certified on the
-# rows of S).
+# Each row costs a correlation, so the probe also gives up once the decay of
+# trace(E) has slowed over its last two windows of PROBE_WINDOW pivots and,
+# slowing on at that ratio, would not reach the tolerance within the pivot
+# budget. Gaussian decays speed up and never trip it; gamma and uniform
+# blocks trip it after 16 to 24 pivots and go to the Krylov solve, whose
+# start block the probe's Ritz vectors seed.
 PROBE_WINDOW = 8
 
 # Top-K path (block Lanczos, Golub & Underwood 1977), one for grid and exact
-# blocks: the start block holds the top Ritz vectors of the probe's L^T L and
-# KRYLOV_GUARD fixed pseudo-random columns, which catch a cluster direction
-# the probe's vectors can miss. A Ritz pair is converged once its residual
-# ||S v - theta v|| is at most RITZ_RESID_TOL * lambda_max, the level eigh
-# itself reaches (about 6 eps on the grid blocks). An exact operator whose
-# sums never coincide names a budget of m + 1 blocks of width columns
-# (discrete._krylov_budget); a grid block is as wide as the ``_ritz_count``
-# of the probe's core spectrum (of its eigvalsh spectrum, where every
-# eigenvalue is asked for) plus the guard and takes as many blocks as fit.
-# The solve runs where the blocks are at most KRYLOV_MAX_FRACTION of the h
-# rows. Measured against eigh after the probe (2-vCPU SkylakeX, OpenBLAS, 2
-# threads, generic laws of 8 to 20 atoms, h = 120 to 1365): budgets of 0.06
-# to 0.18 of h took 0.32 to 0.79 of eigh's time, 0.25 to 0.34 about as long
-# (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as long. The exact
-# certificate's O(h^3 / 3) Cholesky runs in row blocks of CHOLESKY_BLOCK (64
-# took 19 ms at h = 1068 against 17 ms for LAPACK's own, 128 took 24 ms).
+# blocks. A grid start block holds up to width - KRYLOV_GUARD top Ritz
+# vectors of the probe's L^T L and fills the rest with fixed pseudo-random
+# columns, which catch a cluster direction the probe's vectors can miss; an
+# exact start block is all such columns. A Ritz pair is converged once its
+# residual ||S v - theta v|| is at most RITZ_RESID_TOL * lambda_max, the
+# level eigh itself reaches (about 6 eps on the grid blocks). An exact
+# operator whose sums never coincide names a budget of m + 1 blocks of width
+# columns (discrete._krylov_budget); a grid block is as wide as the
+# ``_ritz_count`` of the probe's core spectrum plus the guard and takes as
+# many blocks as fit. The solve runs where the blocks are at most
+# KRYLOV_MAX_FRACTION of the h rows. Measured against eigh (2-vCPU SkylakeX,
+# OpenBLAS, 2 threads, generic laws of 8 to 20 atoms, h = 120 to 1365):
+# budgets of 0.06 to 0.18 of h took 0.32 to 0.79 of eigh's time, 0.25 to
+# 0.34 about as long (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as
+# long. The exact certificate's O(h^3 / 3) Cholesky runs in row blocks of
+# CHOLESKY_BLOCK (64 took 19 ms at h = 1068 against 17 ms for LAPACK's own,
+# 128 took 24 ms).
 KRYLOV_GUARD = 4
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 KRYLOV_MAX_FRACTION = 0.25
@@ -332,7 +332,7 @@ class SpectrumResult:
     clamp_magnitude: float
     n: int
     m: int
-    solver: str = "dense"  # "low-rank", "ritz" (grid, full), "krylov" (grid head or exact) or "dense" (_eigh_psd)
+    solver: str = "dense"  # "low-rank" (grid), "ritz" (grid, full), "krylov" (grid head or exact) or "dense"
     k: int = 0  # eigenvectors computed: r, K or the block size
     health: dict = field(default_factory=dict)  # the operator's ``health`` signals and the solver's record
 
@@ -452,8 +452,8 @@ def gram_matrix(B: NDArray[np.float64]) -> NDArray[np.float64]:
     """Symmetrized discretization of C*C (similar transform, same spectrum) from a factor ``B``.
 
     The exact spectrum passes a dense block where its sum-index pairs pile
-    up, and the rank probe its factor L and the triangle R of L^T's QR,
-    whose Gram matrices are the small cores the solve reads; the grid Gram
+    up, and the rank probe the triangle R of its factor's QR, whose Gram
+    matrix is the small core the solve reads; the grid Gram
     writes the same product tile by tile (``ConditionalKernel.gram``).
     numpy computes ``B @ B.T`` of a C-contiguous B with syrk and mirrors the
     triangle, so S is exactly symmetric.
@@ -530,16 +530,16 @@ def _probe_stalls(traces: list[float], budget: int) -> bool:
 
 
 def _low_rank_factor(
-    diag: NDArray[np.float64], row: Callable[[int], NDArray[np.float64]], stop_early: bool = False
+    diag: NDArray[np.float64], row: Callable[[int], NDArray[np.float64]]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Rows of L with S = L^T L + E, and trace(E) after each pivot.
 
     Diagonally pivoted Cholesky of the PSD S, read through its diagonal
     ``diag`` and its rows ``row(p)``: each step takes the largest remaining
     diagonal entry of the Schur complement E as pivot. It stops once
-    trace(E) <= RANK_TRACE_TOL * trace(S) (certified low rank) or after
-    min(RANK_PROBE_MAX, h // 4) pivots; with ``stop_early`` (rows that are
-    computed, not read) also once ``_probe_stalls``. ``traces[j]`` is trace(E)
+    trace(E) <= RANK_TRACE_TOL * trace(S) (certified low rank), once
+    ``_probe_stalls``, or after min(RANK_PROBE_MAX, h // 4) pivots (none
+    below 4 rows). ``traces[j]`` is trace(E)
     after the first j rows of L, so ``traces[0]`` = trace(S) and
     ``traces[-1]`` goes with all of L.
     """
@@ -548,7 +548,7 @@ def _low_rank_factor(
     traces = [d.sum()]
     L = np.empty((min(RANK_PROBE_MAX, h // 4), h))
     for k in range(len(L)):
-        if traces[-1] <= RANK_TRACE_TOL * traces[0] or (stop_early and _probe_stalls(traces, len(L))):
+        if traces[-1] <= RANK_TRACE_TOL * traces[0] or _probe_stalls(traces, len(L)):
             return L[:k], np.array(traces)
         p = int(np.argmax(d))
         col = row(p) - L[:k, p] @ L[:k]
@@ -681,59 +681,58 @@ def _certify_tail(S: NDArray[np.float64], V: NDArray[np.float64], ritz: NDArray[
 
 
 def _eigh_psd(
-    S: NDArray[np.float64], top: int, full: bool, budget: tuple[int, int] | Literal["probe"] | None = None
+    S: NDArray[np.float64],
+    top: int,
+    full: bool,
+    budget: tuple[int, int] | None = None,
+    L: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict]:
     """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, the solver and its record.
 
-    One pivoted Cholesky probe on the rows of S, S = L^T L + E, runs first.
-    Certified low rank ("low-rank"): the r x r core (``_core_eigh``); by Weyl
-    each eigenvalue of S lies in [lam_i, lam_i + trace(E)], the h - r left
-    out included (taken as 0), and only the r are returned. Otherwise the
-    block Krylov solve (``_block_krylov_top``) runs on a (width, blocks)
-    budget, from the start block the comment at KRYLOV_GUARD describes,
-    where the probe has width - KRYLOV_GUARD rows and the blocks fit in
-    KRYLOV_MAX_FRACTION of the rows. Three callers name the budget:
-    - a ``full`` solve (a grid block whose every eigenvalue is read) takes
-      all h eigenvalues from eigvalsh, a width of their ``_ritz_count``
-      plus KRYLOV_GUARD, and as many blocks as fit. Its Krylov result is
-      kept where the Ritz values match eigvalsh's top ones within
-      RITZ_RESID_TOL * lambda_max, which catches a Krylov space that skipped
-      an eigenvalue ("ritz": all h eigenvalues, the top K eigenvectors);
-    - ``budget`` "probe" (a grid block whose head alone is read) reads the
-      width the same way off the probe's core eigenvalues mu, the non-zero
-      eigenvalues of L^T L, and calls no eigvalsh;
+    The block Krylov solve (``_block_krylov_top``) runs on a (width, blocks)
+    budget whose blocks fit in KRYLOV_MAX_FRACTION of the rows:
+    - a grid block passes the rows ``L`` of the rank probe that did not
+      certify it, S = L^T L + E. The width is the ``_ritz_count`` of the
+      probe's core eigenvalues mu (the non-zero eigenvalues of L^T L,
+      ``_core_eigh``) plus KRYLOV_GUARD, with as many blocks as fit, and the
+      start block holds up to width - KRYLOV_GUARD of the probe's top Ritz
+      vectors, filled up with the fixed pseudo-random columns;
     - an exact block passes the (width, blocks) of
-      ``discrete._krylov_budget``, or None.
-    Outside the full solve the result must pass ``_certify_tail`` at sigma =
-    theta_K - (theta_K - theta_{K+1}) / 4; then only the K certified
-    eigenvalues and their vectors are returned ("krylov"), with sigma as
-    ``tail_bound`` in the record. Sigma stays strictly below theta_K (the
-    Ritz gap is wider than CLUSTER_TOL), and lambda_K >= theta_K by
-    interlacing, so lambda_{K+1} < sigma also proves that no eigenvalue of
-    the top K was missed. The gap's midpoint can sit below lambda_{K+1}
-    where theta_{K+1} is still far from it: on gamma beta = 2.5 at (3, 1),
-    1024 nodes, theta_K = 4.420e-3, theta_{K+1} = 1.5e-5 and the midpoint
-    2.218e-3 lie under lambda_{K+1} = 2.247e-3. The ritz and krylov records
-    carry the solve's ``ritz_residual`` and ``krylov_blocks``. Otherwise (no
-    budget, one too large, a block that does not converge, a check that
-    fails) the dense eigh ("dense").
+      ``discrete._krylov_budget``, or None, and starts on width of those
+      columns.
+    A ``full`` solve (a grid block whose every eigenvalue is read) takes all
+    h eigenvalues from eigvalsh first and keeps its Krylov result where the
+    Ritz values match eigvalsh's top ones within RITZ_RESID_TOL *
+    lambda_max, which catches a Krylov space that skipped an eigenvalue
+    ("ritz": all h eigenvalues, the top K eigenvectors). Otherwise the
+    result must pass ``_certify_tail`` at sigma = theta_K - (theta_K -
+    theta_{K+1}) / 4; then only the K certified eigenvalues and their
+    vectors are returned ("krylov"), with sigma as ``tail_bound`` in the
+    record. Sigma stays strictly below theta_K (the Ritz gap is wider than
+    CLUSTER_TOL), and lambda_K >= theta_K by interlacing, so lambda_{K+1} <
+    sigma also proves that no eigenvalue of the top K was missed. The gap's
+    midpoint can sit below lambda_{K+1} where theta_{K+1} is still far from
+    it: a start block that holds the top 8 eigenvectors exactly, theta_K =
+    0.12 above eigenvalues spread over [0, 0.1], converges in one block with
+    theta_{K+1} = 0.055, so the midpoint 0.0875 lies under lambda_{K+1} = 0.1
+    and sigma = 0.104 does not. The ritz and krylov records carry the
+    solve's ``ritz_residual`` and ``krylov_blocks``. Otherwise (no budget,
+    one too large, a block that does not converge, a check that fails) the
+    dense eigh ("dense").
     """
-    L, traces = _low_rank_factor(S.diagonal(), S.__getitem__)
-    if traces[-1] <= RANK_TRACE_TOL * traces[0]:
-        return (*_core_eigh(L), "low-rank", {})
     h = len(S)
-    core = np.linalg.eigh(gram_matrix(L)) if full or budget is not None else None  # no budget: eigh next
     if full:
         lam = np.linalg.eigvalsh(S)
-    if full or budget == "probe":
-        width = _ritz_count(lam if full else core[0], top) + KRYLOV_GUARD
+    start = np.empty((h, 0))
+    if L is not None:
+        mu, U = _core_eigh(L)
+        width = _ritz_count(mu, top) + KRYLOV_GUARD
         budget = width, int(KRYLOV_MAX_FRACTION * h) // width
+        start = U[:, max(len(mu) + KRYLOV_GUARD - width, 0) :]
     width, blocks = budget or (0, 0)
-    j = width - KRYLOV_GUARD
-    if 0 < j <= len(L) and 0 < blocks * width <= KRYLOV_MAX_FRACTION * h:
-        mu, W = core
-        extra = np.random.default_rng(0).standard_normal((h, KRYLOV_GUARD))
-        found = _block_krylov_top(S, np.hstack(((L.T @ W[:, -j:]) / np.sqrt(mu[-j:]), extra)), top, blocks)
+    if 0 < blocks * width <= KRYLOV_MAX_FRACTION * h:
+        extra = np.random.default_rng(0).standard_normal((h, width - start.shape[1]))
+        found = _block_krylov_top(S, np.hstack((start, extra)), top, blocks)
         if found is not None:
             ritz, V, below, record = found
             if full:
@@ -747,18 +746,12 @@ def _eigh_psd(
     return lam, phi, "dense", {}
 
 
-def _probe_kernel(kernel: ConditionalKernel, rows: slice) -> tuple[NDArray[np.float64], NDArray[np.float64]] | None:
-    """The ``_core_eigh`` of a kernel's Gram block on ``rows`` where the matrix-free probe certifies it, else None."""
-    L, traces = _low_rank_factor(kernel.gram_diag(rows), lambda p: kernel.gram_row(rows, p), stop_early=True)
-    return _core_eigh(L) if traces[-1] <= RANK_TRACE_TOL * traces[0] else None
-
-
 def _eigensystem(
     op,
     mass: NDArray[np.float64],
     nodes: NDArray[np.float64],
     top: int,
-    budget: tuple[int, int] | Literal["probe"] | None = None,
+    budget: tuple[int, int] | None = None,
     full: bool = False,
 ) -> SpectrumResult:
     """Eigensolve of the Gram matrix B B^T of ``op`` with trivial-mode classification.
@@ -773,15 +766,16 @@ def _eigensystem(
     ``B`` with zero mass is zero, hence an exact null mode, so only the rows
     spanning ``mass > 0`` are solved. Every memory check of the call (the
     probe, the solve, the Gram matrix) measures against one reading of the
-    memory left, ``avail``. The probe's PROBE_COPIES RANK_PROBE_MAX h
-    doubles are checked first. A grid kernel is probed on the diagonal and
-    rows of its Gram matrix computed without it (``gram_diag``, ``gram_row``):
-    when that certifies the block numerically low-rank, the r x r core is all
-    that is solved. Otherwise the solve's SOLVE_SQUARES h^2, S included, is
-    checked against the memory left before the Gram matrix is formed, and
-    ``_eigh_psd`` solves it with ``full`` and ``budget``: a grid kernel
-    passes "probe" (its ``full`` solve ignores it), an exact operator its
-    Krylov budget. One zero eigenvalue per row outside
+    memory left, ``avail``. The grid kernel, whose Gram rows are computed,
+    not stored, is the one operator probed: its PROBE_COPIES RANK_PROBE_MAX
+    h doubles are checked, then the pivoted Cholesky (``_low_rank_factor``)
+    runs once on the diagonal and rows of its Gram matrix computed without
+    it (``gram_diag``, ``gram_row``). When that certifies the block
+    numerically low-rank, the r x r core is all that is solved. Otherwise
+    the solve's SOLVE_SQUARES h^2, S included, is checked against the memory
+    left before the Gram matrix is formed, and ``_eigh_psd`` solves it: a
+    grid kernel passes ``full`` and the probe's factor, an exact operator
+    its Krylov ``budget``. One zero eigenvalue per row outside
     the block goes at the tail and the eigenvectors are 0 on those rows, so
     the result is that of the full matrix; on the low-rank path the h - r
     smallest eigenvalues are exact zeros as well, and the low-rank, ritz and
@@ -800,15 +794,18 @@ def _eigensystem(
     h = rows.stop - rows.start
     top = min(top, len(nodes))
     avail = _available_bytes()
-    op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h, avail)
-    core = _probe_kernel(op, rows) if isinstance(op, ConditionalKernel) else None
+    L, certified = None, False
+    if isinstance(op, ConditionalKernel):
+        op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h, avail)
+        L, traces = _low_rank_factor(op.gram_diag(rows), lambda p: op.gram_row(rows, p))
+        certified = traces[-1] <= RANK_TRACE_TOL * traces[0]
     record: dict = {}
-    if core is not None:
-        (lam, phi), solver = core, "low-rank"
+    if certified:
+        (lam, phi), solver = _core_eigh(L), "low-rank"
     else:
         op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h, avail)
         S = op.gram(rows, avail)
-        lam, phi, solver, record = _eigh_psd(S, top, full, budget)
+        lam, phi, solver, record = _eigh_psd(S, top, full, budget, L)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]
@@ -865,7 +862,7 @@ def spectrum(kernel: ConditionalKernel, full: bool = True) -> SpectrumResult:
     returns all of them either way.
     """
     p_m = kernel.summand
-    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD, "probe", full)
+    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD, full=full)
 
 
 def theta_from_spectrum(spec: SpectrumResult) -> ThetaResult:

@@ -48,6 +48,7 @@ from .discrete import (
 )
 from .inequalities import (
     BoundReport,
+    _monotone_products,
     chain_lower,
     de_bruijn_rate,
     de_bruijn_rate_quad,
@@ -409,10 +410,10 @@ def _fisher_reports(spec, d, ms, theta2, n_max, fam) -> list[BoundReport]:
         ),
     ]
     beta = float(spec.params["beta"]) if spec.family == "gamma" else None
-    jst_values = {1: jy.value}
+    jst_values = [jy.value]
     for n, dn in enumerate(sums, start=2):
         jn = jst(dn).value
-        jst_values[n] = jn
+        jst_values.append(jn)
         reports.append(fisher_upper_bound(jn, jy.value, theta2, n, tol=1e-6, **fam))
         reports.append(fisher_lower_bound(jn, ms.skewness, ms.sigma_stat, n, tol=1e-6, **fam))
         if beta is not None and beta * n > 4:
@@ -428,8 +429,7 @@ def _fisher_reports(spec, d, ms, theta2, n_max, fam) -> list[BoundReport]:
         reports.append(
             theta_lower_from_poincare(theta2, jy.fisher_info, sigma * sigma, tol=1e-6, **fam)
         )
-    seq = [(n, (1.0 + (n - 1) * theta2) * jst_values[n]) for n in sorted(jst_values)]
-    reports.extend(monotonicity_reports(seq))
+    reports.extend(monotonicity_reports(_monotone_products(jst_values, theta2)))
     return reports
 
 

@@ -24,6 +24,7 @@ from clt_spectra import (
 )
 from clt_spectra import discrete, operators
 from clt_spectra.cli import run
+from clt_spectra.closed_forms import meixner_lambdas
 from clt_spectra.discrete import ATOM_TOL, _coalesce
 from clt_spectra.verify import PMF_LATTICE4, PMF_SIDON4, PMF_SKEW3, PMF_UNIFORM3
 
@@ -31,6 +32,7 @@ UNIFORM3 = DiscretePMF((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
 EQUAL3 = DiscretePMF((0.0, 1.0, 2.0), (1 / 3, 1 / 3, 1 / 3))
 SKEW3 = DiscretePMF((0.0, 1.0, 3.0), (0.5, 0.3, 0.2))
 SIDON4 = DiscretePMF((0.0, 1.0, 2.5, 4.0), (0.28, 0.16, 0.31, 0.25))
+BERNOULLI = DiscretePMF((0.0, 1.0), (0.5, 0.5))
 NONLATTICE12_SPEC = (
     "discrete:0=0.11,1.37=0.09,2.9=0.1,3.3=0.08,4.71=0.07,5.2=0.09,6.05=0.08,7.43=0.09,8.1=0.07,8.88=0.08,"
     "9.5=0.07,9.97=0.07"
@@ -354,8 +356,8 @@ def test_krylov_budget_only_where_no_sums_coincide():
 
 
 def test_exact_blocks_never_call_eigvalsh(monkeypatch):
-    """Lattice blocks (h = 64 and 130 here) go to eigh right after the rank probe and generic ones take the Krylov
-    path: neither calls eigvalsh, which only the grid's cross-check of its Krylov result reads."""
+    """Lattice blocks (h = 64 and 130 here) go straight to eigh and generic ones take the Krylov path: neither calls
+    eigvalsh, which only the grid's cross-check of its Krylov result reads."""
 
     def unreachable(*args, **kwargs):
         raise AssertionError("eigvalsh called on an exact block")
@@ -367,6 +369,29 @@ def test_exact_blocks_never_call_eigvalsh(monkeypatch):
         sp = exact_spectrum(pmf, n, m)
         solvers.append((len(pmf_power(pmf, m).atoms) >= 55, sp.solver))
     assert solvers == [(True, "dense"), (True, "dense"), (True, "krylov")]
+
+
+def test_exact_spectra_run_no_rank_probe(monkeypatch):
+    """An exact block goes straight to its Krylov budget or to eigh: no pivoted Cholesky runs on any of them."""
+
+    def unreachable(*args):
+        raise AssertionError("rank probe run on an exact block")
+
+    monkeypatch.setattr(operators, "_low_rank_factor", unreachable)
+    lattice = DiscretePMF.from_spec(parse_spec("discrete:0=0.2,1=0.1,3=0.15,4=0.1,7=0.2,9=0.1,11=0.15"))
+    solvers = [exact_spectrum(pmf, n, m).solver for pmf, n, m in [(lattice, 7, 6), (GENERIC12, 5, 4), (BERNOULLI, 3, 2)]]
+    assert solvers == ["dense", "krylov", "dense"]
+
+
+@pytest.mark.parametrize("n, m", [(1000, 100), (1070, 200), (1000, 60)])
+def test_bernoulli_exact_spectrum_is_the_binomial_meixner_spectrum(n, m):
+    """Bernoulli(1/2) summands are binomial Meixner laws with v2 = -1: the exact head is meixner_lambdas(-1, n, m, 8)
+    to 1e-14 and theta = (n - m)/(m - 1) to 1e-12 relative. These blocks (h = m + 1) go to eigh."""
+    sp = exact_spectrum(BERNOULLI, n, m)
+    assert sp.solver == "dense" and len(sp.eigenvalues) == m + 1
+    assert np.abs(sp.eigenvalues[:8] - meixner_lambdas(-1.0, n, m, 8)).max() <= 1e-14
+    want = (n - m) / (m - 1)
+    assert abs(operators.theta_from_spectrum(sp).theta - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("pmf, n, m", EXACT_CASES)

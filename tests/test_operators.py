@@ -8,6 +8,7 @@ import pytest
 from clt_spectra import (
     DistributionSpec,
     GridConfig,
+    GridDensity,
     apply_C,
     apply_Cstar,
     build_density,
@@ -17,6 +18,7 @@ from clt_spectra import (
     theta,
     theta_from_spectrum,
     trace_T,
+    trapezoid_weights,
 )
 from clt_spectra import operators
 from clt_spectra.operators import SpectrumResult, classify_trivial
@@ -221,6 +223,12 @@ def _block_gram(op, mass):
     return gram_matrix(B[rows, operators._hull(B[rows].any(axis=0))])
 
 
+def _kernel_probe(kern):
+    """The matrix-free rank probe ``_eigensystem`` runs on a grid kernel's support block: L and trace(E) per pivot."""
+    rows = operators._hull(kern.summand.values > 0)
+    return operators._low_rank_factor(kern.gram_diag(rows), lambda p: kern.gram_row(rows, p))
+
+
 def test_low_rank_factor_bounds_the_spectrum():
     """On a PSD matrix with eigenvalues 2^-k the probe stops at the trace tolerance, and Weyl holds."""
     h = 400
@@ -250,9 +258,9 @@ def test_certified_low_rank_solve_matches_eigh(n, m):
     """Gaussian Gram blocks have numerical rank about log eps / log(m/n): the r x r core gives eigh's answer."""
     kern = _gaussian_kernel(n, m)
     mass = kern.summand.weights() * kern.summand.values
-    S = _block_gram(kern, mass)
-    h = len(S)
-    assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] <= operators.RANK_TRACE_TOL * np.trace(S)
+    h = len(_block_gram(kern, mass))
+    traces = _kernel_probe(kern)[1]
+    assert traces[-1] <= operators.RANK_TRACE_TOL * traces[0]
     sp = spectrum(kern)
     assert sp.solver == "low-rank"
     nonzero = np.count_nonzero(sp.eigenvalues)
@@ -288,7 +296,8 @@ def test_gamma_block_takes_the_ritz_path():
     """A gamma block fails the rank probe and takes the Krylov solve: eigvalsh plus top-K Ritz vectors give eigh's answer."""
     kern, mass, nodes = _gamma_2048_kernel()
     S = _block_gram(kern, mass)
-    assert operators._low_rank_factor(S.diagonal(), S.__getitem__)[1][-1] > operators.RANK_TRACE_TOL * np.trace(S)
+    traces = _kernel_probe(kern)[1]
+    assert traces[-1] > operators.RANK_TRACE_TOL * traces[0]
     sp = spectrum(kern)
     assert sp.solver == "ritz" and 8 <= sp.k < operators.RANK_PROBE_MAX
 
@@ -327,11 +336,16 @@ def test_gamma_block_shares_the_krylov_solve():
     S = kern.gram(operators._hull(mass > 0))
     lam = np.linalg.eigvalsh(S)
     assert np.array_equal(sp.eigenvalues[: len(S)], np.clip(lam[::-1], 0.0, 1.0))
-    vals, V, solver, _ = operators._eigh_psd(S, 8, True)
+    vals, V, solver, _ = operators._eigh_psd(S, 8, True, L=_kernel_probe(kern)[0])
     assert solver == "ritz" and np.array_equal(vals, lam)
     ref = np.linalg.eigh(S)[1][:, -8:]
     signs = np.sign(np.sum(ref * V[:, -8:], axis=0))
     assert np.abs(V[:, -8:] * signs - ref).max() <= 1e-12
+
+
+def _row_probe(S):
+    """The rank probe's factor L of a matrix given by its rows."""
+    return operators._low_rank_factor(S.diagonal(), S.__getitem__)[0]
 
 
 def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
@@ -341,14 +355,14 @@ def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
     flat, _ = _psd_with_spectrum(np.linspace(1.0, 2.0, h))
     degenerate, _ = _psd_with_spectrum(np.concatenate((np.full(h // 2, 0.5), np.zeros(h - h // 2))))
     for S in (flat, degenerate):
-        lam, phi, solver, _ = operators._eigh_psd(S, 8, True)
+        lam, phi, solver, _ = operators._eigh_psd(S, 8, True, L=_row_probe(S))
         ref_lam, ref_phi = np.linalg.eigh(S)
         assert solver == "dense"
         assert np.array_equal(lam, ref_lam) and np.array_equal(phi, ref_phi)
 
     lam_true = (1.0 + np.arange(h)) ** -6.0
     S, _ = _psd_with_spectrum(lam_true)
-    lam, phi, solver, _ = operators._eigh_psd(S, 8, True)
+    lam, phi, solver, _ = operators._eigh_psd(S, 8, True, L=_row_probe(S))
     assert solver == "ritz" and phi.shape == (h, 8)
     assert np.abs(lam - np.sort(lam_true)).max() <= 1e-15
     assert np.linalg.norm(S @ phi - phi * lam[-8:], axis=0).max() <= operators.RITZ_RESID_TOL * lam[-1]
@@ -366,7 +380,7 @@ def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector(monkeypatch):
         picked = [j for j in range(k + 1) if j != skip][:k][::-1]  # ascending, as _block_krylov_top returns them
         found = lam[::-1][picked], q[:, picked], float(lam[::-1][k + 1]), {}  # the grid path does not read theta_{K+1}
         monkeypatch.setattr(operators, "_block_krylov_top", lambda *args, found=found: found)
-        vals, V, solver, _ = operators._eigh_psd(S, k, True)
+        vals, V, solver, _ = operators._eigh_psd(S, k, True, L=_row_probe(S))
         assert solver == expect
         if expect == "ritz":
             assert np.array_equal(vals, lam) and V is found[1]
@@ -394,8 +408,8 @@ def test_krylov_certificate_catches_a_cluster_wider_than_the_block(monkeypatch):
 
 
 def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
-    """Where the blocks the budget names would fill more than KRYLOV_MAX_FRACTION of the rows, eigh runs right after
-    the probe: no Krylov step and no eigvalsh."""
+    """Where the blocks the budget names would fill more than KRYLOV_MAX_FRACTION of the rows, eigh runs at once: no
+    Krylov step and no eigvalsh."""
     lam_true = np.concatenate(([1.0], np.full(7, 0.8), np.full(40, 0.5), np.full(152, 0.2)))
     S, _ = _psd_with_spectrum(lam_true)
 
@@ -440,18 +454,57 @@ def test_head_spectrum_takes_the_certified_krylov_solve(spec, n, m, monkeypatch)
 
 
 def test_head_certificate_sits_above_the_gap_midpoint():
-    """Gamma beta = 2.5 at (3, 1) on 1024 nodes: theta_{K+1} is far below lambda_{K+1}, so the Ritz gap's midpoint
-    lies under lambda_{K+1} and could not be certified. Sigma three quarters up the gap is, and bounds lambda_{K+1}."""
-    cfg = GridConfig(node_count=1024)
-    kern = build_kernel(build_density(DistributionSpec.gamma(2.5), cfg), 3, 1, cfg)
-    lam = np.linalg.eigvalsh(kern.gram(operators._hull(kern.summand.values > 0)))[::-1]
-    sp = spectrum(kern, full=False)
-    K = len(sp.eigenvalues)
-    sigma, theta_k = sp.health["tail_bound"], sp.eigenvalues[-1]
-    assert sp.solver == "krylov"
-    assert lam[K] <= sigma < theta_k
+    """A probe factor that holds the top 8 eigenvectors exactly (theta_K = 0.12 above a tail spread over [0, 0.1])
+    converges in one block, where theta_{K+1} = 0.055 comes from the pseudo-random columns alone: the Ritz gap's
+    midpoint 0.0875 lies under lambda_{K+1} = 0.1 and could not be certified. Sigma three quarters up the gap is, and
+    bounds lambda_{K+1}."""
+    head = np.array([1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.12])
+    S, q = _psd_with_spectrum(np.concatenate((head, np.linspace(0.1, 0.0, 392))))
+    L = np.sqrt(head)[:, None] * q[:, :8].T  # S - L^T L is the PSD tail
+    vals, V, solver, record = operators._eigh_psd(S, 8, False, L=L)
+    K = len(vals)
+    sigma, theta_k = record["tail_bound"], vals[0]
+    assert solver == "krylov" and K == 8 and record["krylov_blocks"] == 1
+    assert 0.1 <= sigma < theta_k
     midpoint = theta_k - 2.0 * (theta_k - sigma)  # sigma = theta_K - (theta_K - theta_{K+1}) / 4
-    assert midpoint < lam[K]
+    assert midpoint < 0.1
+
+
+PROBE_CASES = [
+    (DistributionSpec.gaussian(1.0), 2, 1, True, "low-rank"),
+    (DistributionSpec.gamma(4.0), 3, 2, False, "krylov"),
+    (DistributionSpec.gamma(4.0), 2, 1, True, "ritz"),
+    (DistributionSpec.uniform(-1.0, 1.0), 3, 2, False, "dense"),
+]
+
+
+def test_one_rank_probe_per_grid_spectrum(monkeypatch):
+    """Whichever solver follows, a grid spectrum (512 nodes) runs the matrix-free pivoted Cholesky exactly once."""
+    calls = []
+    probe = operators._low_rank_factor
+    monkeypatch.setattr(operators, "_low_rank_factor", lambda *args: calls.append(args) or probe(*args))
+    cfg = GridConfig(node_count=512)
+    for spec, n, m, full, solver in PROBE_CASES:
+        calls.clear()
+        sp = spectrum(build_kernel(build_density(spec, cfg), n, m, cfg), full=full)
+        assert (sp.solver, len(calls)) == (solver, 1), (spec, n, m)
+
+
+def test_a_block_too_small_to_probe_reaches_eigh():
+    """A 3-node law gives a 3-row block, where the probe takes no pivot (a quarter of the rows is 0) and the Krylov
+    budget holds no block: both solves go to eigh and classify the constant and the linear mode."""
+    x = np.array([-1.0, 0.0, 1.0])
+    v = np.array([0.25, 0.5, 0.25])
+    kern = build_kernel(GridDensity(x, v / (trapezoid_weights(3, 1.0) @ v), 1.0), 2, 1)
+    assert len(_kernel_probe(kern)[0]) == 0
+    S = kern.gram(slice(0, 3))
+    ref = np.clip(np.linalg.eigh(S)[0][::-1], 0.0, 1.0)
+    for full in (True, False):
+        sp = spectrum(kern, full=full)
+        assert sp.solver == "dense" and sp.k == 3 and sp.trivial_indices == (0, 1)
+        assert np.array_equal(sp.eigenvalues, ref)
+    lam, phi, solver, _ = operators._eigh_psd(S, 8, True, L=np.empty((0, 3)))
+    assert solver == "dense" and np.array_equal(lam, np.linalg.eigh(S)[0])
 
 
 def test_head_spectrum_holds_one_gram_matrix():

@@ -353,8 +353,9 @@ def test_package_exports_are_the_module_lists():
 @pytest.mark.parametrize("cmd", [*READS, "verify"])
 def test_cli_parses_every_flag_the_command_reads(cmd):
     parser = clt_spectra.cli.build_parser()
+    required = ["--spec", *VALUES["spec"]] if cmd == "efron-stein" else []
     for flag in READS["verify-all" if cmd == "verify" else cmd]:
-        got = getattr(parser.parse_args([cmd, f"--{flag}", *VALUES[flag]]), flag.replace("-", "_"))
+        got = getattr(parser.parse_args([cmd, *required, f"--{flag}", *VALUES[flag]]), flag.replace("-", "_"))
         assert got == (True if flag == "exact" else type(got)(VALUES[flag][0]))
 
 
@@ -623,8 +624,21 @@ def test_cli_bounds_delta_adds_the_subgauss_ceiling(capsys):
     assert last["name"] == "subgauss-chi2-ceiling" and last["n"] == 6 and last["pass"]
     assert set(last["context"]) == {"value", "exp_factor", "t", "divergent", "method"}
     assert last["context"]["t"] == 1.0 / (5 * 1.5 * 1.5)
-    # gamma tails are exponential, so E exp(t (X - X')^2) diverges at every t > 0
+    # gamma tails are exponential, so E exp(t (X - X')^2) diverges at every t > 0, and no window-set number is printed
     assert last["context"]["divergent"] is True
+    assert last["context"]["value"] == last["context"]["exp_factor"] == "inf"
+
+
+def test_cli_efron_stein_requires_a_spec(capsys):
+    """No default law is discrete, so efron-stein declares --spec required: its help shows the flag without brackets,
+    and a run without it exits 1 naming --spec."""
+    assert run(["efron-stein", "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert " --spec SPEC " in usage and "[--spec SPEC]" not in usage
+    assert run(["efron-stein"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--spec" in captured.err.splitlines()[-1]
 
 
 def test_cli_bounds_on_a_discrete_spec_runs_the_exact_battery(capsys):
