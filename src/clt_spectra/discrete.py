@@ -9,6 +9,7 @@ hosts the Efron-Stein (ANOVA) decomposition of functions of a sum.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from math import comb
 
@@ -336,13 +337,50 @@ def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:
 # Efron-Stein / ANOVA decomposition of h(S_k)
 
 
+class _Components(Mapping):
+    """The components by order, read-only: orders 1..k-1 stored, order k stacked on each read and not kept.
+
+    ``top()`` yields the order-k component one slab per value of its last
+    argument (``_top_slabs``, from the |S_{k-1}| x d table and the d^(k-1)
+    index it closes over); a read of order k fills one (d,)*k array from
+    it, so that array exists only while its reader holds it.
+    """
+
+    def __init__(
+        self,
+        lower: dict[int, NDArray[np.float64]],
+        top: Callable[[], Iterator[NDArray[np.float64]]],
+        shape: tuple[int, ...],
+    ) -> None:
+        self._lower, self._top, self._shape = lower, top, shape
+
+    def __getitem__(self, r: int) -> NDArray[np.float64]:
+        if r != len(self._shape):
+            return self._lower[r]
+        out = np.empty(self._shape)
+        for j, slab in enumerate(self._top()):
+            out[..., j] = slab
+        return out
+
+    def __contains__(self, r: object) -> bool:
+        return r in self._lower or r == len(self._shape)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self._shape) + 1))
+
+    def __len__(self) -> int:
+        return len(self._shape)
+
+
 @dataclass
 class ESDecomposition:
     """Orthogonal decomposition h(S_k) - E h = sum over subsets of h_|T|.
 
     components[r] is the canonical order-r component on the product grid,
-    shape (d,)*r with d the summand support size. component_sq[r] is
-    E h_r(Y_1..Y_r)^2. The variance identity reads
+    shape (d,)*r with d the summand support size, in a read-only mapping
+    with keys 1..k: orders below k are stored (read-only arrays), and order
+    k, the one d^k-sized table, is rebuilt slab by slab on each read and not
+    kept. component_sq[r] is E h_r(Y_1..Y_r)^2. The variance identity reads
 
         E (h(S_k) - E h)^2 = sum_r C(k, r) * component_sq[r].
     """
@@ -350,27 +388,24 @@ class ESDecomposition:
     k: int
     mean_shift: float
     total_second_moment: float
-    components: dict[int, NDArray[np.float64]]
+    components: Mapping[int, NDArray[np.float64]]
     component_sq: dict[int, float]
     identity_residual: float
 
 
-def _on_product_grid(f: NDArray[np.float64], laws: list[DiscretePMF]) -> NDArray[np.float64]:
-    """``f``, a table on the S_k support (``laws[k]``), at y_1 + ... + y_k on the product grid, shape (d,)*k.
+def _grid_index(laws: list[DiscretePMF]) -> NDArray[np.intp]:
+    """The index in the S_r support (``laws[r]``) of y_1 + ... + y_r on the product grid, shape (d,)*r.
 
-    ``laws`` are the sum laws S_0..S_k (``_sum_laws``). The S_{k-1} index of
-    y_1 + ... + y_{k-1} is built level by level: the S_r index is the
-    S_{r-1} one sent through the small ``_sum_index(S_{r-1}, atoms, S_r)``
-    table. The last summand goes through the |S_{k-1}| x d table of f at
-    ``_sum_index(S_{k-1}, atoms, S_k)``, so no sum is formed or searched on
-    the product grid and no d^k index exists.
+    ``laws`` are the sum laws S_0..S_r (``_sum_laws``). The index is built
+    level by level: the S_i index is the S_{i-1} one sent through the small
+    ``_sum_index(S_{i-1}, atoms, S_i)`` table, so no sum is formed or
+    searched on the product grid.
     """
     supports = [law.arrays()[0] for law in laws]
-    a = supports[1]
     idx = np.zeros((), dtype=np.intp)  # the S_0 index of the empty sum
-    for prev, cur in zip(supports[:-2], supports[1:-1]):
-        idx = _sum_index(prev, a, cur)[idx[..., None], np.arange(len(a))]
-    return f[_sum_index(supports[-2], a, supports[-1])][idx]
+    for prev, cur in zip(supports[:-1], supports[1:]):
+        idx = _sum_index(prev, supports[1], cur)[idx[..., None], np.arange(len(supports[1]))]
+    return idx
 
 
 def _axis(v: NDArray[np.float64], i: int, r: int) -> NDArray[np.float64]:
@@ -388,18 +423,69 @@ def _expect(a: NDArray[np.float64], prob: NDArray[np.float64], i: int) -> NDArra
     return np.einsum(a, axes, prob, [i], axes[:i] + axes[i + 1 :])
 
 
+def _mean_square(comp: NDArray[np.float64], prob: NDArray[np.float64]) -> float:
+    """E comp^2 over every argument of a product-grid table: the square and the last argument's weights in one
+    ``np.einsum``, then one argument at a time, so no temporary of the table's size exists."""
+    if not np.ndim(comp):
+        return float(comp * comp)
+    axes = list(range(comp.ndim))
+    sq = np.einsum(comp, axes, comp, axes, prob, axes[-1:], axes[:-1])
+    while sq.ndim:
+        sq = _expect(sq, prob, sq.ndim - 1)
+    return float(sq)
+
+
+def _check_symmetric(comp: NDArray[np.float64], r: int, tol: float) -> None:
+    """Raise unless comp[i, j, ...] and comp[j, i, ...] agree within ``tol`` at every coordinate.
+
+    ``comp`` is a stored component or one slab of the top order, so the one
+    temporary, of its size, is O(d^(k-1)); a NaN fails the test and raises.
+    """
+    asym = np.subtract(comp, comp.swapaxes(0, 1))
+    if not np.abs(asym, out=asym).max() <= tol:
+        raise AssertionError(f"order-{r} component is not symmetric in its arguments")
+
+
+def _top_slabs(
+    table: NDArray[np.float64], index: NDArray[np.intp], prob: NDArray[np.float64]
+) -> Iterator[NDArray[np.float64]]:
+    """The order-k component one slab at a time: slab j holds its values with the last argument at atom j.
+
+    ``table`` is the centred h at s + a_j (s in the S_{k-1} support, a_j
+    the atoms) and ``index`` the S_{k-1} index of y_1 + ... + y_{k-1} on
+    the d^(k-1) grid (``_grid_index``). With G_k[..., j] = table[:, j] and
+    G_{k-1} = (E table over j) both looked up at ``index``, slab j is
+    (I - E_1)...(I - E_{k-1})(G_k[..., j] - G_{k-1}), centred in place, so
+    each slab holds d^(k-1) values and no d^k table is formed.
+    """
+    prev = _expect(table, prob, 1)
+    for j in range(len(prob)):
+        slab = (table[:, j] - prev)[index]
+        for i in range(np.ndim(slab)):
+            slab -= np.expand_dims(_expect(slab, prob, i), i)
+        yield slab
+
+
 def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecomposition:
-    """Decompose h(S_k) into orthogonal interaction orders.
+    """Decompose h(S_k) into orthogonal interaction orders, holding O(d^(k-1)) values at a time.
 
     h is a value table on the S_k support. It is centered internally (the
     subtracted mean is recorded); components of order >= 1 are unaffected by
-    centering. With G_k = h(y_1 + ... + y_k) on the product grid (looked up
-    level by level, ``_on_product_grid``) and G_r = E[G_{r+1}] over its
-    last argument, G_r is E[h(S_k) | Y_1..Y_r], and the order-r component is
-    the Hoeffding product (I - E_1)...(I - E_r) G_r, E_i the expectation
-    over argument i, subtracted in place; E h_r^2 contracts one argument at a
+    centering. The |S_{k-1}| x d table of h at s + a_j gives
+    G_{k-1} = E[h(S_k) | Y_1..Y_{k-1}]: its expectation over the last
+    summand, looked up on the d^(k-1) grid (``_grid_index``). G_r = E[G_{r+1}]
+    over its last argument is E[h(S_k) | Y_1..Y_r], and the order-r
+    component is the Hoeffding product (I - E_1)...(I - E_r) G_r, E_i the
+    expectation over argument i, subtracted in place. Order k comes one
+    slab per value of its last argument (``_top_slabs``); each slab adds to
+    E h_k^2 and is checked and dropped. E h_r^2 contracts one argument at a
     time. Every reduction is an ``np.einsum`` without BLAS (``_expect``), so
     the result does not depend on the BLAS kernel or its thread count.
+
+    Exchangeability of the components follows from h being a function of
+    the sum; it is checked, not assumed, for every order from 2 up
+    (``_check_symmetric``), to a bound that scales with h as its round-off
+    does.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -416,32 +502,36 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
     mean = float((h * qk).sum())
     h_cent = h - mean
 
-    G = [_on_product_grid(h_cent, laws)]  # G_k, ..., G_1
-    for r in range(k, 1, -1):
+    table = h_cent[_sum_index(laws[k - 1].arrays()[0], a, ak)]
+    index = _grid_index(laws[:k])
+    G = [_expect(table, prob, 1)[index]]  # G_{k-1}, ..., G_1
+    for r in range(k - 1, 1, -1):
         G.append(_expect(G[-1], prob, r - 1))
 
-    components: dict[int, NDArray[np.float64]] = {}
+    lower: dict[int, NDArray[np.float64]] = {}
     component_sq: dict[int, float] = {}
-    for r in range(1, k + 1):
-        comp = G[k - r]  # read by no later order, so centred in place
+    for r in range(1, k):
+        comp = G[k - 1 - r]  # read by no later order, so centred in place
         for i in range(r):
             comp -= np.expand_dims(_expect(comp, prob, i), i)
-        components[r] = comp
-        axes = list(range(r))
-        sq = np.einsum(comp, axes, comp, axes, prob, [r - 1], axes[:-1])
-        while sq.ndim:
-            sq = _expect(sq, prob, sq.ndim - 1)
-        component_sq[r] = float(sq)
+        comp.flags.writeable = False
+        lower[r] = comp
+        component_sq[r] = _mean_square(comp, prob)
         if r >= 2:
-            # exchangeability of the components follows from h being a
-            # function of the sum; checked, not assumed, to a bound that
-            # scales with h as its round-off does: comp[i, j] against
-            # comp[j, i] for j > i, one row i at a time, so no temporary of
-            # the grid's size exists (a NaN fails its row's test and raises)
-            for i in range(d - 1):
-                asym = np.subtract(comp[i, i + 1 :], comp[i + 1 :, i])
-                if not np.abs(asym, out=asym).max() <= sym_tol:
-                    raise AssertionError("order component is not symmetric in its arguments")
+            _check_symmetric(comp, r, sym_tol)
+
+    def top() -> Iterator[NDArray[np.float64]]:
+        return _top_slabs(table, index, prob)
+
+    slab_sq = np.empty(d)
+    for j, slab in enumerate(top()):
+        slab_sq[j] = _mean_square(slab, prob)
+        if k >= 3:
+            _check_symmetric(slab, k, sym_tol)
+    components = _Components(lower, top, (d,) * k)
+    if k == 2:  # the slab index is one of the two arguments compared; the d^2 order is no larger than ``table``
+        _check_symmetric(components[2], 2, sym_tol)
+    component_sq[k] = float(_expect(slab_sq, prob, 0))
 
     total = float((qk * h_cent**2).sum())
     ssum = sum(comb(k, r) * component_sq[r] for r in range(1, k + 1))
@@ -465,25 +555,32 @@ def component_cross_moment(
 ) -> float:
     """E[h_r(Y_{args_r}) * h_t(Y_{args_t})] over the joint product space.
 
-    args name coordinate slots; distinct subsets (or distinct orders) must
-    give 0 by ANOVA orthogonality.
+    args name coordinate slots, distinct within each tuple; distinct subsets
+    (or distinct orders) must give 0 by ANOVA orthogonality. Each component
+    is indexed with broadcast open grids, one (d,)-long axis per slot, so no
+    u x d^u index exists, and the weighted product is formed in place.
     """
+    if not (1 <= r <= dec.k and 1 <= t <= dec.k):
+        raise ValueError(f"component orders must lie in 1..{dec.k}, got (r, t) = ({r}, {t})")
     if len(args_r) != r or len(args_t) != t:
         raise ValueError("argument tuples must match component orders")
+    if len(set(args_r)) != r or len(set(args_t)) != t:
+        raise ValueError(f"a slot repeats within an argument tuple: {args_r}, {args_t}")
     slots = sorted(set(args_r) | set(args_t))
     u = len(slots)
     a, prob = p.arrays()
     d = len(a)
     if d**u > PRODUCT_SPACE_CAP:
         raise ValueError("cross-moment product space too large")
-    pos = {s: i for i, s in enumerate(slots)}
-    grids = np.meshgrid(*([np.arange(d)] * u), indexing="ij")
-    comp_r = dec.components[r][tuple(grids[pos[s]] for s in args_r)]
-    comp_t = dec.components[t][tuple(grids[pos[s]] for s in args_t)]
+    grid = {s: _axis(np.arange(d), i, u) for i, s in enumerate(slots)}
+    comp_r = dec.components[r][tuple(grid[s] for s in args_r)]
+    comp_t = dec.components[t][tuple(grid[s] for s in args_t)]
     weight = np.ones((1,) * u)
     for i in range(u):
         weight = weight * _axis(prob, i, u)
-    return float((weight * comp_r * comp_t).sum())
+    weight *= comp_r
+    weight *= comp_t
+    return float(weight.sum())
 
 
 def projection_inequality(h: NDArray[np.float64], p: DiscretePMF, k: int, l: int) -> tuple[float, float]:

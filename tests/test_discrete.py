@@ -1,6 +1,7 @@
 """Exact finite-support operators and the variance decomposition."""
 
 import math
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -428,7 +429,8 @@ def test_exact_cases_take_both_gram_builds():
 
 @pytest.mark.parametrize("pmf", sorted({pmf for pmf, _, _ in EXACT_CASES}, key=lambda p: p.atoms))
 def test_product_grid_index_matches_the_raw_sum_lookup(pmf):
-    """G_k = h(y_1 + ... + y_k), looked up level by level, is h at the raw float sum's index in the S_k support."""
+    """The index of y_1 + ... + y_k built level by level, and h read through the S_{k-1} x atoms table at the
+    S_{k-1} index one last argument at a time, both give h at the raw float sum's index in the S_k support."""
     a, _ = pmf.arrays()
     laws = discrete._sum_laws(pmf, 5)
     rng = np.random.default_rng(len(a))
@@ -438,9 +440,14 @@ def test_product_grid_index_matches_the_raw_sum_lookup(pmf):
         lead = np.zeros(())
         for _ in range(k - 1):
             lead = np.add.outer(lead, a)
-        G = discrete._on_product_grid(h, laws[: k + 1])
-        assert G.shape == (len(a),) * k
-        assert np.array_equal(G, h[discrete._sum_index(lead, a, laws[k].arrays()[0])])
+        raw = h[discrete._sum_index(lead, a, laws[k].arrays()[0])]
+        index = discrete._grid_index(laws[: k + 1])
+        assert index.shape == (len(a),) * k
+        assert np.array_equal(h[index], raw)
+        table = h[discrete._sum_index(laws[k - 1].arrays()[0], a, laws[k].arrays()[0])]
+        lead_index = discrete._grid_index(laws[:k])
+        for j in range(len(a)):
+            assert np.array_equal(table[:, j][lead_index], raw[..., j])
 
 
 def test_exact_adjointness():
@@ -525,6 +532,51 @@ def test_component_orthogonality():
     assert abs(component_cross_moment(dec, UNIFORM3, 2, 3, (0, 1), (0, 1, 2))) <= 1e-12
 
 
+def _cube_on_uniform3():
+    atoms, _ = pmf_power(UNIFORM3, 3).arrays()
+    return efron_stein(atoms**3, UNIFORM3, 3)
+
+
+def test_cross_moment_refuses_a_slot_repeated_within_a_tuple():
+    """(0, 0) names one summand twice; it once read the diagonal of h_2 and returned 81.0."""
+    dec = _cube_on_uniform3()
+    for args_r, args_t in (((0, 0), (1, 2)), ((0, 1), (2, 2))):
+        with pytest.raises(ValueError, match="slot repeats"):
+            component_cross_moment(dec, UNIFORM3, 2, 2, args_r, args_t)
+
+
+@pytest.mark.parametrize("r, t", [(4, 1), (1, 4), (0, 1)])
+def test_cross_moment_refuses_an_order_outside_the_decomposition(r, t):
+    """An order above k once raised a bare KeyError from the components mapping."""
+    with pytest.raises(ValueError, match=r"orders must lie in 1\.\.3"):
+        component_cross_moment(_cube_on_uniform3(), UNIFORM3, r, t, (0,) * r, tuple(range(1, t + 1)))
+
+
+def test_cross_moment_open_grids_match_the_full_index():
+    """Broadcast open grids give the full meshgrid's value bit for bit, for slots in any order and order k too."""
+    dec = _cube_on_uniform3()
+    a, prob = UNIFORM3.arrays()
+    for r, t, args_r, args_t in [(1, 2, (2,), (2, 0)), (2, 2, (1, 0), (0, 2)), (3, 3, (2, 0, 1), (0, 1, 2))]:
+        slots = sorted(set(args_r) | set(args_t))
+        u = len(slots)
+        grids = np.meshgrid(*([np.arange(len(a))] * u), indexing="ij")
+        full_r = dec.components[r][tuple(grids[slots.index(s)] for s in args_r)]
+        full_t = dec.components[t][tuple(grids[slots.index(s)] for s in args_t)]
+        weight = np.ones((1,) * u)
+        for i in range(u):
+            weight = weight * prob.reshape((1,) * i + (-1,) + (1,) * (u - i - 1))
+        assert component_cross_moment(dec, UNIFORM3, r, t, args_r, args_t) == float((weight * full_r * full_t).sum())
+
+
+def test_cross_moment_builds_no_full_integer_index():
+    """u = 4 slots on 20 atoms: u full meshgrid index arrays alone would take 8 u d^u bytes (5.1 MB)."""
+    pmf = _lattice20()
+    dec = efron_stein(_poly_h(pmf, 3), pmf, 3)
+    value, peak = _traced_peak(lambda: component_cross_moment(dec, pmf, 2, 2, (0, 1), (2, 3)))
+    assert abs(value) <= 1e-12
+    assert peak < 8 * 4 * 20**4
+
+
 def test_quadratic_statistic_truncates():
     """(S_3 - E S_3)^2 has no order-3 interaction component."""
     atoms, _ = pmf_power(UNIFORM3, 3).arrays()
@@ -581,17 +633,76 @@ def test_efron_stein_symmetry_check_raises_on_nan():
 
 
 def test_efron_stein_symmetry_check_raises_on_an_asymmetric_component(monkeypatch):
-    """A product-grid table that is not a function of the sum (one pair of arguments skewed) fails the row-by-row check."""
-    on_grid = discrete._on_product_grid
+    """A top-order slab skewed in one pair of arguments fails the check as it is built."""
+    top_slabs = discrete._top_slabs
 
-    def skewed(f, laws):
-        G = on_grid(f, laws)
-        G[-2, -1] += 1.0
-        return G
+    def skewed(*args):
+        for j, slab in enumerate(top_slabs(*args)):
+            if j == len(SKEW3.atoms) - 1:
+                slab[-2, -1] += 1.0
+            yield slab
 
-    monkeypatch.setattr(discrete, "_on_product_grid", skewed)
-    with pytest.raises(AssertionError, match="not symmetric"):
+    monkeypatch.setattr(discrete, "_top_slabs", skewed)
+    with pytest.raises(AssertionError, match="order-3 component is not symmetric"):
         efron_stein(_poly_h(SKEW3, 3), SKEW3, 3)
+
+
+def test_efron_stein_symmetry_check_raises_on_an_asymmetric_lower_order(monkeypatch):
+    """A grid index that is not a function of the sum (one pair of arguments skewed) fails the check at order 2,
+    the first order it reaches, before the top order is built."""
+    grid_index = discrete._grid_index
+
+    def skewed(laws):
+        index = grid_index(laws)
+        index[-2, -1] = index[-1, -1]
+        return index
+
+    monkeypatch.setattr(discrete, "_grid_index", skewed)
+    with pytest.raises(AssertionError, match="order-2 component is not symmetric"):
+        efron_stein(_poly_h(SKEW3, 3), SKEW3, 3)
+
+
+def _lattice20():
+    w = np.random.default_rng(20).uniform(0.2, 1.0, 20)
+    return DiscretePMF(tuple(float(a) for a in range(20)), tuple(w / w.sum()))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_efron_stein_peak_stays_below_half_the_product_grid():
+    """At k = 5 on 20 atoms the d^k table alone is 8 * 20^5 bytes (24.4 MiB); the top order comes one
+    d^(k-1) slab at a time, so the whole call peaks below half of that (it read 28 MB with the table)."""
+    pmf = _lattice20()
+    h = _poly_h(pmf, 5)
+    dec, peak = _traced_peak(lambda: efron_stein(h, pmf, 5))
+    assert peak < 8 * 20**5 / 2
+    assert abs(dec.identity_residual) <= 1e-12
+
+
+def test_components_mapping_stores_the_lower_orders_and_rebuilds_the_top():
+    """Keys 1..k, each of shape (d,)*r; order k is rebuilt on each read, equal every time; nothing else is a key."""
+    k, d = 4, len(SIDON4.atoms)
+    comps = efron_stein(_poly_h(SIDON4, k), SIDON4, k).components
+    assert list(comps) == [1, 2, 3, 4] and len(comps) == k
+    for r in range(1, k + 1):
+        assert r in comps and comps[r].shape == (d,) * r
+    first, second = comps[k], comps[k]
+    assert first is not second and np.array_equal(first, second)
+    for r in (0, k + 1, -1):
+        assert r not in comps
+        with pytest.raises(KeyError):
+            comps[r]
+    with pytest.raises(TypeError):
+        comps[1] = np.zeros(d)
+    with pytest.raises(ValueError, match="read-only"):
+        comps[1][0] = 0.0
 
 
 def test_projection_equality_quadratic():
