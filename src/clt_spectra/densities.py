@@ -1,8 +1,8 @@
 """Grid representations of probability densities and their Fisher functionals.
 
 Densities live on uniform grids with trapezoid quadrature. Sums of i.i.d.
-copies are formed by FFT convolution on the shared lattice, which keeps every
-derived grid (the summand grid, the partial-sum grid, the full-sum grid)
+copies are formed by direct convolution on the shared lattice, which keeps
+every derived grid (the summand grid, the partial-sum grid, the full-sum grid)
 aligned so that kernel ratios later on are exact table lookups.
 """
 from __future__ import annotations
@@ -40,9 +40,13 @@ __all__ = [
     "write_density_file",
 ]
 
-# Relative level below which FFT convolution output is untrusted roundoff
-# rather than signal; such entries are zeroed before renormalization.
-FFT_NOISE_REL = 1e-15
+# Convolution entries below this fraction of the peak are cut to zero before
+# renormalization, their mass recorded as clamped_mass. That tail holds less
+# than double resolution of the mass and is set by the grid's truncation
+# rather than by the law; cutting it keeps the kernel's 1/p_n within 1e15 of
+# its smallest value and stops each sum's positive window spreading over the
+# whole lattice.
+TAIL_CUT_REL = 1e-15
 
 # Score stencil guard: a centred log-density difference larger than this means
 # the density varies by more than e^2 across one stencil and the finite
@@ -115,7 +119,7 @@ class GridDensity:
     truncated_mass : float
         Estimated mass lying outside the grid before normalization.
     clamped_mass : float
-        Mass removed as FFT artifacts (negative lobes plus sub-noise tails).
+        Mass cut from convolution tails below TAIL_CUT_REL of the peak.
     warnings : tuple of str
         Non-fatal diagnostics attached during construction.
     """
@@ -535,6 +539,19 @@ def _family_pdf(spec: DistributionSpec) -> Callable[[NDArray[np.float64]], NDArr
     raise ValueError(f"no pdf for family {spec.family!r}")
 
 
+def _family_score(spec: DistributionSpec) -> Callable[[NDArray[np.float64]], NDArray[np.float64]] | None:
+    """The closed score rho = (log p)' of a gaussian or gamma law on its support; None for any other family."""
+    p = spec.params
+    if spec.family == "gaussian":
+        var = float(p["sigma"]) ** 2
+        return lambda x: -x / var
+    if spec.family == "gamma":
+        beta = float(p["beta"])
+        shift = beta if p.get("centered", True) else 0.0
+        return lambda x: (beta - 1) / (x + shift) - 1
+    return None
+
+
 def _discrete_spikes(spec: DistributionSpec, nodes: NDArray[np.float64], step: float) -> GridDensity:
     atoms, probs = _discrete_arrays(spec)
     values = np.zeros(len(nodes))
@@ -671,51 +688,27 @@ def jst(d: GridDensity) -> JstResult:
     return JstResult(value=var * j - 1.0, fisher_info=j, variance=var)
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n, the fast real-FFT size."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            quotient = -(-n // p35)
-            best = min(best, p35 << (quotient - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _fft_convolve(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Full linear convolution of two real sequences by zero-padded rfft.
-
-    Pads to the length scipy.signal.fftconvolve picks, so both run the same
-    transforms: the FFT_NOISE_REL cut sees the same last bits, and importing
-    scipy.signal (most of the package's start-up time) is avoided.
-    """
-    n = len(a) + len(b) - 1
-    size = _fft_length(n)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-
-
 def convolve(d1: GridDensity, d2: GridDensity) -> GridDensity:
     """Density of the sum of independent variables with densities d1, d2.
 
     Both grids must share the step. The output grid is the full sumset
-    lattice: start at d1.nodes[0] + d2.nodes[0], length N1 + N2 - 1. Negative
-    FFT lobes and entries below FFT_NOISE_REL of the peak are zeroed and the
-    removed mass recorded before renormalization.
+    lattice: start at d1.nodes[0] + d2.nodes[0], length N1 + N2 - 1. The
+    values are direct sums over the two positive windows, written at the
+    offset of the windows' first nodes; entries below TAIL_CUT_REL of the
+    peak are zeroed and the removed mass recorded before renormalization.
     """
     if abs(d1.step - d2.step) > 1e-9 * d1.step:
         raise ValueError(f"grid steps differ: {d1.step!r} vs {d2.step!r}")
     n_out = len(d1.nodes) + len(d2.nodes) - 1
     if n_out > MAX_GRID_NODES:
         raise ValueError(f"grid overflow: convolution would need {n_out} nodes (cap {MAX_GRID_NODES})")
-    raw = _fft_convolve(d1.values, d2.values) * d1.step
-    negative = float(-raw[raw < 0].sum()) * d1.step
-    raw[raw < 0] = 0.0
-    noise = raw < raw.max() * FFT_NOISE_REL
-    clamped = negative + float(raw[noise].sum()) * d1.step
-    raw[noise] = 0.0
+    a0, a1 = d1.positive_window()
+    b0, b1 = d2.positive_window()
+    raw = np.zeros(n_out)
+    raw[a0 + b0 : a1 + b1 + 1] = np.convolve(d1.values[a0 : a1 + 1], d2.values[b0 : b1 + 1]) * d1.step
+    tail = raw < raw.max() * TAIL_CUT_REL
+    clamped = float(raw[tail].sum()) * d1.step
+    raw[tail] = 0.0
     nodes = (d1.nodes[0] + d2.nodes[0]) + d1.step * np.arange(n_out)
     return _normalized(
         nodes,

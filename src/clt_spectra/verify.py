@@ -22,11 +22,14 @@ from .closed_forms import (
     meixner_v2,
 )
 from .densities import (
+    DENSITY_FLOOR,
     DistributionSpec,
     FisherUnavailableError,
     GridConfig,
     GridDensity,
+    GridFunction,
     ScoreUndefinedError,
+    _family_score,
     _partial_sums,
     _skew_and_sigma,
     build_density,
@@ -131,7 +134,9 @@ def family_battery(
     Discrete specs are routed to the exact pipeline instead. The Fisher chain
     and the score projection each leave a ``*-skipped`` report where ``fisher``
     refuses the law (a hard support edge: J is infinite) or ``score`` raises on
-    a hole inside the positive window (FFT noise in a sum law's far tail).
+    a hole inside the positive window. Convolution zeroes only entries below
+    TAIL_CUT_REL of the peak, so a hole comes only from a law that nearly
+    vanishes between two modes (a ``file:`` density or a far-split mixture).
     """
     if spec.family == "discrete":
         return discrete_battery(spec, n_max=n_max)
@@ -189,9 +194,16 @@ def family_battery(
                     lhs_kind="measured", rhs_kind="closed-form", context=fam,
                 )
             )
+            closed = meixner_theta(v2, n, m)
+            reports.append(
+                make_report(
+                    f"theta-vs-closed-{tag}", abs(th.theta - closed) / closed, 0.0, tol=1e-3, n=n, m=m,
+                    lhs_kind="measured", rhs_kind="closed-form", context=fam,
+                )
+            )
 
         if (n, m) == (2, 1):
-            reports.extend(_operator_reports(kern, d, sp, rng, fam))
+            reports.extend(_operator_reports(kern, spec, d, sp, rng, fam))
             reports.extend(_trace_reports(kern, sp, spec, v2, cfg, fam))
 
     for na, nb in zip(sorted(thetas), sorted(thetas)[1:]):
@@ -278,7 +290,7 @@ def family_battery(
     return reports
 
 
-def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
+def _operator_reports(kern, spec: DistributionSpec, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
     reports = []
     p_m, p_n = kern.summand, kern.total
     wy = p_m.weights() * p_m.values
@@ -298,8 +310,8 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
     reports.append(make_report("adjointness-random-polys", worst, 0.0, tol=1e-6, n=kern.n, m=kern.m, context=fam))
 
     # sup over the mass-carrying bulk; columns at the 1e-10 frontier only see
-    # FFT roundoff amplified by the tiny denominator, so the sup is taken at
-    # 1e-4 and the far region is controlled in weighted L2 instead
+    # roundoff amplified by the tiny denominator, so the sup is taken at 1e-4
+    # and the far region is controlled in weighted L2 instead
     c1 = apply_C(kern, np.ones(len(p_m.nodes)))
     bulk = p_n.values >= 1e-4 * p_n.values.max()
     dev = float(np.abs(c1.values[bulk] - 1.0).max())
@@ -318,10 +330,19 @@ def _operator_reports(kern, d: GridDensity, sp, rng, fam) -> list[BoundReport]:
     )
 
     # rho_{S_n} = E[rho_{S_m}(S_m) | S_n] is a lemma for summands with finite
-    # Fisher information; the chain's screen decides that for the summand
+    # Fisher information; the chain's screen decides that for the summand. At
+    # m = 1 a family's closed score replaces the finite difference, whose step
+    # error next to a gamma's hard edge would swamp the tolerance.
     try:
         fisher(d)
-        rho_y = score(p_m)
+        closed = _family_score(spec) if kern.m == 1 else None
+        if closed is None:
+            rho_y = score(p_m)
+        else:
+            pos = p_m.values > DENSITY_FLOOR
+            values = np.zeros(len(pos))
+            values[pos] = closed(p_m.nodes[pos])
+            rho_y = GridFunction(p_m.nodes, values, pos)
         rho_n = score(p_n)
         proj = apply_C(kern, rho_y)
         ok = rho_n.valid & proj.valid

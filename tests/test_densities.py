@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import fft, signal, special, stats
+from scipy import signal, special, stats
 
 from clt_spectra import densities
 from clt_spectra.cli import run
@@ -118,35 +118,41 @@ def test_convolution_adds_gamma_shapes():
     np.testing.assert_allclose(d3.values, ref, atol=2e-6)
 
 
-def test_fft_length_matches_scipy_next_fast_len():
-    sizes = list(range(1, 4097))
-    sizes += np.random.default_rng(0).integers(4097, densities.MAX_GRID_NODES + 1, 2000).tolist()
-    sizes.append(densities.MAX_GRID_NODES)
-    got = [densities._fft_length(n) for n in sizes]
-    want = [fft.next_fast_len(n, real=True) for n in sizes]
-    assert got == want
-
-
-@pytest.mark.parametrize("na,nb", [(3, 5), (512, 73), (1024, 1024), (2047, 1024), (4096, 4096)])
-def test_fft_convolve_matches_scipy_fftconvolve(na, nb):
-    rng = np.random.default_rng(na * nb)
-    a, b = rng.random(na), rng.random(nb)
-    ref = signal.fftconvolve(a, b)
-    got = densities._fft_convolve(a, b)
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= 1e-15 * ref.max()
-
-
 @pytest.mark.parametrize("spec", [DistributionSpec.gamma(4.0), DistributionSpec.gaussian(1.0)])
 def test_convolve_matches_scipy_fftconvolve(spec, monkeypatch):
+    """Each convolution in convolve_self(d, 3) and gaussian_regularize(d, 0.5) equals scipy's direct convolution of
+    the whole grids, cut at TAIL_CUT_REL of the peak and renormalized: the positive windows land at their offset."""
     d = build_density(spec, GridConfig(node_count=1024))
-    ours = convolve_self(d, 3)
-    reg = gaussian_regularize(d, 0.5)
-    monkeypatch.setattr(densities, "_fft_convolve", signal.fftconvolve)
-    ref = convolve_self(d, 3)
-    ref_reg = gaussian_regularize(d, 0.5)
-    assert np.abs(ours.values - ref.values).max() <= 1e-15 * ref.values.max()
-    assert np.abs(reg.values - ref_reg.values).max() <= 1e-15 * ref_reg.values.max()
+    calls = []
+    real = densities.convolve
+
+    def recording(d1, d2):
+        out = real(d1, d2)
+        calls.append((d1, d2, out))
+        return out
+
+    monkeypatch.setattr(densities, "convolve", recording)
+    convolve_self(d, 3)
+    gaussian_regularize(d, 0.5)
+    assert len(calls) == 3
+    for d1, d2, ours in calls:
+        raw = signal.convolve(d1.values, d2.values, method="direct") * d1.step
+        raw[raw < raw.max() * densities.TAIL_CUT_REL] = 0.0
+        ref = raw / (densities.trapezoid_weights(len(raw), d1.step) @ raw)
+        assert ours.values.shape == ref.shape
+        assert np.abs(ours.values - ref).max() <= 1e-15 * ref.max()
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_gamma_sums_have_no_holes(n):
+    """A direct sum is positive wherever the true sum is, so S_8 and S_16 of gamma beta=4 at 4096 nodes have no
+    zero inside their positive window, and the finite-difference J_st reads the closed 2/(4n - 2) within 1e-5."""
+    d = build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=4096))
+    s = convolve_self(d, n)
+    i0, i1 = s.positive_window()
+    assert (s.values[i0 : i1 + 1] > densities.DENSITY_FLOOR).all()
+    closed = 2.0 / (4 * n - 2)
+    assert abs(jst(s).value - closed) <= 1e-5 * closed
 
 
 def test_trapezoid_weights():
@@ -255,7 +261,7 @@ def test_density_file_round_trip(tmp_path):
 
 
 def test_regularize_records_the_mass_it_cuts():
-    """The regularized density's clamped_mass adds the FFT cut of the smoothing convolution (it once read 0)."""
+    """The regularized density's clamped_mass adds the tail cut of the smoothing convolution (it once read 0)."""
     d = build_density(DistributionSpec.gamma(4.0), GridConfig(node_count=1024), n_hint=2)
     assert d.clamped_mass == 0.0
     reg = gaussian_regularize(d, 0.5)
