@@ -17,12 +17,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .densities import DistributionSpec, _discrete_arrays
-from .operators import KRYLOV_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
-from .operators import _check_memory, _eigensystem, _hull, gram_matrix
+from .operators import CHOLESKY_BLOCK, KRYLOV_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
+from .operators import _check_memory, _eigensystem, _gram, _hull, gram_matrix
 
 __all__ = [
     "DiscretePMF",
     "ExactOperator",
+    "ExactGram",
     "ESDecomposition",
     "convolve_pmf",
     "pmf_power",
@@ -37,6 +38,9 @@ __all__ = [
 ATOM_TOL = 1e-12  # coalescing tolerance for sum supports, relative to the largest |atom| once that exceeds 1
 SUPPORT_CAP = 20000
 PRODUCT_SPACE_CAP = 10_000_000
+# Values in one stack of top-order Efron-Stein slabs (``_top_stacks``): a
+# d^(k-1) slab of fewer values shares its numpy calls with the next ones.
+SLAB_STACK = 4096
 _EXACT_REMEDY = "use fewer atoms or a smaller n"
 
 
@@ -217,16 +221,16 @@ class ExactOperator:
         Column k of B adds b_a b_b to S[a, b] for every two rows a, b it holds,
         so the P = sum_k c_k^2 products (c_k the rows in column k) are all of
         S. When P is at most the size of the dense support block (the rows and
-        the hull of the columns they touch), they are scattered: the pairs
-        sorted by column, one ``np.bincount`` sums the products of rows that
-        share a column into S, column by column in the same order for S[a, b]
-        and S[b, a], so S is exactly symmetric and needs no BLAS. Otherwise
-        (a lattice support, where sums pile up in few columns) the block is
-        built and multiplied by ``gram_matrix``.
+        the hull of the columns they touch), they are scattered: one
+        ``np.bincount`` sums the ``_row_pairs`` into S, each entry over the
+        columns its two rows share in ascending order, the same order for
+        S[a, b] and S[b, a], so S is exactly symmetric and needs no BLAS.
+        Otherwise (a lattice support, where sums pile up in few columns) the
+        block is built and multiplied by ``gram_matrix``.
         """
         index, values = self.index[rows], self.values[rows]
-        h, ns = len(index), len(self.total.atoms)
-        counts = np.bincount(index.ravel(), minlength=ns)
+        h = len(index)
+        counts = np.bincount(index.ravel(), minlength=len(self.total.atoms))
         pairs = int(counts @ counts)
         cols = _hull(counts > 0)
         c = cols.stop - cols.start
@@ -239,25 +243,124 @@ class ExactOperator:
         # five pair-sized arrays are alive at once, then S
         self._check_memory(f"{pairs} column-sharing pairs and a {h} x {h} Gram matrix", 8 * (5 * pairs + h * h), avail)
         order = np.argsort(index, axis=None, kind="stable")
-        col = index.ravel()[order]
-        row, val = order // index.shape[1], values.ravel()[order]
-        # entry e takes the pairs start_e .. start_e + reps_e - 1, one with each
-        # entry of its column; the column's entries start at first[col_e]
-        first = np.cumsum(counts) - counts
-        reps = counts[col]
-        start = np.cumsum(reps) - reps
-        left = np.repeat(np.arange(len(col)), reps)
-        right = np.arange(pairs)
-        right -= np.repeat(start - first[col], reps)
-        flat = row[left] * h
-        flat += row[right]
-        weight = val[left]
-        weight *= val[right]
-        del left, right
-        return np.bincount(flat, weights=weight, minlength=h * h).reshape(h, h)
+        left, right, weight = _row_pairs(index, values, order, counts, 0, h)
+        left *= h
+        left += right
+        del right, order
+        return np.bincount(left, weights=weight, minlength=h * h).reshape(h, h)
+
+    def gram_pairs(self, rows: slice, budget: tuple[int, int], avail: int | None = None) -> ExactGram:
+        """The Gram matrix of ``rows`` as an ``ExactGram``, read through the pairs by the Krylov ``budget``'s solve.
+
+        Checked first against ``avail`` for what the certified head solve
+        holds besides S: the entries' column order, the certificate's factor
+        rows, h (h + CHOLESKY_BLOCK) / 2 doubles, five arrays the size of
+        the largest block row's pairs, and four copies of the h x width *
+        blocks Krylov basis (the basis, its products and their grown
+        copies). The dense S is checked for only where the fallback forms it
+        (``ExactGram.dense``).
+        """
+        index = self.index[rows]
+        h = len(index)
+        counts = np.bincount(index.ravel(), minlength=len(self.total.atoms))
+        row_pairs = np.add.reduceat(counts[index].sum(axis=1), np.arange(0, h, CHOLESKY_BLOCK))
+        width, blocks = budget
+        need = 8 * (index.size + h * (h + CHOLESKY_BLOCK) // 2 + 5 * int(row_pairs.max()) + 4 * h * width * blocks)
+        self._check_memory(f"the certified Krylov solve of {h} rows from their column-sharing pairs", need, avail)
+        return ExactGram(self, rows, np.argsort(index, axis=None, kind="stable"), counts, avail)
 
     def _check_memory(self, part: str, need: int, avail: int | None = None) -> None:
         _check_memory("exact operator", self.n, self.m, part, need, _EXACT_REMEDY, avail)
+
+
+@dataclass(frozen=True)
+class ExactGram:
+    """The Gram matrix S = B[rows] B[rows]^T of an exact operator, read without forming it.
+
+    ``X @ S`` for a block of rows X sums each row of X B column by column
+    over the operator's stored pairs (one ``np.bincount``) and gathers it
+    back through B's rows. ``block_row(a, b, out)`` scatters S[a:b, :b] from
+    the column-sharing pairs whose left row lies in [a, b) (``_row_pairs``,
+    from ``order``, the entries sorted by column, and ``counts``, the
+    entries of each column), bit for bit those rows of
+    ``ExactOperator.gram``; only one block's pairs exist at a time.
+    ``dense()`` forms S itself, after the eigensolve's memory check against
+    ``avail``.
+    """
+
+    op: ExactOperator
+    rows: slice
+    order: NDArray[np.intp]
+    counts: NDArray[np.intp]
+    avail: int | None
+
+    __array_ufunc__ = None  # ``X @ S`` with an array X calls ``__rmatmul__``
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        h = self.rows.stop - self.rows.start
+        return h, h
+
+    def __rmatmul__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        index, values = self.op.index[self.rows], self.op.values[self.rows]
+        col = index.ravel()
+        out = np.empty_like(X)
+        for r, x in enumerate(X):
+            XB = np.bincount(col, weights=(x[:, None] * values).ravel(), minlength=len(self.counts))
+            out[r] = np.einsum("ij,ij->i", XB[index], values)
+        return out
+
+    def block_row(self, a: int, b: int, out: NDArray[np.float64]) -> NDArray[np.float64]:
+        """S[a:b, :b] written into ``out``, summed from the pairs of rows [a, b) in ``gram``'s order: its rows' bytes.
+
+        One unbuffered ``np.add.at`` adds the products in pair order from 0,
+        as ``np.bincount`` does, and writes no array of ``out``'s size.
+        """
+        index, values = self.op.index[self.rows], self.op.values[self.rows]
+        left, right, weight = _row_pairs(index, values, self.order, self.counts, a, b)
+        keep = right < b
+        left = (left[keep] - a) * b
+        left += right[keep]
+        out[...] = 0.0
+        np.add.at(out.reshape(-1), left, weight[keep])
+        return out
+
+    def dense(self) -> NDArray[np.float64]:
+        return _gram(self.op, self.rows, self.avail)
+
+
+def _row_pairs(
+    index: NDArray[np.intp],
+    values: NDArray[np.float64],
+    order: NDArray[np.intp],
+    counts: NDArray[np.intp],
+    a: int,
+    b: int,
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
+    """Every two entries that share a column, the first in rows [a, b), as (left row, right row, product), in row order.
+
+    ``order`` sorts the entries of ``index`` by column (stable, so by row
+    within a column) and ``counts`` holds the entries of each column. The
+    pairs run over the entries (i, j) of rows [a, b) in row-major order,
+    which within a row is ascending column order (the sums y_i + t_j ascend
+    with t_j), each paired with every entry of its column, its own
+    included. So the products a scatter sums into S[i, k] arrive in
+    ascending column order, whichever block of S it forms.
+    """
+    nt = index.shape[1]
+    col = index.ravel()[a * nt : b * nt]
+    first = np.cumsum(counts) - counts  # where each column's entries start in ``order``
+    reps = counts[col]
+    start = np.cumsum(reps) - reps
+    left = np.repeat(np.arange(a * nt, b * nt), reps)
+    right = np.arange(int(reps.sum()))
+    right -= np.repeat(start - first[col], reps)
+    right = order[right]
+    weight = values.ravel()[left]
+    weight *= values.ravel()[right]
+    left //= nt
+    right //= nt
+    return left, right, weight
 
 
 def exact_operator(p: DiscretePMF, n: int, m: int = 1) -> ExactOperator:
@@ -312,15 +415,20 @@ def _krylov_budget(d: int, n: int, m: int, total: int, top: int) -> tuple[int, i
 def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     """Eigen-decomposition of the exact C*C on the S_m support.
 
-    No rank probe runs: the Gram matrix is built from the sum-index pairs
-    (``ExactOperator.gram``), and a law whose n-sums never coincide has a
-    Krylov budget (``_krylov_budget``). Where it fits, the top K eigenpairs
-    come from the certified block Krylov solve, started on fixed
-    pseudo-random columns, and ``eigenvalues`` holds only those K (for 10
-    and 12 generic atoms at (5, 4), h = 715 and 1365), with the certified
-    bound on the rest as ``health["tail_bound"]``. Every other block
-    (lattices, small blocks) goes straight to eigh and returns all its
-    eigenvalues. No exact block calls eigvalsh.
+    No rank probe runs. A law whose n-sums never coincide has a Krylov
+    budget (``_krylov_budget``). Where it fits, the top K eigenpairs come
+    from the certified block Krylov solve, started on fixed pseudo-random
+    columns, and ``eigenvalues`` holds only those K (for 10 and 12 generic
+    atoms at (5, 4), h = 715 and 1365), with the certified bound on the rest
+    as ``health["tail_bound"]``. That solve never forms the Gram matrix: it
+    reads its products and the certificate's block rows from the pairs
+    (``ExactOperator.gram_pairs``), whose memory is checked first, and holds
+    about h^2 / 2 doubles of factor rows at most. Only a certificate that
+    fails sends the block to eigh, and only there is the Gram matrix formed
+    (``ExactOperator.gram``) and its eigensolve's memory checked, refusing
+    as every dense block does. Every other block (lattices, small blocks)
+    forms the Gram matrix after that check and goes straight to eigh,
+    returning all its eigenvalues. No exact block calls eigvalsh.
     """
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()
@@ -338,12 +446,13 @@ def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:
 
 
 class _Components(Mapping):
-    """The components by order, read-only: orders 1..k-1 stored, order k stacked on each read and not kept.
+    """The components by order, read-only: orders 1..k-1 stored, order k rebuilt on each read and not kept.
 
-    ``top()`` yields the order-k component one slab per value of its last
-    argument (``_top_slabs``, from the |S_{k-1}| x d table and the d^(k-1)
-    index it closes over); a read of order k fills one (d,)*k array from
-    it, so that array exists only while its reader holds it.
+    ``top()`` yields the order-k component a stack of slabs at a time, one
+    slab per value of its last argument (``_top_stacks``, from the
+    |S_{k-1}| x d table and the d^(k-1) index it closes over); a read of
+    order k fills one (d,)*k array from them, so that array exists only
+    while its reader holds it.
     """
 
     def __init__(
@@ -358,8 +467,10 @@ class _Components(Mapping):
         if r != len(self._shape):
             return self._lower[r]
         out = np.empty(self._shape)
-        for j, slab in enumerate(self._top()):
-            out[..., j] = slab
+        j = 0
+        for stack in self._top():
+            out[..., j : j + stack.shape[-1]] = stack
+            j += stack.shape[-1]
         return out
 
     def __contains__(self, r: object) -> bool:
@@ -379,8 +490,9 @@ class ESDecomposition:
     components[r] is the canonical order-r component on the product grid,
     shape (d,)*r with d the summand support size, in a read-only mapping
     with keys 1..k: orders below k are stored (read-only arrays), and order
-    k, the one d^k-sized table, is rebuilt slab by slab on each read and not
-    kept. component_sq[r] is E h_r(Y_1..Y_r)^2. The variance identity reads
+    k, the one d^k-sized table, is rebuilt a stack of slabs at a time on
+    each read and not kept. component_sq[r] is E h_r(Y_1..Y_r)^2. The
+    variance identity reads
 
         E (h(S_k) - E h)^2 = sum_r C(k, r) * component_sq[r].
     """
@@ -423,47 +535,54 @@ def _expect(a: NDArray[np.float64], prob: NDArray[np.float64], i: int) -> NDArra
     return np.einsum(a, axes, prob, [i], axes[:i] + axes[i + 1 :])
 
 
-def _mean_square(comp: NDArray[np.float64], prob: NDArray[np.float64]) -> float:
+def _mean_square(comp: NDArray[np.float64], prob: NDArray[np.float64], stacked: bool = False):
     """E comp^2 over every argument of a product-grid table: the square and the last argument's weights in one
-    ``np.einsum``, then one argument at a time, so no temporary of the table's size exists."""
-    if not np.ndim(comp):
-        return float(comp * comp)
-    axes = list(range(comp.ndim))
-    sq = np.einsum(comp, axes, comp, axes, prob, axes[-1:], axes[:-1])
-    while sq.ndim:
-        sq = _expect(sq, prob, sq.ndim - 1)
-    return float(sq)
+    ``np.einsum``, then one argument at a time, so no temporary of the table's size exists. With ``stacked`` the last
+    axis of ``comp`` indexes slabs, not an argument, and one mean square per slab is returned."""
+    r = np.ndim(comp) - stacked  # the argument axes
+    if not r:
+        sq = comp * comp
+    else:
+        axes = list(range(np.ndim(comp)))
+        sq = np.einsum(comp, axes, comp, axes, prob, [r - 1], axes[: r - 1] + axes[r:])
+        for i in range(r - 2, -1, -1):
+            sq = _expect(sq, prob, i)
+    return sq if stacked else float(sq)
 
 
 def _check_symmetric(comp: NDArray[np.float64], r: int, tol: float) -> None:
     """Raise unless comp[i, j, ...] and comp[j, i, ...] agree within ``tol`` at every coordinate.
 
-    ``comp`` is a stored component or one slab of the top order, so the one
-    temporary, of its size, is O(d^(k-1)); a NaN fails the test and raises.
+    ``comp`` is a stored component or one stack of top-order slabs, so the
+    one temporary, of its size, is O(d^(k-1)) or at most SLAB_STACK values; a
+    NaN fails the test and raises.
     """
     asym = np.subtract(comp, comp.swapaxes(0, 1))
     if not np.abs(asym, out=asym).max() <= tol:
         raise AssertionError(f"order-{r} component is not symmetric in its arguments")
 
 
-def _top_slabs(
+def _top_stacks(
     table: NDArray[np.float64], index: NDArray[np.intp], prob: NDArray[np.float64]
 ) -> Iterator[NDArray[np.float64]]:
-    """The order-k component one slab at a time: slab j holds its values with the last argument at atom j.
+    """The order-k component a stack of slabs at a time: slab j holds its values with the last argument at atom j.
 
     ``table`` is the centred h at s + a_j (s in the S_{k-1} support, a_j
     the atoms) and ``index`` the S_{k-1} index of y_1 + ... + y_{k-1} on
     the d^(k-1) grid (``_grid_index``). With G_k[..., j] = table[:, j] and
     G_{k-1} = (E table over j) both looked up at ``index``, slab j is
     (I - E_1)...(I - E_{k-1})(G_k[..., j] - G_{k-1}), centred in place, so
-    each slab holds d^(k-1) values and no d^k table is formed.
+    no d^k table is formed. A stack holds consecutive slabs along its last
+    axis, as many as fit in SLAB_STACK values and at least one, so a small
+    d^(k-1) pays the per-call cost of numpy once per stack, not per slab.
     """
     prev = _expect(table, prob, 1)
-    for j in range(len(prob)):
-        slab = (table[:, j] - prev)[index]
-        for i in range(np.ndim(slab)):
-            slab -= np.expand_dims(_expect(slab, prob, i), i)
-        yield slab
+    per = max(1, SLAB_STACK // index.size)
+    for j in range(0, len(prob), per):
+        stack = np.take(table[:, j : j + per] - prev[:, None], index, axis=0)
+        for i in range(np.ndim(index)):
+            stack -= np.expand_dims(_expect(stack, prob, i), i)
+        yield stack
 
 
 def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecomposition:
@@ -477,8 +596,9 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
     over its last argument is E[h(S_k) | Y_1..Y_r], and the order-r
     component is the Hoeffding product (I - E_1)...(I - E_r) G_r, E_i the
     expectation over argument i, subtracted in place. Order k comes one
-    slab per value of its last argument (``_top_slabs``); each slab adds to
-    E h_k^2 and is checked and dropped. E h_r^2 contracts one argument at a
+    slab per value of its last argument, a stack of slabs at a time
+    (``_top_stacks``); each stack adds its slabs' shares to E h_k^2 and is
+    checked and dropped. E h_r^2 contracts one argument at a
     time. Every reduction is an ``np.einsum`` without BLAS (``_expect``), so
     the result does not depend on the BLAS kernel or its thread count.
 
@@ -521,13 +641,15 @@ def efron_stein(h: NDArray[np.float64], p: DiscretePMF, k: int) -> ESDecompositi
             _check_symmetric(comp, r, sym_tol)
 
     def top() -> Iterator[NDArray[np.float64]]:
-        return _top_slabs(table, index, prob)
+        return _top_stacks(table, index, prob)
 
     slab_sq = np.empty(d)
-    for j, slab in enumerate(top()):
-        slab_sq[j] = _mean_square(slab, prob)
+    j = 0
+    for stack in top():
+        slab_sq[j : j + stack.shape[-1]] = _mean_square(stack, prob, stacked=True)
+        j += stack.shape[-1]
         if k >= 3:
-            _check_symmetric(slab, k, sym_tol)
+            _check_symmetric(stack, k, sym_tol)
     components = _Components(lower, top, (d,) * k)
     if k == 2:  # the slab index is one of the two arguments compared; the d^2 order is no larger than ``table``
         _check_symmetric(components[2], 2, sym_tol)

@@ -25,17 +25,22 @@ A grid kernel's Gram matrix S is probed first by one pivoted Cholesky that
 reads diag(S) and a few of its rows by direct correlations against
 p_{S_{n-m}}, without B or S: when the probe certifies S as numerically
 low-rank (gaussian summands: eigenvalues (m/n)^k), only its r x r core is
-diagonalized and nothing N^2-sized exists. Otherwise the operator forms S (a
-grid kernel tile by tile from strips of B's rows, an exact operator from its
-non-zero pairs, discrete.py), and grid and exact blocks share one block
-Krylov solve for the top K eigenpairs, started on the probe's Ritz vectors
-(grid) or on fixed pseudo-random columns (exact), kept under a Cholesky
-certificate that no eigenvalue past them was missed, and return only those
-K: every grid block whose head alone is read (theta, the CLI, all but one
-battery pair) and an exact operator whose sums never coincide. A grid
-spectrum asked for all its eigenvalues (``spectrum``'s default, for callers
-that sum or count them) takes them from eigvalsh and keeps the Krylov pairs
-where their values match it. The dense eigh solves the rest.
+diagonalized and nothing N^2-sized exists. Grid and exact blocks share one
+block Krylov solve for the top K eigenpairs, started on the probe's Ritz
+vectors (grid) or on fixed pseudo-random columns (exact), kept under a
+Cholesky certificate that no eigenvalue past them was missed, and return
+only those K: every grid block whose head alone is read (theta, the CLI, all
+but one battery pair) and an exact operator whose sums never coincide. The
+solve reads S through two things, its products X S for a block of rows X and
+its lower block rows S[a:b, :b] for the certificate. A grid kernel forms S
+(tile by tile from strips of B's rows) and gives both from it; an exact
+operator with a Krylov budget gives both from its non-zero pairs without S
+(discrete.ExactGram). A grid spectrum asked for all its eigenvalues
+(``spectrum``'s default, for callers that sum or count them) takes them
+from eigvalsh and keeps the Krylov pairs where their values match it. The
+dense eigh solves the rest, on S formed where it was not: an exact operator
+scatters it from its pairs (or multiplies its dense block where they pile
+up), and the memory for that eigensolve is checked only where S is formed.
 """
 from __future__ import annotations
 
@@ -112,12 +117,22 @@ PROBE_WINDOW = 8
 # OpenBLAS, 2 threads, generic laws of 8 to 20 atoms, h = 120 to 1365):
 # budgets of 0.06 to 0.18 of h took 0.32 to 0.79 of eigh's time, 0.25 to
 # 0.34 about as long (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as
-# long. The exact certificate's O(h^3 / 3) Cholesky runs in row blocks of
-# CHOLESKY_BLOCK (64 took 19 ms at h = 1068 against 17 ms for LAPACK's own,
-# 128 took 24 ms).
+# long. A grid head solve (not ``full``) also needs KRYLOV_MIN_BLOCKS blocks
+# to fit; with fewer it goes straight to eigh. Measured on the head spectra
+# of the 34 gamma (beta 1, 2, 4) and uniform blocks of 256 to 1024 nodes,
+# (n, m) up to (4, 3), that fit 1 to 8 blocks (same host): with 1 to 5
+# blocks (h = 71 to 286) 23 of 28 Krylov solves missed, each such spectrum
+# taking 1.12 to 1.65 times as long as with eigh alone, and the 28 took 225
+# against 194 ms; with 6 to 8 (h = 295 to 391) 3 of 6 missed and the 6 took
+# 114 against 105 ms; every block that fit 9 or more (21 blocks, h = 442 to
+# 1567) converged, at 0.25 to 0.89 of eigh's time. Full solves keep every
+# budget that fits. The exact certificate's O(h^3 / 3) Cholesky runs in
+# row blocks of CHOLESKY_BLOCK (64 took 19 ms at h = 1068 against 17 ms for
+# LAPACK's own, 128 took 24 ms).
 KRYLOV_GUARD = 4
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 KRYLOV_MAX_FRACTION = 0.25
+KRYLOV_MIN_BLOCKS = 6
 CHOLESKY_BLOCK = 64
 
 # A grid kernel writes its Gram matrix tile by tile from strips of B's rows
@@ -131,8 +146,11 @@ GRAM_STRIP = 256
 # Past the rank probe, the eigensolve needs about 8 SOLVE_SQUARES h^2 bytes on
 # its worst (dense eigh) path: the h x h Gram matrix S, eigh's copy of S, its
 # 2 h^2 workspace, its eigenvectors and the reversed copy of those. It is
-# checked before S is formed, so a refused solve pays no Gram product (the
-# grid Gram's two row strips are checked with S, freed before the solve). The
+# checked just before S is formed (``_gram``): for a grid kernel or an exact
+# block without a Krylov budget before the solve starts, for an exact block
+# with one only where its certificate fails and eigh must run. A refused
+# solve pays no Gram product (the grid Gram's two row strips are checked
+# with S, freed before the solve). The
 # peak-RSS rise measured around one dense-path spectrum call, S included, is
 # 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four exact operators at (5, 4) and
 # five gamma and uniform grid kernels), so the check stands 5-17% above it.
@@ -583,7 +601,7 @@ def _ritz_count(lam: NDArray[np.float64], top: int) -> int:
 
 
 def _block_krylov_top(
-    S: NDArray[np.float64], Y: NDArray[np.float64], top: int, blocks: int
+    S, Y: NDArray[np.float64], top: int, blocks: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, dict] | None:
     """The top K Ritz pairs of S from the block Krylov space of ``Y``, the next Ritz value and a record, or None.
 
@@ -599,7 +617,9 @@ def _block_krylov_top(
     residuals, "krylov_blocks": the blocks the basis holds} are returned.
     The basis is held as rows (X S is the faster
     product) that grow a block at a time, up to ``blocks`` blocks: one that
-    has not converged by then returns None.
+    has not converged by then returns None. ``S`` is a dense array or an
+    operator that computes X @ S for a block of rows X without S
+    (``discrete.ExactGram``).
     """
     h, g = Y.shape
     cap = blocks * g
@@ -632,56 +652,82 @@ def _block_krylov_top(
         X = np.linalg.qr(X.T)[0].T
 
 
-def _certify_tail(S: NDArray[np.float64], V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: float) -> bool:
+def _certify_tail(S, V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: float) -> bool:
     """Whether sigma I - (S - V diag(ritz) V^T) is positive definite, which proves lambda_{K+1}(S) < sigma.
 
     S - V diag(ritz) V^T + (the rank-K PSD V diag(ritz) V^T) = S, so by Weyl
     lambda_{K+1}(S) <= lambda_max(S - V diag(ritz) V^T) < sigma once the
-    Cholesky factor exists. The factor is formed in place over the lower
-    triangle of S, a block row of CHOLESKY_BLOCK rows at a time: the row
-    block of the shifted matrix is built from S's rows and the rank-K term,
-    reduced against the blocks above it (forward substitution through the
-    inverses of the diagonal blocks), and its diagonal block factored by
-    ``np.linalg.cholesky``, which raises where the matrix is not positive
-    definite (a NaN included). The strict upper triangle of S is never
-    written: on failure the lower triangle and the diagonal are restored
-    from it, so an exactly symmetric S (as every Gram matrix here is) is
-    unchanged; on success S's lower triangle holds the factor.
+    Cholesky factor exists. It is formed a block row of CHOLESKY_BLOCK rows
+    at a time: the row block of the shifted matrix is built from S's block
+    row S[a:b, :b] and the rank-K term, reduced against the blocks above it
+    (forward substitution through the inverses of the diagonal blocks), and
+    its diagonal block factored by ``np.linalg.cholesky``, which raises
+    where the matrix is not positive definite (a NaN included). ``S`` is a
+    dense array or an operator that writes its block rows
+    (``discrete.ExactGram.block_row``). A dense S holds the factor in place
+    over its lower triangle and its strict upper triangle is never written:
+    on failure the lower triangle and the diagonal are restored from it, so
+    an exactly symmetric S (as every Gram matrix here is) is unchanged. An
+    operator's block rows are written into one array, each reduced in place
+    there as the factor's rows: about h^2 / 2 doubles.
     """
-    h, nb = len(S), CHOLESKY_BLOCK
-    diag = S.diagonal().copy()
+    h, nb = S.shape[0], CHOLESKY_BLOCK
+    dense = isinstance(S, np.ndarray)
+    diag = S.diagonal().copy() if dense else None
+    # an operator's factor rows share one allocation: freed one by one, row blocks went back to the system and
+    # were faulted in again by the next solve (1300 to 2300 page faults per 1365-row solve against about 80)
+    factor = None if dense else np.empty(sum((min(a + nb, h) - a) * min(a + nb, h) for a in range(0, h, nb)))
     VR = V * ritz
     inv_t: list[NDArray[np.float64]] = []  # inverse transposes of the factor's diagonal blocks
+    done: list[NDArray[np.float64]] = []  # the factor's block rows, L[a:b, :b]
     try:
         for a in range(0, h, nb):
             b = min(a + nb, h)
-            row = VR[a:b] @ V[:b].T
-            row -= S[a:b, :b]
+            if dense:
+                row = -S[a:b, :b]
+            else:
+                off = a * (a + nb) // 2  # the full block rows above, nb (nb + 2 nb + ... + a) values
+                row = factor[off : off + (b - a) * b].reshape(b - a, b)
+                np.negative(S.block_row(a, b, row), out=row)
+            for c in range(0, b, nb):  # the rank-K term a column block at a time, so no second row block exists
+                row[:, c : c + nb] += VR[a:b] @ V[c : c + nb].T
             idx = np.arange(b - a)
             row[idx, a + idx] += sigma
-            for c, inv in zip(range(0, a, nb), inv_t):
+            for c, inv, above in zip(range(0, a, nb), inv_t, done):
                 e = c + nb
-                row[:, c:e] -= row[:, :c] @ S[c:e, :c].T
+                row[:, c:e] -= row[:, :c] @ above[:, :c].T
                 row[:, c:e] = row[:, c:e] @ inv
             head = row[:, :a]
             L = np.linalg.cholesky(row[:, a:b] - head @ head.T)
             inv_t.append(np.linalg.inv(L).T)
-            S[a:b, :a] = head
-            L += np.triu(S[a:b, a:b], 1)
-            S[a:b, a:b] = L
+            if dense:
+                S[a:b, :a] = head
+                L += np.triu(S[a:b, a:b], 1)
+                S[a:b, a:b] = L
+                done.append(S[a:b, :b])
+            else:
+                row[:, a:b] = L
+                done.append(row)
     except np.linalg.LinAlgError:
-        for a in range(0, h, nb):
-            b = min(a + nb, h)
-            S[a:b, :a] = S[:a, a:b].T
-            upper = np.triu(S[a:b, a:b], 1)
-            S[a:b, a:b] = upper + upper.T
-        S.flat[:: h + 1] = diag
+        if dense:
+            for a in range(0, h, nb):
+                b = min(a + nb, h)
+                S[a:b, :a] = S[:a, a:b].T
+                upper = np.triu(S[a:b, a:b], 1)
+                S[a:b, a:b] = upper + upper.T
+            S.flat[:: h + 1] = diag
         return False
     return True
 
 
+def _krylov_fits(budget: tuple[int, int] | None, h: int) -> bool:
+    """Whether a (width, blocks) budget names at least one block and its blocks fit in KRYLOV_MAX_FRACTION of h rows."""
+    width, blocks = budget or (0, 0)
+    return 0 < blocks * width <= KRYLOV_MAX_FRACTION * h
+
+
 def _eigh_psd(
-    S: NDArray[np.float64],
+    S,
     top: int,
     full: bool,
     budget: tuple[int, int] | None = None,
@@ -689,20 +735,25 @@ def _eigh_psd(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict]:
     """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, the solver and its record.
 
+    ``S`` is a dense array, or an exact operator's Gram matrix kept as its
+    pairs (``discrete.ExactGram``), which gives the Krylov solve its
+    products X @ S and the certificate its block rows, and forms the dense
+    S, after the eigensolve's memory check, only where eigh must run.
     The block Krylov solve (``_block_krylov_top``) runs on a (width, blocks)
     budget whose blocks fit in KRYLOV_MAX_FRACTION of the rows:
     - a grid block passes the rows ``L`` of the rank probe that did not
       certify it, S = L^T L + E. The width is the ``_ritz_count`` of the
       probe's core eigenvalues mu (the non-zero eigenvalues of L^T L,
-      ``_core_eigh``) plus KRYLOV_GUARD, with as many blocks as fit, and the
+      ``_core_eigh``) plus KRYLOV_GUARD, with as many blocks as fit (for a
+      head solve, none where fewer than KRYLOV_MIN_BLOCKS fit), and the
       start block holds up to width - KRYLOV_GUARD of the probe's top Ritz
       vectors, filled up with the fixed pseudo-random columns;
     - an exact block passes the (width, blocks) of
       ``discrete._krylov_budget``, or None, and starts on width of those
       columns.
-    A ``full`` solve (a grid block whose every eigenvalue is read) takes all
-    h eigenvalues from eigvalsh first and keeps its Krylov result where the
-    Ritz values match eigvalsh's top ones within RITZ_RESID_TOL *
+    A ``full`` solve (a grid block whose every eigenvalue is read; S dense)
+    takes all h eigenvalues from eigvalsh first and keeps its Krylov result
+    where the Ritz values match eigvalsh's top ones within RITZ_RESID_TOL *
     lambda_max, which catches a Krylov space that skipped an eigenvalue
     ("ritz": all h eigenvalues, the top K eigenvectors). Otherwise the
     result must pass ``_certify_tail`` at sigma = theta_K - (theta_K -
@@ -720,19 +771,21 @@ def _eigh_psd(
     one too large, a block that does not converge, a check that fails) the
     dense eigh ("dense").
     """
-    h = len(S)
+    h = S.shape[0]
     if full:
         lam = np.linalg.eigvalsh(S)
     start = np.empty((h, 0))
     if L is not None:
         mu, U = _core_eigh(L)
         width = _ritz_count(mu, top) + KRYLOV_GUARD
-        budget = width, int(KRYLOV_MAX_FRACTION * h) // width
+        blocks = int(KRYLOV_MAX_FRACTION * h) // width
+        budget = width, blocks if full or blocks >= KRYLOV_MIN_BLOCKS else 0
         start = U[:, max(len(mu) + KRYLOV_GUARD - width, 0) :]
-    width, blocks = budget or (0, 0)
-    if 0 < blocks * width <= KRYLOV_MAX_FRACTION * h:
+    if _krylov_fits(budget, h):
+        width, blocks = budget
         extra = np.random.default_rng(0).standard_normal((h, width - start.shape[1]))
         found = _block_krylov_top(S, np.hstack((start, extra)), top, blocks)
+        del start, extra  # not held through the certificate
         if found is not None:
             ritz, V, below, record = found
             if full:
@@ -742,8 +795,18 @@ def _eigh_psd(
                 sigma = ritz[0] - 0.25 * (ritz[0] - below)
                 if _certify_tail(S, V, ritz, sigma):
                     return ritz, V, "krylov", {"tail_bound": float(sigma), **record}
+    if not isinstance(S, np.ndarray):
+        S = S.dense()
     lam, phi = np.linalg.eigh(S)
     return lam, phi, "dense", {}
+
+
+def _gram(op, rows: slice, avail: int | None) -> NDArray[np.float64]:
+    """The dense Gram matrix ``op.gram(rows, avail)``, refused first if the eigensolve's 8 SOLVE_SQUARES h^2 bytes
+    do not fit."""
+    h = rows.stop - rows.start
+    op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h, avail)
+    return op.gram(rows, avail)
 
 
 def _eigensystem(
@@ -761,7 +824,10 @@ def _eigensystem(
     (``_check_memory(part, need, avail)``) and carries its ``n``, ``m`` and
     ``health``: the grid kernel (written tile by tile from strips of its
     rows) or the exact operator (scattered from its sum-index pairs, or the
-    block product where they pile up).
+    block product where they pile up). An exact operator passed a Krylov
+    ``budget`` also gives S without forming it (``gram_pairs(rows, budget,
+    avail)``, a ``discrete.ExactGram``: products X S and block rows from its
+    pairs).
     ``mass`` is the quadrature mass of the S_m law at ``nodes``. A row of
     ``B`` with zero mass is zero, hence an exact null mode, so only the rows
     spanning ``mass > 0`` are solved. Every memory check of the call (the
@@ -772,10 +838,14 @@ def _eigensystem(
     runs once on the diagonal and rows of its Gram matrix computed without
     it (``gram_diag``, ``gram_row``). When that certifies the block
     numerically low-rank, the r x r core is all that is solved. Otherwise
-    the solve's SOLVE_SQUARES h^2, S included, is checked against the memory
-    left before the Gram matrix is formed, and ``_eigh_psd`` solves it: a
-    grid kernel passes ``full`` and the probe's factor, an exact operator
-    its Krylov ``budget``. One zero eigenvalue per row outside
+    ``_eigh_psd`` solves S: a grid kernel passes its formed S, ``full`` and
+    the probe's factor; an exact operator whose Krylov ``budget`` fits
+    (``_krylov_fits``) passes its ``ExactGram``, which checks the head
+    solve's own memory (its factor rows, pair buffers and Krylov basis)
+    first and forms S only if eigh must run; any other exact operator
+    passes its formed S. The solve's SOLVE_SQUARES h^2, S included, is
+    checked against the memory left wherever S is about to be formed
+    (``_gram``). One zero eigenvalue per row outside
     the block goes at the tail and the eigenvectors are 0 on those rows, so
     the result is that of the full matrix; on the low-rank path the h - r
     smallest eigenvalues are exact zeros as well, and the low-rank, ritz and
@@ -803,8 +873,7 @@ def _eigensystem(
     if certified:
         (lam, phi), solver = _core_eigh(L), "low-rank"
     else:
-        op._check_memory(f"the eigensolve of a {h} x {h} Gram matrix", 8 * SOLVE_SQUARES * h * h, avail)
-        S = op.gram(rows, avail)
+        S = op.gram_pairs(rows, budget, avail) if _krylov_fits(budget, h) else _gram(op, rows, avail)
         lam, phi, solver, record = _eigh_psd(S, top, full, budget, L)
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])

@@ -69,6 +69,7 @@ from .inequalities import (
     theta_upper_from_sigma,
 )
 from .operators import (
+    SPECTRUM_HEAD,
     apply_C,
     apply_Cstar,
     build_kernel,
@@ -94,10 +95,14 @@ __all__ = [
 # off-diagonal sumset, which pins a whole eigenspace at exactly m/n: given
 # S_2 = u + v with u != v unique, Y_1 is u or v with probability 1/2 each
 # whatever the weights, so theta = 0 and the m/n eigenvalue is degenerate.
+# Bernoulli(1/2) has the binomial closed forms, at (n, m) pairs whose
+# m + 1 rows hold the whole spectrum head.
 PMF_UNIFORM3 = DiscretePMF((0.0, 1.0, 2.0), (1 / 3, 1 / 3, 1 / 3))
 PMF_SKEW3 = DiscretePMF((0.0, 1.0, 3.0), (0.5, 0.3, 0.2))
 PMF_LATTICE4 = DiscretePMF((0.0, 1.0, 2.0, 3.0), (0.4, 0.1, 0.3, 0.2))
 PMF_SIDON4 = DiscretePMF((0.0, 1.0, 2.5, 4.0), (0.28, 0.16, 0.31, 0.25))
+PMF_BERNOULLI = DiscretePMF((0.0, 1.0), (0.5, 0.5))
+BINOMIAL_PAIRS = ((12, 8), (40, 24))
 
 
 def _wl2(weight_vec: np.ndarray, resid: np.ndarray) -> float:
@@ -550,6 +555,17 @@ def exact_battery(seed: int = 42) -> list[BoundReport]:
     reports.append(
         make_report("exact-degenerate-lambda2-at-dks-sidon4", abs(th_s.lambda2 - 0.5), 0.0, tol=1e-12, n=2, m=1, context=ctx_s)
     )
+
+    # Bernoulli(1/2) summands are binomial Meixner laws (v2 = -1): the exact
+    # head and theta are the closed forms; h = m + 1 holds the 8-value head
+    ctx_b = {"pmf": "bernoulli-1/2"}
+    for n, m in BINOMIAL_PAIRS:
+        sp_b = exact_spectrum(PMF_BERNOULLI, n, m)
+        head = float(np.abs(sp_b.eigenvalues[:SPECTRUM_HEAD] - meixner_lambdas(-1.0, n, m, SPECTRUM_HEAD)).max())
+        reports.append(make_report(f"exact-binomial-head-({n},{m})", head, 0.0, tol=1e-14, n=n, m=m, context=ctx_b))
+        closed = meixner_theta(-1.0, n, m)
+        rel = abs(theta_from_spectrum(sp_b).theta - closed) / closed
+        reports.append(make_report(f"exact-binomial-theta-({n},{m})", rel, 0.0, tol=1e-12, n=n, m=m, context=ctx_b))
 
     worst = 0.0
     _, qn = op.total.arrays()

@@ -329,12 +329,109 @@ def test_generic_block_takes_the_certified_krylov_path():
         assert np.linalg.norm(block[:, k] - cluster @ (cluster.T @ block[:, k])) <= 1e-12
 
     vals, V, solver, record = operators._eigh_psd(S.copy(), 8, False, (16, 5))
-    assert solver == "krylov" and record == {k: sp.health[k] for k in ("tail_bound", "ritz_residual", "krylov_blocks")}
+    assert solver == "krylov" and record.keys() == {"tail_bound", "ritz_residual", "krylov_blocks"}
+    assert record["krylov_blocks"] == sp.health["krylov_blocks"]
+    assert abs(record["tail_bound"] - sp.health["tail_bound"]) <= 1e-13
     assert np.linalg.norm(S @ V - V * vals, axis=0).max() <= operators.RITZ_RESID_TOL * vals[-1]
     for cluster in (slice(11, 12), slice(0, 11)):  # ascending: the m/n cluster, then the constant
         mine, ref = V[:, cluster], U[:, 11 - cluster.stop + 1 : 12 - cluster.start][:, ::-1]
         assert np.linalg.norm(ref - mine @ (mine.T @ ref)) <= 1e-12
         assert np.linalg.norm(mine - ref @ (ref.T @ mine)) <= 1e-12
+
+
+GENERIC12_SPEC = (
+    "discrete:0.02827=0.061,1.15079=0.145,1.79291=0.053,1.8932=0.052,2.30541=0.073,2.50824=0.058,3.49889=0.112,"
+    "5.41466=0.044,6.70446=0.139,8.5813=0.135,8.96309=0.031,9.46753=0.096"
+)
+
+
+def test_exact_head_solve_peaks_below_three_quarters_of_the_gram_matrix():
+    """The generic 12-atom (5, 4) block (h = 1365) is solved from its pairs: the traced peak of the whole spectrum
+    stays below 0.75 * 8 h^2 bytes, where the Gram matrix alone took 8 h^2 and the call peaked at 1.33 * 8 h^2."""
+    h = len(pmf_power(GENERIC12, 4).atoms)
+    sp, peak = _traced_peak(lambda: exact_spectrum(GENERIC12, 5, 4))
+    assert sp.solver == "krylov" and h == 1365
+    assert peak < 0.75 * 8 * h * h
+
+
+def test_exact_head_solve_matches_the_dense_gram_path(monkeypatch):
+    """Products and block rows from the pairs give the dense Gram matrix's head solve: eigenvalues and tail bound within
+    1e-13, the same K, solver, block count and trivial indices."""
+    sp = exact_spectrum(GENERIC12, 5, 4)
+    # the dense Gram matrix's path: the same solve on the formed S
+    monkeypatch.setattr(discrete.ExactOperator, "gram_pairs", lambda self, rows, budget, avail: self.gram(rows, avail))
+    ref = exact_spectrum(GENERIC12, 5, 4)
+    assert (sp.solver, sp.k, sp.trivial_indices) == (ref.solver, ref.k, ref.trivial_indices) == ("krylov", 12, (0, 11))
+    assert len(sp.eigenvalues) == len(ref.eigenvalues)
+    assert np.abs(sp.eigenvalues - ref.eigenvalues).max() <= 1e-13
+    assert abs(sp.health["tail_bound"] - ref.health["tail_bound"]) <= 1e-13
+    assert sp.health["krylov_blocks"] == ref.health["krylov_blocks"]
+
+
+@pytest.mark.parametrize("pmf, n, m", [(GENERIC12, 5, 4), (NONLATTICE12, 5, 4), (PMF_SIDON4, 5, 4), (GENERIC8, 3, 2)])
+def test_exact_gram_block_rows_match_the_scattered_gram(pmf, n, m):
+    """Block rows built from the column-sharing pairs are the scattered Gram matrix's bytes, for every row block the
+    certificate reads, an inner block row, and an inner row range; X @ S from the pairs is the dense product to 1e-15."""
+    op = exact_operator(pmf, n, m)
+    ny, _, ns, pairs = _sizes(pmf, n, m)
+    assert pairs <= ny * ns  # scattered, not the dense block product
+    for rows in (slice(0, ny), slice(1, ny - 1)):
+        S, G = op.gram(rows), op.gram_pairs(rows, (4, 1))
+        h = len(S)
+        assert G.shape == S.shape
+        for a in range(0, h, operators.CHOLESKY_BLOCK):
+            b = min(a + operators.CHOLESKY_BLOCK, h)
+            out = np.full((b - a, b), np.nan)
+            assert G.block_row(a, b, out) is out and np.array_equal(out, S[a:b, :b])
+        a, b = h // 3, h // 2
+        assert np.array_equal(G.block_row(a, b, np.empty((b - a, b))), S[a:b, :b])
+        X = np.random.default_rng(h).standard_normal((5, h))
+        assert np.abs(X @ G - X @ S).max() <= 1e-15 * np.abs(X).sum(axis=1).max()
+
+
+def test_failed_exact_certificate_falls_back_to_eigh(monkeypatch):
+    """A certificate asked for a bound below lambda_13 = 0.6 fails on the pairs' block rows; the block then forms S
+    and returns eigh's bytes, as an exact block without a budget does."""
+    certified, certify = [], operators._certify_tail
+    monkeypatch.setattr(
+        operators, "_certify_tail", lambda S, V, ritz, sigma: certified.append(certify(S, V, ritz, 0.5)) or certified[-1]
+    )
+    sp = exact_spectrum(GENERIC12, 5, 4)
+    assert certified == [False]
+    op = exact_operator(GENERIC12, 5, 4)
+    lam = np.linalg.eigh(op.gram(slice(0, len(op.summand.atoms))))[0][::-1]
+    assert sp.solver == "dense" and sp.health.keys() == {"support_size"}
+    assert np.array_equal(sp.eigenvalues, np.clip(lam, 0.0, 1.0))
+
+
+def test_exact_head_solve_runs_where_the_dense_fallback_would_not_fit(monkeypatch, capsys):
+    """With room for the pairs' solve but not the dense eigensolve, the head solve runs without forming S; a block that
+    reaches the fallback is refused before S exists, with the dense path's exit-1 message. Without room for the head
+    solve's own factor rows, it is refused before it starts."""
+    pmf = DiscretePMF.from_spec(parse_spec(GENERIC12_SPEC))
+    h = len(pmf_power(pmf, 4).atoms)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 8 * operators.SOLVE_SQUARES * h * h - 1)
+    gram = discrete.ExactOperator.gram
+
+    def refuse(self, *args):
+        raise AssertionError("the Gram matrix was formed")
+
+    monkeypatch.setattr(discrete.ExactOperator, "gram", refuse)
+    assert exact_spectrum(pmf, 5, 4).solver == "krylov"
+    argv = ["theta", "--exact", "--spec", GENERIC12_SPEC, "--n", "5", "--m", "4"]
+    assert run(argv) == 0
+    monkeypatch.setattr(operators, "_certify_tail", lambda *args: False)
+    with pytest.raises(ValueError, match="exact operator too large for memory.*eigensolve of a 1365 x 1365"):
+        exact_spectrum(pmf, 5, 4)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert "too large for memory" in capsys.readouterr().err
+    monkeypatch.setattr(discrete.ExactOperator, "gram", gram)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 8 * operators.SOLVE_SQUARES * h * h)
+    assert exact_spectrum(pmf, 5, 4).solver == "dense"
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 8 * h * h // 2)  # below the factor rows alone
+    with pytest.raises(ValueError, match="exact operator too large for memory.*certified Krylov solve of 1365 rows"):
+        exact_spectrum(pmf, 5, 4)
 
 
 def test_generic_krylov_spectrum_repeats_its_bytes():
@@ -634,15 +731,14 @@ def test_efron_stein_symmetry_check_raises_on_nan():
 
 def test_efron_stein_symmetry_check_raises_on_an_asymmetric_component(monkeypatch):
     """A top-order slab skewed in one pair of arguments fails the check as it is built."""
-    top_slabs = discrete._top_slabs
+    top_stacks = discrete._top_stacks
 
     def skewed(*args):
-        for j, slab in enumerate(top_slabs(*args)):
-            if j == len(SKEW3.atoms) - 1:
-                slab[-2, -1] += 1.0
-            yield slab
+        for stack in top_stacks(*args):
+            stack[-2, -1, ..., -1] += 1.0  # the stack's last slab
+            yield stack
 
-    monkeypatch.setattr(discrete, "_top_slabs", skewed)
+    monkeypatch.setattr(discrete, "_top_stacks", skewed)
     with pytest.raises(AssertionError, match="order-3 component is not symmetric"):
         efron_stein(_poly_h(SKEW3, 3), SKEW3, 3)
 
@@ -684,6 +780,27 @@ def test_efron_stein_peak_stays_below_half_the_product_grid():
     dec, peak = _traced_peak(lambda: efron_stein(h, pmf, 5))
     assert peak < 8 * 20**5 / 2
     assert abs(dec.identity_residual) <= 1e-12
+
+
+def test_efron_stein_stacks_small_slabs(monkeypatch):
+    """At k = 3 on 20 atoms a top-order slab holds 400 values, so its 20 slabs come in two stacks of
+    SLAB_STACK // 400 = 10. The result is the one-slab-per-stack decomposition's: the lower orders bit for bit, the top
+    order and E h_3^2 to 1e-15, the identity residual to 1e-12."""
+    pmf, k = _lattice20(), 3
+    h = _poly_h(pmf, k)
+    sizes, top_stacks = [], discrete._top_stacks
+    monkeypatch.setattr(discrete, "_top_stacks", lambda *args: (sizes.append(s.shape) or s for s in top_stacks(*args)))
+    dec = efron_stein(h, pmf, k)
+    assert sizes == [(20, 20, 10)] * 2
+    monkeypatch.setattr(discrete, "SLAB_STACK", 1)
+    sizes.clear()
+    ref = efron_stein(h, pmf, k)
+    assert sizes == [(20, 20, 1)] * 20
+    for r in (1, 2):
+        assert np.array_equal(dec.components[r], ref.components[r]) and dec.component_sq[r] == ref.component_sq[r]
+    assert np.abs(dec.components[3] - ref.components[3]).max() <= 1e-15
+    assert abs(dec.component_sq[3] - ref.component_sq[3]) <= 1e-15 * ref.component_sq[3]
+    assert abs(dec.identity_residual) <= 1e-12 and abs(ref.identity_residual) <= 1e-12
 
 
 def test_components_mapping_stores_the_lower_orders_and_rebuilds_the_top():

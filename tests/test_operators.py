@@ -423,6 +423,28 @@ def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
     assert np.array_equal(lam, np.linalg.eigh(S)[0])
 
 
+SMALL_HEAD_CASES = [(DistributionSpec.gamma(1.0), 512, 3, 1), (DistributionSpec.uniform(-1.0, 1.0), 1024, 4, 1)]
+
+
+@pytest.mark.parametrize("spec,nodes,n,m", SMALL_HEAD_CASES, ids=["gamma1-3-1-512", "uniform-4-1-1024"])
+def test_small_grid_head_blocks_go_straight_to_eigh(spec, nodes, n, m, monkeypatch):
+    """Gamma beta = 1 at (3, 1) on 512 nodes (h = 277) and uniform at (4, 1) on 1024 (h = 148) fit 5 and 3 blocks of
+    12 columns, fewer than KRYLOV_MIN_BLOCKS, and their Krylov solves missed: a head spectrum now takes eigh without a
+    Krylov step and returns eigh's values, as the full spectrum does after trying its budget."""
+    cfg = GridConfig(node_count=nodes)
+    kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+    rows = operators._hull(kern.summand.values > 0)
+    ref = np.clip(np.linalg.eigh(kern.gram(rows))[0][::-1], 0.0, 1.0)
+    calls, krylov = [], operators._block_krylov_top
+    monkeypatch.setattr(operators, "_block_krylov_top", lambda *args: calls.append(args[3]) or krylov(*args))
+    head = spectrum(kern, full=False)
+    assert calls == [] and head.solver == "dense"
+    assert np.array_equal(head.eigenvalues[: len(ref)], ref)
+    full = spectrum(kern)
+    assert len(calls) == 1 and calls[0] < operators.KRYLOV_MIN_BLOCKS and full.solver == "dense"
+    assert np.array_equal(full.eigenvalues, head.eigenvalues)
+
+
 HEAD_CASES = [
     (DistributionSpec.gamma(4.0), 2, 1),
     (DistributionSpec.gamma(4.0), 3, 2),

@@ -24,6 +24,24 @@ def test_exact_battery_green():
     assert all(r.passed for r in reports)
 
 
+def test_exact_battery_holds_the_binomial_closed_forms(monkeypatch):
+    """Bernoulli(1/2) at (12, 8) and (40, 24): the exact head is meixner_lambdas(-1, n, m, 8) within 1e-14 and theta is
+    (n - m)/(m - 1) within 1e-12 relative; a theta biased by 1e-10 fails both theta reports."""
+    names = [f"exact-binomial-{kind}-({n},{m})" for n, m in ((12, 8), (40, 24)) for kind in ("head", "theta")]
+    reports = {r.name: r for r in exact_battery()}
+    for name in names:
+        assert reports[name].passed and reports[name].tol == (1e-14 if "head" in name else 1e-12)
+    real = clt_spectra.verify.theta_from_spectrum
+
+    def biased(sp):
+        th = real(sp)
+        return replace(th, theta=th.theta * (1 + 1e-10))
+
+    monkeypatch.setattr(clt_spectra.verify, "theta_from_spectrum", biased)
+    failed = {r.name for r in exact_battery() if not r.passed}
+    assert failed == {name for name in names if "theta" in name}
+
+
 def test_negative_control_fails():
     r = negative_control(None)
     assert not r.passed
@@ -474,7 +492,7 @@ def test_grid_and_exact_spectra_load_no_scipy():
         for spec in (
             ["--spec", "gaussian:sigma=1", "--nodes", "512"],
             ["--spec", "uniform:a=-1,b=1", "--nodes", "512"],
-            ["--spec", "gamma:beta=4", "--nodes", "512"],
+            ["--spec", "gamma:beta=4", "--nodes", "1024"],  # 512 nodes fit too few Krylov blocks (KRYLOV_MIN_BLOCKS)
             ["--exact", "--spec", "discrete:0=0.2,1=0.3,2.5=0.1,4=0.4", "--n", "4", "--m", "3"],
         )
     ]
