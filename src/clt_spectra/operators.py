@@ -683,14 +683,15 @@ def _certify_tail(S, V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: f
     try:
         for a in range(0, h, nb):
             b = min(a + nb, h)
-            if dense:
-                row = -S[a:b, :b]
+            if dense:  # one product for the rank-K term, as many BLAS calls as block rows
+                row = VR[a:b] @ V[:b].T
+                row -= S[a:b, :b]
             else:
                 off = a * (a + nb) // 2  # the full block rows above, nb (nb + 2 nb + ... + a) values
                 row = factor[off : off + (b - a) * b].reshape(b - a, b)
                 np.negative(S.block_row(a, b, row), out=row)
-            for c in range(0, b, nb):  # the rank-K term a column block at a time, so no second row block exists
-                row[:, c : c + nb] += VR[a:b] @ V[c : c + nb].T
+                for c in range(0, b, nb):  # the rank-K term a column block at a time, so no second row block exists
+                    row[:, c : c + nb] += VR[a:b] @ V[c : c + nb].T
             idx = np.arange(b - a)
             row[idx, a + idx] += sigma
             for c, inv, above in zip(range(0, a, nb), inv_t, done):
