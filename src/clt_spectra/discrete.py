@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .densities import DistributionSpec, _discrete_arrays
 from .operators import CHOLESKY_BLOCK, KRYLOV_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
-from .operators import _check_memory, _eigensystem, _gram, _hull, gram_matrix
+from .operators import _check_memory, _eigensystem, _hull, gram_matrix
 
 __all__ = [
     "DiscretePMF",
@@ -258,7 +258,7 @@ class ExactOperator:
         the largest block row's pairs, and four copies of the h x width *
         blocks Krylov basis (the basis, its products and their grown
         copies). The dense S is checked for only where the fallback forms it
-        (``ExactGram.dense``).
+        (``operators._gram``).
         """
         index = self.index[rows]
         h = len(index)
@@ -267,7 +267,7 @@ class ExactOperator:
         width, blocks = budget
         need = 8 * (index.size + h * (h + CHOLESKY_BLOCK) // 2 + 5 * int(row_pairs.max()) + 4 * h * width * blocks)
         self._check_memory(f"the certified Krylov solve of {h} rows from their column-sharing pairs", need, avail)
-        return ExactGram(self, rows, np.argsort(index, axis=None, kind="stable"), counts, avail)
+        return ExactGram(self, rows, np.argsort(index, axis=None, kind="stable"), counts)
 
     def _check_memory(self, part: str, need: int, avail: int | None = None) -> None:
         _check_memory("exact operator", self.n, self.m, part, need, _EXACT_REMEDY, avail)
@@ -284,15 +284,12 @@ class ExactGram:
     from ``order``, the entries sorted by column, and ``counts``, the
     entries of each column), bit for bit those rows of
     ``ExactOperator.gram``; only one block's pairs exist at a time.
-    ``dense()`` forms S itself, after the eigensolve's memory check against
-    ``avail``.
     """
 
     op: ExactOperator
     rows: slice
     order: NDArray[np.intp]
     counts: NDArray[np.intp]
-    avail: int | None
 
     __array_ufunc__ = None  # ``X @ S`` with an array X calls ``__rmatmul__``
 
@@ -324,9 +321,6 @@ class ExactGram:
         out[...] = 0.0
         np.add.at(out.reshape(-1), left, weight[keep])
         return out
-
-    def dense(self) -> NDArray[np.float64]:
-        return _gram(self.op, self.rows, self.avail)
 
 
 def _row_pairs(
@@ -433,7 +427,7 @@ def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     op = exact_operator(p, n, m)
     ay, qy = op.summand.arrays()
     budget = _krylov_budget(len(p.atoms), n, m, len(op.total.atoms), SPECTRUM_HEAD)
-    return _eigensystem(op, qy, ay, SPECTRUM_HEAD, budget)
+    return _eigensystem(op, qy, ay, budget)
 
 
 def exact_theta(p: DiscretePMF, n: int, m: int = 1) -> ThetaResult:

@@ -328,7 +328,9 @@ class SubgaussResult:
 
     divergent means the pair expectation kept growing when the quadrature
     window was widened: any finite value would then be set by the window, so
-    value and exp_factor are reported as inf.
+    value and exp_factor are reported as inf. method is "exact" where the
+    expectation is a finite sum over the atoms of a discrete law, "quadrature"
+    where it is integrated on a grid.
     """
 
     value: float
@@ -377,7 +379,7 @@ def subgauss_chi2_bound(spec: DistributionSpec, delta: float, n: int) -> Subgaus
     if spec.family == "discrete":
         atoms, probs = _discrete_arrays(spec)
         e = float(probs @ np.exp(t * (atoms[:, None] - atoms[None, :]) ** 2) @ probs)
-        return SubgaussResult(prefactor * e, e, t, False, 0.0)
+        return SubgaussResult(prefactor * e, e, t, False, 0.0, "exact")
     if spec.family == "file":
         d = build_density(spec, GridConfig(node_count=SUBGAUSS_NODES))
         e = _pair_expectation(d, t)

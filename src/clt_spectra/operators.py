@@ -21,26 +21,26 @@ similar to the discretized C*C and keeps eigenvectors orthonormal in the
 weighted inner product; only the rows of B that carry S_m mass are solved.
 A grid kernel's B is an operator (``KernelFactor``), not a stored array:
 B z and B^T x are O(N) correlations against p_{S_{n-m}}.
-A grid kernel's Gram matrix S is probed first by one pivoted Cholesky that
-reads diag(S) and a few of its rows by direct correlations against
-p_{S_{n-m}}, without B or S: when the probe certifies S as numerically
-low-rank (gaussian summands: eigenvalues (m/n)^k), only its r x r core is
-diagonalized and nothing N^2-sized exists. Grid and exact blocks share one
-block Krylov solve for the top K eigenpairs, started on the probe's Ritz
-vectors (grid) or on fixed pseudo-random columns (exact), kept under a
-Cholesky certificate that no eigenvalue past them was missed, and return
-only those K: every grid block whose head alone is read (theta, the CLI, all
-but one battery pair) and an exact operator whose sums never coincide. The
-solve reads S through two things, its products X S for a block of rows X and
-its lower block rows S[a:b, :b] for the certificate. A grid kernel forms S
+Every block is solved in one order. (1) Probe: a grid kernel's Gram matrix
+S is probed by one pivoted Cholesky that reads diag(S) and a few of its rows
+by direct correlations against p_{S_{n-m}}, without B or S; exact operators
+are not probed. (2) Low rank or a budget: when the probe certifies S as
+numerically low-rank (gaussian summands: eigenvalues (m/n)^k), only its
+r x r core is diagonalized and nothing N^2-sized exists; otherwise that core
+names a Krylov budget and start block, and an exact operator whose sums
+never coincide names its own. (3) Krylov: grid and exact blocks share one
+block Krylov solve for the top K eigenpairs, which reads S through its
+products X S and its lower block rows S[a:b, :b]. A grid kernel forms S
 (tile by tile from strips of B's rows) and gives both from it; an exact
-operator with a Krylov budget gives both from its non-zero pairs without S
-(discrete.ExactGram). A grid spectrum asked for all its eigenvalues
-(``spectrum``'s default, for callers that sum or count them) takes them
-from eigvalsh and keeps the Krylov pairs where their values match it. The
-dense eigh solves the rest, on S formed where it was not: an exact operator
-scatters it from its pairs (or multiplies its dense block where they pile
-up), and the memory for that eigensolve is checked only where S is formed.
+operator gives both from its non-zero pairs without S (discrete.ExactGram).
+(4) Cross-check or certificate: a grid spectrum asked for all its
+eigenvalues (``spectrum``'s default, for callers that sum or count them)
+takes them from eigvalsh and keeps the Krylov pairs where their values
+match it; any other block keeps only its K pairs, under a Cholesky
+certificate that no eigenvalue past them was missed (theta, the CLI, all
+but one battery pair). (5) Dense eigh: a block whose budget does not fit,
+whose Krylov run does not converge or whose check fails is solved by eigh,
+on S formed afresh, its eigensolve's memory checked just before.
 """
 from __future__ import annotations
 
@@ -117,18 +117,18 @@ PROBE_WINDOW = 8
 # OpenBLAS, 2 threads, generic laws of 8 to 20 atoms, h = 120 to 1365):
 # budgets of 0.06 to 0.18 of h took 0.32 to 0.79 of eigh's time, 0.25 to
 # 0.34 about as long (0.83 to 1.20), and 0.4 to 1.0 of h 1.2 to 2.3 times as
-# long. A grid head solve (not ``full``) also needs KRYLOV_MIN_BLOCKS blocks
-# to fit; with fewer it goes straight to eigh. Measured on the head spectra
-# of the 34 gamma (beta 1, 2, 4) and uniform blocks of 256 to 1024 nodes,
-# (n, m) up to (4, 3), that fit 1 to 8 blocks (same host): with 1 to 5
-# blocks (h = 71 to 286) 23 of 28 Krylov solves missed, each such spectrum
-# taking 1.12 to 1.65 times as long as with eigh alone, and the 28 took 225
-# against 194 ms; with 6 to 8 (h = 295 to 391) 3 of 6 missed and the 6 took
-# 114 against 105 ms; every block that fit 9 or more (21 blocks, h = 442 to
-# 1567) converged, at 0.25 to 0.89 of eigh's time. Full solves keep every
-# budget that fits. The exact certificate's O(h^3 / 3) Cholesky runs in
-# row blocks of CHOLESKY_BLOCK (64 took 19 ms at h = 1068 against 17 ms for
-# LAPACK's own, 128 took 24 ms).
+# long. A grid block, whether its head or its full spectrum is read, also
+# needs KRYLOV_MIN_BLOCKS blocks to fit; with fewer it goes straight to eigh.
+# Measured on the head spectra of the 34 gamma (beta 1, 2, 4) and uniform
+# blocks of 256 to 1024 nodes, (n, m) up to (4, 3), that fit 1 to 8 blocks
+# (same host): with 1 to 5 blocks (h = 71 to 286) 23 of 28 Krylov solves
+# missed, each such spectrum taking 1.12 to 1.65 times as long as with eigh
+# alone, and the 28 took 225 against 194 ms; with 6 to 8 (h = 295 to 391) 3
+# of 6 missed and the 6 took 114 against 105 ms; every block that fit 9 or
+# more (21 blocks, h = 442 to 1567) converged, at 0.25 to 0.89 of eigh's
+# time. The certificate's O(h^3 / 3) Cholesky runs in row blocks of
+# CHOLESKY_BLOCK (64 took 19 ms at h = 1068 against 17 ms for LAPACK's own,
+# 128 took 24 ms).
 KRYLOV_GUARD = 4
 RITZ_RESID_TOL = 32 * np.finfo(float).eps
 KRYLOV_MAX_FRACTION = 0.25
@@ -146,11 +146,11 @@ GRAM_STRIP = 256
 # Past the rank probe, the eigensolve needs about 8 SOLVE_SQUARES h^2 bytes on
 # its worst (dense eigh) path: the h x h Gram matrix S, eigh's copy of S, its
 # 2 h^2 workspace, its eigenvectors and the reversed copy of those. It is
-# checked just before S is formed (``_gram``): for a grid kernel or an exact
-# block without a Krylov budget before the solve starts, for an exact block
-# with one only where its certificate fails and eigh must run. A refused
-# solve pays no Gram product (the grid Gram's two row strips are checked
-# with S, freed before the solve). The
+# checked just before S is formed (``_gram``): by a grid kernel before its
+# Krylov solve, and by every block again where eigh must run on S formed
+# afresh, the only place an exact block with a Krylov budget forms it. A
+# refused solve pays no Gram product (the grid Gram's two row strips are
+# checked with S, freed before the solve). The
 # peak-RSS rise measured around one dense-path spectrum call, S included, is
 # 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four exact operators at (5, 4) and
 # five gamma and uniform grid kernels), so the check stands 5-17% above it.
@@ -664,16 +664,14 @@ def _certify_tail(S, V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: f
     its diagonal block factored by ``np.linalg.cholesky``, which raises
     where the matrix is not positive definite (a NaN included). ``S`` is a
     dense array or an operator that writes its block rows
-    (``discrete.ExactGram.block_row``). A dense S holds the factor in place
-    over its lower triangle and its strict upper triangle is never written:
-    on failure the lower triangle and the diagonal are restored from it, so
-    an exactly symmetric S (as every Gram matrix here is) is unchanged. An
-    operator's block rows are written into one array, each reduced in place
-    there as the factor's rows: about h^2 / 2 doubles.
+    (``discrete.ExactGram.block_row``). A dense S is consumed: each block
+    row is reduced in place over S's lower triangle, which ends as the
+    factor, pass or fail, and the caller forms S afresh should eigh need it.
+    An operator's block rows are written into one array, each reduced in
+    place there as the factor's rows: about h^2 / 2 doubles.
     """
     h, nb = S.shape[0], CHOLESKY_BLOCK
     dense = isinstance(S, np.ndarray)
-    diag = S.diagonal().copy() if dense else None
     # an operator's factor rows share one allocation: freed one by one, row blocks went back to the system and
     # were faulted in again by the next solve (1300 to 2300 page faults per 1365-row solve against about 80)
     factor = None if dense else np.empty(sum((min(a + nb, h) - a) * min(a + nb, h) for a in range(0, h, nb)))
@@ -684,8 +682,8 @@ def _certify_tail(S, V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: f
         for a in range(0, h, nb):
             b = min(a + nb, h)
             if dense:  # one product for the rank-K term, as many BLAS calls as block rows
-                row = VR[a:b] @ V[:b].T
-                row -= S[a:b, :b]
+                row = S[a:b, :b]
+                np.subtract(VR[a:b] @ V[:b].T, row, out=row)
             else:
                 off = a * (a + nb) // 2  # the full block rows above, nb (nb + 2 nb + ... + a) values
                 row = factor[off : off + (b - a) * b].reshape(b - a, b)
@@ -701,22 +699,9 @@ def _certify_tail(S, V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: f
             head = row[:, :a]
             L = np.linalg.cholesky(row[:, a:b] - head @ head.T)
             inv_t.append(np.linalg.inv(L).T)
-            if dense:
-                S[a:b, :a] = head
-                L += np.triu(S[a:b, a:b], 1)
-                S[a:b, a:b] = L
-                done.append(S[a:b, :b])
-            else:
-                row[:, a:b] = L
-                done.append(row)
+            row[:, a:b] = L
+            done.append(row)
     except np.linalg.LinAlgError:
-        if dense:
-            for a in range(0, h, nb):
-                b = min(a + nb, h)
-                S[a:b, :a] = S[:a, a:b].T
-                upper = np.triu(S[a:b, a:b], 1)
-                S[a:b, a:b] = upper + upper.T
-            S.flat[:: h + 1] = diag
         return False
     return True
 
@@ -727,79 +712,66 @@ def _krylov_fits(budget: tuple[int, int] | None, h: int) -> bool:
     return 0 < blocks * width <= KRYLOV_MAX_FRACTION * h
 
 
-def _eigh_psd(
-    S,
-    top: int,
-    full: bool,
-    budget: tuple[int, int] | None = None,
-    L: NDArray[np.float64] | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict]:
-    """Ascending eigenvalues of the PSD ``S``, eigenvectors of the top ones, the solver and its record.
+def _probe_budget(
+    mu: NDArray[np.float64], U: NDArray[np.float64], h: int
+) -> tuple[tuple[int, int], NDArray[np.float64]]:
+    """A grid block's Krylov (width, blocks) budget and start block from its probe's core eigenpairs (``_core_eigh``).
 
-    ``S`` is a dense array, or an exact operator's Gram matrix kept as its
-    pairs (``discrete.ExactGram``), which gives the Krylov solve its
-    products X @ S and the certificate its block rows, and forms the dense
-    S, after the eigensolve's memory check, only where eigh must run.
-    The block Krylov solve (``_block_krylov_top``) runs on a (width, blocks)
-    budget whose blocks fit in KRYLOV_MAX_FRACTION of the rows:
-    - a grid block passes the rows ``L`` of the rank probe that did not
-      certify it, S = L^T L + E. The width is the ``_ritz_count`` of the
-      probe's core eigenvalues mu (the non-zero eigenvalues of L^T L,
-      ``_core_eigh``) plus KRYLOV_GUARD, with as many blocks as fit (for a
-      head solve, none where fewer than KRYLOV_MIN_BLOCKS fit), and the
-      start block holds up to width - KRYLOV_GUARD of the probe's top Ritz
-      vectors, filled up with the fixed pseudo-random columns;
-    - an exact block passes the (width, blocks) of
-      ``discrete._krylov_budget``, or None, and starts on width of those
-      columns.
-    A ``full`` solve (a grid block whose every eigenvalue is read; S dense)
-    takes all h eigenvalues from eigvalsh first and keeps its Krylov result
-    where the Ritz values match eigvalsh's top ones within RITZ_RESID_TOL *
-    lambda_max, which catches a Krylov space that skipped an eigenvalue
-    ("ritz": all h eigenvalues, the top K eigenvectors). Otherwise the
-    result must pass ``_certify_tail`` at sigma = theta_K - (theta_K -
-    theta_{K+1}) / 4; then only the K certified eigenvalues and their
-    vectors are returned ("krylov"), with sigma as ``tail_bound`` in the
-    record. Sigma stays strictly below theta_K (the Ritz gap is wider than
-    CLUSTER_TOL), and lambda_K >= theta_K by interlacing, so lambda_{K+1} <
-    sigma also proves that no eigenvalue of the top K was missed. The gap's
-    midpoint can sit below lambda_{K+1} where theta_{K+1} is still far from
-    it: a start block that holds the top 8 eigenvectors exactly, theta_K =
-    0.12 above eigenvalues spread over [0, 0.1], converges in one block with
-    theta_{K+1} = 0.055, so the midpoint 0.0875 lies under lambda_{K+1} = 0.1
-    and sigma = 0.104 does not. The ritz and krylov records carry the
-    solve's ``ritz_residual`` and ``krylov_blocks``. Otherwise (no budget,
-    one too large, a block that does not converge, a check that fails) the
-    dense eigh ("dense").
+    The width is the ``_ritz_count`` of the ascending ``mu`` plus
+    KRYLOV_GUARD, with as many blocks as fit in KRYLOV_MAX_FRACTION of the h
+    rows, and none where fewer than KRYLOV_MIN_BLOCKS fit; the start block
+    holds up to width - KRYLOV_GUARD of the top eigenvectors ``U``.
+    """
+    width = _ritz_count(mu, SPECTRUM_HEAD) + KRYLOV_GUARD
+    blocks = int(KRYLOV_MAX_FRACTION * h) // width
+    return (width, blocks if blocks >= KRYLOV_MIN_BLOCKS else 0), U[:, max(len(mu) + KRYLOV_GUARD - width, 0) :]
+
+
+def _certified_krylov(
+    S, full: bool, budget: tuple[int, int], start: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict] | None:
+    """The certified top eigenpairs of the PSD ``S`` from a block Krylov solve, the solver and its record, or None.
+
+    ``S`` is a dense array or an operator that gives the solve its products
+    X @ S and the certificate its block rows (``discrete.ExactGram``). The
+    solve (``_block_krylov_top``, the top SPECTRUM_HEAD) runs on the
+    (width, blocks) ``budget`` from the start block ``start``, filled up to
+    width columns with fixed pseudo-random ones. A run that converges is
+    then checked:
+    - a ``full`` solve (a grid block whose every eigenvalue is read; S
+      dense) takes all h eigenvalues from eigvalsh and keeps the Krylov
+      vectors where the Ritz values match eigvalsh's top ones within
+      RITZ_RESID_TOL * lambda_max, which catches a Krylov space that skipped
+      an eigenvalue ("ritz": all h eigenvalues, ascending, and the top K
+      eigenvectors);
+    - any other must pass ``_certify_tail`` at sigma = theta_K - (theta_K -
+      theta_{K+1}) / 4, and returns only the K certified eigenvalues and
+      their vectors ("krylov"), with sigma as ``tail_bound`` in the record.
+      Sigma stays strictly below theta_K (the Ritz gap is wider than
+      CLUSTER_TOL), and lambda_K >= theta_K by interlacing, so lambda_{K+1}
+      < sigma also proves that no eigenvalue of the top K was missed. The
+      gap's midpoint can sit below lambda_{K+1} where theta_{K+1} is still
+      far from it: a start block that holds the top 8 eigenvectors exactly,
+      theta_K = 0.12 above eigenvalues spread over [0, 0.1], converges in
+      one block with theta_{K+1} = 0.055, so the midpoint 0.0875 lies under
+      lambda_{K+1} = 0.1 and sigma = 0.104 does not.
+    Both records carry the solve's ``ritz_residual`` and ``krylov_blocks``.
+    A run that does not converge, or a check that fails, returns None; a
+    dense S that reached the certificate is then consumed.
     """
     h = S.shape[0]
+    width, blocks = budget
+    extra = np.random.default_rng(0).standard_normal((h, width - start.shape[1]))
+    found = _block_krylov_top(S, np.hstack((start, extra)), SPECTRUM_HEAD, blocks)
+    del extra  # not held through the check
+    if found is None:
+        return None
+    ritz, V, below, record = found
     if full:
         lam = np.linalg.eigvalsh(S)
-    start = np.empty((h, 0))
-    if L is not None:
-        mu, U = _core_eigh(L)
-        width = _ritz_count(mu, top) + KRYLOV_GUARD
-        blocks = int(KRYLOV_MAX_FRACTION * h) // width
-        budget = width, blocks if full or blocks >= KRYLOV_MIN_BLOCKS else 0
-        start = U[:, max(len(mu) + KRYLOV_GUARD - width, 0) :]
-    if _krylov_fits(budget, h):
-        width, blocks = budget
-        extra = np.random.default_rng(0).standard_normal((h, width - start.shape[1]))
-        found = _block_krylov_top(S, np.hstack((start, extra)), top, blocks)
-        del start, extra  # not held through the certificate
-        if found is not None:
-            ritz, V, below, record = found
-            if full:
-                if np.abs(ritz - lam[-len(ritz) :]).max() <= RITZ_RESID_TOL * lam[-1]:
-                    return lam, V, "ritz", record
-            else:
-                sigma = ritz[0] - 0.25 * (ritz[0] - below)
-                if _certify_tail(S, V, ritz, sigma):
-                    return ritz, V, "krylov", {"tail_bound": float(sigma), **record}
-    if not isinstance(S, np.ndarray):
-        S = S.dense()
-    lam, phi = np.linalg.eigh(S)
-    return lam, phi, "dense", {}
+        return (lam, V, "ritz", record) if np.abs(ritz - lam[-len(ritz) :]).max() <= RITZ_RESID_TOL * lam[-1] else None
+    sigma = ritz[0] - 0.25 * (ritz[0] - below)
+    return (ritz, V, "krylov", {"tail_bound": float(sigma), **record}) if _certify_tail(S, V, ritz, sigma) else None
 
 
 def _gram(op, rows: slice, avail: int | None) -> NDArray[np.float64]:
@@ -814,7 +786,6 @@ def _eigensystem(
     op,
     mass: NDArray[np.float64],
     nodes: NDArray[np.float64],
-    top: int,
     budget: tuple[int, int] | None = None,
     full: bool = False,
 ) -> SpectrumResult:
@@ -825,28 +796,37 @@ def _eigensystem(
     (``_check_memory(part, need, avail)``) and carries its ``n``, ``m`` and
     ``health``: the grid kernel (written tile by tile from strips of its
     rows) or the exact operator (scattered from its sum-index pairs, or the
-    block product where they pile up). An exact operator passed a Krylov
-    ``budget`` also gives S without forming it (``gram_pairs(rows, budget,
-    avail)``, a ``discrete.ExactGram``: products X S and block rows from its
-    pairs).
-    ``mass`` is the quadrature mass of the S_m law at ``nodes``. A row of
-    ``B`` with zero mass is zero, hence an exact null mode, so only the rows
-    spanning ``mass > 0`` are solved. Every memory check of the call (the
-    probe, the solve, the Gram matrix) measures against one reading of the
-    memory left, ``avail``. The grid kernel, whose Gram rows are computed,
-    not stored, is the one operator probed: its PROBE_COPIES RANK_PROBE_MAX
-    h doubles are checked, then the pivoted Cholesky (``_low_rank_factor``)
-    runs once on the diagonal and rows of its Gram matrix computed without
-    it (``gram_diag``, ``gram_row``). When that certifies the block
-    numerically low-rank, the r x r core is all that is solved. Otherwise
-    ``_eigh_psd`` solves S: a grid kernel passes its formed S, ``full`` and
-    the probe's factor; an exact operator whose Krylov ``budget`` fits
-    (``_krylov_fits``) passes its ``ExactGram``, which checks the head
-    solve's own memory (its factor rows, pair buffers and Krylov basis)
-    first and forms S only if eigh must run; any other exact operator
-    passes its formed S. The solve's SOLVE_SQUARES h^2, S included, is
-    checked against the memory left wherever S is about to be formed
-    (``_gram``). One zero eigenvalue per row outside
+    block product where they pile up), which is handed its Krylov
+    ``budget``. ``mass`` is the quadrature mass of the S_m law at ``nodes``.
+    A row of ``B`` with zero mass is zero, hence an exact null mode, so only
+    the rows spanning ``mass > 0`` are solved. Every memory check of the call
+    measures against one reading of the memory left, ``avail``. The solve
+    takes these steps in order:
+    1. Probe (grid only). The grid kernel, whose Gram rows are computed, not
+       stored, is the one operator probed: its PROBE_COPIES RANK_PROBE_MAX h
+       doubles are checked, then the pivoted Cholesky (``_low_rank_factor``)
+       runs once on the diagonal and rows of its Gram matrix computed without
+       it (``gram_diag``, ``gram_row``), and its factor's core is
+       diagonalized once (``_core_eigh``).
+    2. Low rank or a budget. A probe that certifies the block numerically
+       low-rank returns the core's eigenpairs ("low-rank"); otherwise they
+       give the grid block its Krylov budget and start block
+       (``_probe_budget``). An exact operator is handed its ``budget``
+       (``discrete._krylov_budget``'s, or None) and has no start block.
+    3. Krylov. Where the budget fits (``_krylov_fits``), ``_certified_krylov``
+       solves S: the grid kernel's formed S (``_gram``), or an exact
+       operator's ``gram_pairs(rows, budget, avail)``, a
+       ``discrete.ExactGram`` that gives the products X S and the
+       certificate's block rows from its pairs without S, its own memory
+       (factor rows, pair buffers, Krylov basis) checked first.
+    4. Cross-check or certificate. A converged run of a ``full`` solve is
+       checked against eigvalsh ("ritz"), any other by ``_certify_tail``
+       ("krylov"); the certificate consumes a dense S.
+    5. Dense eigh. A budget that does not fit, a run that does not converge
+       or a check that fails leaves the block to ``np.linalg.eigh``
+       ("dense"), on a Gram matrix formed afresh (``_gram``, which checks the
+       eigensolve's SOLVE_SQUARES h^2 first).
+    One zero eigenvalue per row outside
     the block goes at the tail and the eigenvectors are 0 on those rows, so
     the result is that of the full matrix; on the low-rank path the h - r
     smallest eigenvalues are exact zeros as well, and the low-rank, ritz and
@@ -855,27 +835,35 @@ def _eigensystem(
     its certified bound on them is the record's ``tail_bound``.
     Classification runs on the eigenvectors computed.
     Eigenvalues are clamped to [0, 1] (clamp magnitude reported). The top
-    ``top`` eigenvectors are mapped back to eigenfunction values at ``nodes``
-    through the inverse weight transform; they are orthonormal under
+    SPECTRUM_HEAD eigenvectors are mapped back to eigenfunction values at
+    ``nodes`` through the inverse weight transform; they are orthonormal under
     sum mass_i f(y_i) g(y_i), and 0 where mass_i is below
     EIGENFUNCTION_MASS_FLOOR times the largest. A single support point has no
     linear mode: only the constant is classified and lin_corr is 0.
     """
     rows = _hull(mass > 0)
     h = rows.stop - rows.start
-    top = min(top, len(nodes))
+    top = min(SPECTRUM_HEAD, len(nodes))
     avail = _available_bytes()
-    L, certified = None, False
-    if isinstance(op, ConditionalKernel):
+    grid = isinstance(op, ConditionalKernel)
+    found, start = None, np.empty((h, 0))
+    if grid:
         op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h, avail)
         L, traces = _low_rank_factor(op.gram_diag(rows), lambda p: op.gram_row(rows, p))
-        certified = traces[-1] <= RANK_TRACE_TOL * traces[0]
-    record: dict = {}
-    if certified:
-        (lam, phi), solver = _core_eigh(L), "low-rank"
+        mu, U = _core_eigh(L)
+        if traces[-1] <= RANK_TRACE_TOL * traces[0]:
+            found = mu, U, "low-rank", {}
+        else:
+            budget, start = _probe_budget(mu, U, h)
+    if found is None and _krylov_fits(budget, h):
+        S = _gram(op, rows, avail) if grid else op.gram_pairs(rows, budget, avail)
+        found = _certified_krylov(S, full, budget, start)
+        del S  # a certificate consumes a dense S: eigh gets S formed afresh, with no second h x h array alive
+    if found is None:
+        lam, phi = np.linalg.eigh(_gram(op, rows, avail))
+        solver, record = "dense", {}
     else:
-        S = op.gram_pairs(rows, budget, avail) if _krylov_fits(budget, h) else _gram(op, rows, avail)
-        lam, phi, solver, record = _eigh_psd(S, top, full, budget, L)
+        lam, phi, solver, record = found
     lam = lam[::-1]
     phi = np.ascontiguousarray(phi[:, ::-1])
     k = phi.shape[1]
@@ -924,15 +912,14 @@ def spectrum(kernel: ConditionalKernel, full: bool = True) -> SpectrumResult:
 
     The top SPECTRUM_HEAD eigenfunctions are kept; they are orthonormal under
     sum w_i p_m(y_i) f(y_i) g(y_i). With ``full`` every eigenvalue is
-    returned, for callers that sum or count past the head: a block the probe
-    does not certify low-rank takes eigvalsh and keeps the Krylov vectors
-    where they match it ("ritz"). Without it such a block returns only its K
-    certified head eigenvalues ("krylov", with ``tail_bound``), or all of
-    them where the certified solve falls back to eigh; a low-rank block
-    returns all of them either way.
+    returned, for callers that sum or count past the head: a block whose
+    Krylov run converges takes eigvalsh and keeps the Krylov vectors where
+    they match it ("ritz"). Without it such a block returns only its K
+    certified head eigenvalues ("krylov", with ``tail_bound``). A low-rank
+    block, and one that falls back to eigh, returns all of them either way.
     """
     p_m = kernel.summand
-    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, SPECTRUM_HEAD, full=full)
+    return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, full=full)
 
 
 def theta_from_spectrum(spec: SpectrumResult) -> ThetaResult:

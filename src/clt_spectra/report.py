@@ -36,7 +36,7 @@ CSV_HEADER = "name,n,m,lhs,rhs,slack,pass"
 
 def sanitize(value: Any) -> Any:
     """Recursively convert to plain JSON-safe Python types."""
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
     if isinstance(value, float):
         if math.isnan(value):

@@ -328,7 +328,7 @@ def test_generic_block_takes_the_certified_krylov_path():
         cluster = U[:, :1] if k == 0 else U[:, 1:12]
         assert np.linalg.norm(block[:, k] - cluster @ (cluster.T @ block[:, k])) <= 1e-12
 
-    vals, V, solver, record = operators._eigh_psd(S.copy(), 8, False, (16, 5))
+    vals, V, solver, record = operators._certified_krylov(S.copy(), False, (16, 5), np.empty((len(S), 0)))
     assert solver == "krylov" and record.keys() == {"tail_bound", "ritz_residual", "krylov_blocks"}
     assert record["krylov_blocks"] == sp.health["krylov_blocks"]
     assert abs(record["tail_bound"] - sp.health["tail_bound"]) <= 1e-13

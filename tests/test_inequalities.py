@@ -176,6 +176,17 @@ def test_subgauss_discrete_always_finite():
     assert not res.divergent and math.isfinite(res.value)
 
 
+def test_subgauss_discrete_is_an_exact_sum_over_the_atoms():
+    """A discrete law's pair expectation is the finite sum over its atom pairs, so its method reads "exact"; a
+    file-backed table is integrated on its grid ("quadrature")."""
+    atoms, probs = [0.0, 1.0, 3.0], [0.2, 0.5, 0.3]
+    res = subgauss_chi2_bound(DistributionSpec.discrete(atoms, probs), 1.0, 3)
+    e = sum(p * q * math.exp(0.5 * (a - b) ** 2) for a, p in zip(atoms, probs) for b, q in zip(atoms, probs))
+    assert res.method == "exact" and res.t == 0.5
+    assert res.exp_factor == pytest.approx(e, rel=1e-14) and res.value == pytest.approx(1.5 * e, rel=1e-14)
+    assert subgauss_chi2_bound(DistributionSpec.gaussian(1.0), 1.0, 3).method == "quadrature"
+
+
 def test_chi2_closed_special_points():
     # coincident centers: rho^2/(1 - rho^2)
     assert abs(gauss_chi2_closed((0, 0), (0, 0), 0.6, 1.0) - 0.36 / 0.64) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clt_spectra import (
+    DiscretePMF,
     DistributionSpec,
     GridConfig,
     GridDensity,
@@ -13,6 +14,8 @@ from clt_spectra import (
     apply_Cstar,
     build_density,
     build_kernel,
+    exact_operator,
+    exact_spectrum,
     gram_matrix,
     spectrum,
     theta,
@@ -336,7 +339,7 @@ def test_gamma_block_shares_the_krylov_solve():
     S = kern.gram(operators._hull(mass > 0))
     lam = np.linalg.eigvalsh(S)
     assert np.array_equal(sp.eigenvalues[: len(S)], np.clip(lam[::-1], 0.0, 1.0))
-    vals, V, solver, _ = operators._eigh_psd(S, 8, True, L=_kernel_probe(kern)[0])
+    vals, V, solver, _ = _probe_solve(S, True, _kernel_probe(kern)[0])
     assert solver == "ritz" and np.array_equal(vals, lam)
     ref = np.linalg.eigh(S)[1][:, -8:]
     signs = np.sign(np.sum(ref * V[:, -8:], axis=0))
@@ -348,21 +351,26 @@ def _row_probe(S):
     return operators._low_rank_factor(S.diagonal(), S.__getitem__)[0]
 
 
+def _probe_solve(S, full, L):
+    """The certified Krylov step on the budget and start block that the probe factor L of S gives, as ``_eigensystem``
+    runs it, or None where that budget does not fit: None leaves S to eigh."""
+    budget, start = operators._probe_budget(*operators._core_eigh(L), len(S))
+    return operators._certified_krylov(S, full, budget, start) if operators._krylov_fits(budget, len(S)) else None
+
+
 def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
-    """A remainder the probe cannot shrink (flat, or a cluster wider than the probe) keeps eigh's bytes; fast decay
-    takes the Krylov solve."""
+    """A remainder the probe cannot shrink leaves S to eigh: a flat spectrum's Krylov run does not converge, and a
+    cluster wider than the probe names a budget that does not fit. Fast decay takes the Krylov solve."""
     h = 600
     flat, _ = _psd_with_spectrum(np.linspace(1.0, 2.0, h))
     degenerate, _ = _psd_with_spectrum(np.concatenate((np.full(h // 2, 0.5), np.zeros(h - h // 2))))
+    assert operators._krylov_fits(operators._probe_budget(*operators._core_eigh(_row_probe(flat)), h)[0], h)
     for S in (flat, degenerate):
-        lam, phi, solver, _ = operators._eigh_psd(S, 8, True, L=_row_probe(S))
-        ref_lam, ref_phi = np.linalg.eigh(S)
-        assert solver == "dense"
-        assert np.array_equal(lam, ref_lam) and np.array_equal(phi, ref_phi)
+        assert _probe_solve(S, True, _row_probe(S)) is None
 
     lam_true = (1.0 + np.arange(h)) ** -6.0
     S, _ = _psd_with_spectrum(lam_true)
-    lam, phi, solver, _ = operators._eigh_psd(S, 8, True, L=_row_probe(S))
+    lam, phi, solver, _ = _probe_solve(S, True, _row_probe(S))
     assert solver == "ritz" and phi.shape == (h, 8)
     assert np.abs(lam - np.sort(lam_true)).max() <= 1e-15
     assert np.linalg.norm(S @ phi - phi * lam[-8:], axis=0).max() <= operators.RITZ_RESID_TOL * lam[-1]
@@ -370,57 +378,55 @@ def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
 
 
 def test_ritz_cross_check_rejects_a_seed_missing_an_eigenvector(monkeypatch):
-    """Exact eigenpairs (small residuals) whose values skip lambda_3 are caught only by the eigvalsh cross-check, and
-    the grid solve returns eigh's bytes; the same pairs without the skip are kept."""
-    h, k = 200, 8
+    """Exact eigenpairs (small residuals) whose values skip lambda_3 are caught only by the eigvalsh cross-check, which
+    leaves S to eigh; the same pairs without the skip are kept. The 300-row block fits KRYLOV_MIN_BLOCKS blocks, so
+    its full solve reaches the cross-check."""
+    h, k = 300, 8
     S, q = _psd_with_spectrum(0.9 ** np.arange(h))
     lam = np.linalg.eigvalsh(S)
-    ref_lam, ref_phi = np.linalg.eigh(S)
-    for skip, expect in ((None, "ritz"), (3, "dense")):
+    assert operators._probe_budget(*operators._core_eigh(_row_probe(S)), h)[0] == (12, operators.KRYLOV_MIN_BLOCKS)
+    for skip in (None, 3):
         picked = [j for j in range(k + 1) if j != skip][:k][::-1]  # ascending, as _block_krylov_top returns them
         found = lam[::-1][picked], q[:, picked], float(lam[::-1][k + 1]), {}  # the grid path does not read theta_{K+1}
         monkeypatch.setattr(operators, "_block_krylov_top", lambda *args, found=found: found)
-        vals, V, solver, _ = operators._eigh_psd(S, k, True, L=_row_probe(S))
-        assert solver == expect
-        if expect == "ritz":
-            assert np.array_equal(vals, lam) and V is found[1]
+        kept = _probe_solve(S, True, _row_probe(S))
+        if skip is None:
+            vals, V, solver, _ = kept
+            assert solver == "ritz" and np.array_equal(vals, lam) and V is found[1]
         else:
-            assert np.array_equal(vals, ref_lam) and np.array_equal(V, ref_phi)
+            assert kept is None
 
 
 def test_krylov_certificate_catches_a_cluster_wider_than_the_block(monkeypatch):
     """A top cluster of 30 equal eigenvalues and a start block of 16 columns: the Krylov space holds only 16 of them,
-    and its Ritz pairs converge (four distinct eigenvalues), so only the certificate sees the other 14. The solve then
-    returns eigh's bytes, with S unchanged."""
+    and its Ritz pairs converge (four distinct eigenvalues), so only the certificate sees the other 14. The step then
+    returns None, which leaves the block to eigh on S formed afresh."""
     h = 600
     lam_true = np.concatenate(([1.0], np.full(30, 0.8), np.full(100, 0.5), np.full(h - 131, 0.2)))
     S, _ = _psd_with_spectrum(lam_true)
-    assert np.array_equal(S, S.T)
-    before = S.copy()
     certified, certify = [], operators._certify_tail
     monkeypatch.setattr(operators, "_certify_tail", lambda *args: certified.append(certify(*args)) or certified[-1])
-    lam, phi, solver, record = operators._eigh_psd(S, 8, False, (16, 5))
+    assert operators._certified_krylov(S, False, (16, 5), np.empty((h, 0))) is None
     assert certified == [False]
-    assert solver == "dense" and record == {}
-    assert np.array_equal(S, before)
-    ref_lam, ref_phi = np.linalg.eigh(before)
-    assert np.array_equal(lam, ref_lam) and np.array_equal(phi, ref_phi)
 
 
 def test_krylov_budget_beyond_a_quarter_of_the_rows_goes_to_eigh(monkeypatch):
     """Where the blocks the budget names would fill more than KRYLOV_MAX_FRACTION of the rows, eigh runs at once: no
-    Krylov step and no eigvalsh."""
-    lam_true = np.concatenate(([1.0], np.full(7, 0.8), np.full(40, 0.5), np.full(152, 0.2)))
-    S, _ = _psd_with_spectrum(lam_true)
+    Krylov step, no eigvalsh and no pairs. Eight generic atoms at (3, 2) have h = 36 and a budget of 3 blocks of 12."""
+    pmf = DiscretePMF(tuple(np.sort(np.random.default_rng(8).uniform(0.0, 10.0, 8))), tuple(np.full(8, 0.125)))
+    op = exact_operator(pmf, 3, 2)
+    S = op.gram(slice(0, len(op.summand.atoms)))
+    assert len(S) == 36 and not operators._krylov_fits((12, 3), len(S))
 
     def unreachable(*args):
         raise AssertionError("called on a budget that does not fit")
 
     monkeypatch.setattr(operators, "_block_krylov_top", unreachable)
     monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-    lam, phi, solver, _ = operators._eigh_psd(S.copy(), 8, False, (12, 5))  # 60 columns > 200 / 4
-    assert solver == "dense"
-    assert np.array_equal(lam, np.linalg.eigh(S)[0])
+    monkeypatch.setattr(type(op), "gram_pairs", unreachable)
+    sp = exact_spectrum(pmf, 3, 2)
+    assert sp.solver == "dense"
+    assert np.array_equal(sp.eigenvalues, np.clip(np.linalg.eigh(S)[0][::-1], 0.0, 1.0))
 
 
 SMALL_HEAD_CASES = [(DistributionSpec.gamma(1.0), 512, 3, 1), (DistributionSpec.uniform(-1.0, 1.0), 1024, 4, 1)]
@@ -429,8 +435,8 @@ SMALL_HEAD_CASES = [(DistributionSpec.gamma(1.0), 512, 3, 1), (DistributionSpec.
 @pytest.mark.parametrize("spec,nodes,n,m", SMALL_HEAD_CASES, ids=["gamma1-3-1-512", "uniform-4-1-1024"])
 def test_small_grid_head_blocks_go_straight_to_eigh(spec, nodes, n, m, monkeypatch):
     """Gamma beta = 1 at (3, 1) on 512 nodes (h = 277) and uniform at (4, 1) on 1024 (h = 148) fit 5 and 3 blocks of
-    12 columns, fewer than KRYLOV_MIN_BLOCKS, and their Krylov solves missed: a head spectrum now takes eigh without a
-    Krylov step and returns eigh's values, as the full spectrum does after trying its budget."""
+    12 columns, fewer than KRYLOV_MIN_BLOCKS, and their Krylov solves missed: a head and a full spectrum alike take
+    eigh without a Krylov step and return eigh's values."""
     cfg = GridConfig(node_count=nodes)
     kern = build_kernel(build_density(spec, cfg), n, m, cfg)
     rows = operators._hull(kern.summand.values > 0)
@@ -441,8 +447,54 @@ def test_small_grid_head_blocks_go_straight_to_eigh(spec, nodes, n, m, monkeypat
     assert calls == [] and head.solver == "dense"
     assert np.array_equal(head.eigenvalues[: len(ref)], ref)
     full = spectrum(kern)
-    assert len(calls) == 1 and calls[0] < operators.KRYLOV_MIN_BLOCKS and full.solver == "dense"
+    assert calls == [] and full.solver == "dense"
     assert np.array_equal(full.eigenvalues, head.eigenvalues)
+
+
+def _gram_eigensolves(monkeypatch, h):
+    """Count the calls of eigvalsh and of eigh on an h x h matrix (the probe's core and the Krylov step's T are
+    smaller)."""
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        solve = getattr(np.linalg, name)
+
+        def counted(a, *args, name=name, solve=solve, **kwargs):
+            calls[name] += len(a) == h
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_full_spectrum_without_a_ritz_result_pays_eigh_alone(monkeypatch):
+    """Gamma beta = 4 at (2, 1) on 1024 nodes (h = 597) whose Krylov run misses, and gamma beta = 1 at (3, 1) on 512
+    nodes (h = 277) whose budget does not fit, solve their full spectrum with one eigh and no eigvalsh: the
+    cross-check runs only after a converged Krylov run."""
+    monkeypatch.setattr(operators, "_block_krylov_top", lambda *args: None)
+    for spec, nodes, n, m in [(DistributionSpec.gamma(4.0), 1024, 2, 1), SMALL_HEAD_CASES[0]]:
+        cfg = GridConfig(node_count=nodes)
+        kern = build_kernel(build_density(spec, cfg), n, m, cfg)
+        rows = operators._hull(kern.summand.values > 0)
+        ref = np.clip(np.linalg.eigh(kern.gram(rows))[0][::-1], 0.0, 1.0)
+        with monkeypatch.context() as patch:
+            calls = _gram_eigensolves(patch, rows.stop - rows.start)
+            sp = spectrum(kern)
+        assert sp.solver == "dense" and calls == {"eigvalsh": 0, "eigh": 1}
+        assert np.array_equal(sp.eigenvalues[: len(ref)], ref)
+
+
+def test_failed_grid_certificate_reforms_the_gram_matrix(monkeypatch):
+    """Gamma beta = 4 at (3, 2) on 1024 nodes converges in its head solve; a certificate that runs over S, consuming
+    it, and then fails leaves the block to eigh on a Gram matrix formed afresh: eigh's values of the block's Gram
+    matrix."""
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), CFG), 3, 2, CFG)
+    rows = operators._hull(kern.summand.values > 0)
+    ref = np.clip(np.linalg.eigh(kern.gram(rows))[0][::-1], 0.0, 1.0)
+    certify = operators._certify_tail
+    monkeypatch.setattr(operators, "_certify_tail", lambda *args: certify(*args) and False)
+    sp = spectrum(kern, full=False)
+    assert sp.solver == "dense" and len(sp.eigenvalues) == len(kern.summand.nodes)
+    assert np.array_equal(sp.eigenvalues[: len(ref)], ref) and not sp.eigenvalues[len(ref) :].any()
 
 
 HEAD_CASES = [
@@ -483,7 +535,7 @@ def test_head_certificate_sits_above_the_gap_midpoint():
     head = np.array([1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.12])
     S, q = _psd_with_spectrum(np.concatenate((head, np.linspace(0.1, 0.0, 392))))
     L = np.sqrt(head)[:, None] * q[:, :8].T  # S - L^T L is the PSD tail
-    vals, V, solver, record = operators._eigh_psd(S, 8, False, L=L)
+    vals, V, solver, record = _probe_solve(S, False, L)
     K = len(vals)
     sigma, theta_k = record["tail_bound"], vals[0]
     assert solver == "krylov" and K == 8 and record["krylov_blocks"] == 1
@@ -525,8 +577,7 @@ def test_a_block_too_small_to_probe_reaches_eigh():
         sp = spectrum(kern, full=full)
         assert sp.solver == "dense" and sp.k == 3 and sp.trivial_indices == (0, 1)
         assert np.array_equal(sp.eigenvalues, ref)
-    lam, phi, solver, _ = operators._eigh_psd(S, 8, True, L=np.empty((0, 3)))
-    assert solver == "dense" and np.array_equal(lam, np.linalg.eigh(S)[0])
+    assert operators._probe_budget(*operators._core_eigh(np.empty((0, 3))), 3)[0] == (operators.KRYLOV_GUARD, 0)
 
 
 def test_head_spectrum_holds_one_gram_matrix():

@@ -205,6 +205,20 @@ def test_cli_theta_and_spectrum_diagnostics_are_the_library_theta(args, capsys):
         assert doc["theta"] == th.theta
 
 
+def test_sanitize_gives_numpy_scalars_their_json_types():
+    """numpy booleans, integers and floats print as the JSON literals of their Python values: np.bool_(True) is true,
+    not the string "True"."""
+    from clt_spectra.report import json_document, sanitize
+
+    assert sanitize(np.bool_(True)) is True and sanitize(np.bool_(False)) is False
+    assert sanitize({"k": np.int64(3), "x": np.float64(0.5), "flags": (np.bool_(False),)}) == {
+        "k": 3,
+        "x": 0.5,
+        "flags": [False],
+    }
+    assert '"flag": true' in json_document({"flag": np.bool_(True)})
+
+
 # the thread-pool variables numpy's BLAS and OpenMP read when they load
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
