@@ -12,22 +12,10 @@ import argparse
 import math
 import sys
 
-from . import verify
-from .closed_forms import meixner_lambdas, meixner_theta, meixner_v2
-from .densities import (
-    DistributionSpec,
-    GridConfig,
-    build_density,
-    gaussian_regularize,
-    jst,
-    parse_spec,
-    write_density_file,
-)
-from .discrete import DiscretePMF, efron_stein, exact_operator, exact_spectrum, pmf_power
-from .inequalities import make_report, monotonicity_reports, monotonicity_sequence, subgauss_chi2_bound
-from .operators import TraceResult, build_kernel, spectrum, theta, theta_from_spectrum, trace_T
+from .densities import DistributionSpec, GridConfig, parse_spec
 
-# report is imported inside the commands that emit: it loads json, which start-up does not need
+# Each handler imports the modules it calls, so start-up loads only what run
+# needs and a command compiles no module it does not run (report loads json).
 
 
 # each flag, declared once; _READS gives each subcommand its own. The flags in
@@ -88,6 +76,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _base_density(args):
+    from .densities import build_density, gaussian_regularize
+
     d = build_density(args.spec, args.grid, n_hint=max(args.n, 1))
     if args.delta is not None:
         d = gaussian_regularize(d, args.delta)
@@ -95,6 +85,8 @@ def _base_density(args):
 
 
 def _exact_pmf(args):
+    from .discrete import DiscretePMF
+
     if args.spec.family != "discrete":
         raise ValueError("--exact requires a discrete spec")
     return DiscretePMF.from_spec(args.spec)
@@ -115,6 +107,7 @@ def emit_table(reports, fmt: str) -> str:
 
 
 def _cmd_density(args) -> int:
+    from .densities import jst, write_density_file
     from .report import json_document, sanitize
 
     d = _base_density(args)
@@ -151,12 +144,18 @@ def _cmd_density(args) -> int:
 def _spectrum(args):
     """The spectrum ``theta`` and ``spectrum`` print: only its head is read, so a grid kernel takes the top-K solve."""
     if not args.exact:
+        from .operators import build_kernel, spectrum
+
         return spectrum(build_kernel(_base_density(args), args.n, args.m), full=False)
+    from .discrete import exact_spectrum
+
     return exact_spectrum(_exact_pmf(args), args.n, args.m)
 
 
 def _theta(sp):
     """theta of the spectrum, with a warning on stderr where it is reported as "inf"."""
+    from .operators import theta_from_spectrum
+
     th = theta_from_spectrum(sp)
     if math.isinf(th.theta):
         print("warning: no nontrivial eigenvalue above sentinel; theta reported as \"inf\"", file=sys.stderr)
@@ -188,9 +187,12 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .operators import TraceResult, build_kernel, trace_T
     from .report import _csv_num, json_document, trace_document
 
     if args.exact:
+        from .discrete import exact_operator
+
         pmf = _exact_pmf(args)
         # ||B||_F^2 over the non-zero pairs of B, correctly rounded
         value = math.fsum((exact_operator(pmf, args.n, args.m).values ** 2).ravel())
@@ -208,6 +210,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import verify
+    from .inequalities import make_report, subgauss_chi2_bound
+
     spec = args.spec
     reports = verify.family_battery(spec, args.grid, n_max=args.n_max, seed=args.seed)
     if args.delta is not None:
@@ -233,6 +238,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_monotonicity(args) -> int:
+    from .inequalities import monotonicity_reports, monotonicity_sequence
+    from .operators import theta
     from .report import json_document, reports_document, sanitize
 
     d = _base_density(args)
@@ -250,12 +257,15 @@ def _cmd_monotonicity(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import verify
+
     reports = verify.verify_all(args.spec, args.grid, n_max=args.n_max, seed=args.seed)
     _emit(emit_table(reports, args.format), args.output)
     return _exit_code_for(reports)
 
 
 def _cmd_closed_form(args) -> int:
+    from .closed_forms import meixner_lambdas, meixner_theta, meixner_v2
     from .report import _csv_num, json_document
 
     specs = [args.spec] if args.spec is not None else [DistributionSpec.gaussian(1.0), DistributionSpec.gamma(4.0)]
@@ -287,6 +297,7 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_efron_stein(args) -> int:
+    from .discrete import DiscretePMF, efron_stein, pmf_power
     from .report import _csv_num, json_document
 
     if args.spec.family != "discrete":

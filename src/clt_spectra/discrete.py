@@ -59,8 +59,13 @@ class DiscretePMF:
         p = np.array(self.probs, dtype=float)
         a.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "_arrays", (a, p))
-        if (np.diff(a) <= _atom_tol(a)).any():
-            raise ValueError("atoms must be ascending and separated by more than the coalescing tolerance")
+        gaps, tol = np.diff(a), _atom_tol(a)
+        if (gaps < 0).any():
+            raise ValueError("atoms must be ascending")
+        if (gaps <= tol).any():
+            i = int(np.argmax(gaps <= tol))
+            raise ValueError(f"atoms {float(a[i])!r} and {float(a[i + 1])!r} lie within the coalescing tolerance "
+                             f"{tol:g} of each other; merge them into one atom")
         if (p <= 0).any():
             raise ValueError("probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:

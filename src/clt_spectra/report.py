@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
-from .inequalities import BoundReport
-from .operators import SpectrumResult, ThetaResult, TraceResult, theta_from_spectrum
+if TYPE_CHECKING:  # annotations only: density and closed-form load neither module
+    from .inequalities import BoundReport
+    from .operators import SpectrumResult, ThetaResult, TraceResult
 
 __all__ = [
     "SCHEMA",
@@ -127,6 +128,8 @@ def reports_csv(reports: Iterable[BoundReport]) -> str:
 
 def spectrum_document(spec: SpectrumResult) -> dict:
     """The theta document of the spectrum: the same fields and bytes as ``theta``."""
+    from .operators import theta_from_spectrum
+
     return theta_document(theta_from_spectrum(spec))
 
 

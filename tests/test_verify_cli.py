@@ -447,6 +447,16 @@ def test_cli_error_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_names_the_atoms_closer_than_the_coalescing_tolerance(capsys):
+    """from_spec sorts a spec's atoms, so only their spacing can be wrong: the message names the pair and the
+    tolerance, and says to merge them."""
+    assert run(["theta", "--exact", "--spec", "discrete:1=0.5,0=0.3,1.0000000000001=0.2", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: atoms 1.0 and 1.0000000000001 lie within the coalescing tolerance 1e-12 of each "
+                            "other; merge them into one atom\n")
+
+
 def test_cli_memory_error_exits_1(monkeypatch, capsys):
     def exhausted(cfg):
         raise MemoryError("cannot allocate the dense kernel")
@@ -493,7 +503,11 @@ def test_cli_expected_failure_that_passes_trips_exit_2(monkeypatch, capsys):
 def test_import_loads_no_scipy():
     src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, clt_spectra, clt_spectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, clt_spectra, clt_spectra.cli\n"
+        "exports = [getattr(clt_spectra, name) for name in clt_spectra.__all__]\n"  # the package loads on first use
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -537,12 +551,19 @@ def test_every_command_prints_the_same_bytes_with_scipy_blocked():
     The unblocked run must not have imported scipy either, verify-all
     included.
     """
+    discrete = ["--spec", "discrete:0=0.2,1=0.5,3=0.3"]
+    # each command loads its own modules, so each runs; verify-all, which loads them all, runs last
     argvs = [
-        ["verify-all"],
-        ["bounds", "--spec", "gamma:beta=4"],
         ["density", "--spec", "gamma:beta=2.5"],
-        ["theta", "--spec", "gamma:beta=1", "--n", "3", "--m", "2"],
         ["closed-form"],
+        ["spectrum", "--spec", "gamma:beta=1", "--n", "3", "--m", "2"],
+        ["theta", "--spec", "gamma:beta=1", "--n", "3", "--m", "2"],
+        ["trace", "--spec", "gamma:beta=1", "--n", "3", "--m", "2"],
+        ["theta", "--exact", *discrete, "--n", "3", "--m", "2"],
+        ["efron-stein", *discrete, "--n", "3"],
+        ["monotonicity", "--spec", "gamma:beta=4"],
+        ["bounds", "--spec", "gamma:beta=4"],
+        ["verify-all"],
     ]
     src = str(Path(clt_spectra.verify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -569,6 +590,45 @@ def test_every_command_prints_the_same_bytes_with_scipy_blocked():
     assert all(code == 0 for code, _ in results)
     for argv, got, want in zip(argvs, runs["blocked"][0], results):
         assert got == want, argv
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    """A fresh interpreter running one command imports no package module that the command does not call.
+
+    ``import clt_spectra`` loads nothing, and each handler imports what it
+    calls; cli and report load on every command.
+    """
+    discrete = ["--spec", "discrete:0=0.2,1=0.5,3=0.3"]
+    grid, exact = {"densities", "operators"}, {"densities", "operators", "discrete"}
+    every = {"densities", "closed_forms", "operators", "inequalities", "discrete", "verify"}
+    cases = [
+        (["density", "--nodes", "256"], {"densities"}),
+        (["closed-form"], {"densities", "closed_forms"}),
+        (["spectrum", "--nodes", "256"], grid),
+        (["theta", "--nodes", "256"], grid),
+        (["trace", "--nodes", "256"], grid),
+        (["spectrum", "--exact", *discrete], exact),
+        (["theta", "--exact", *discrete], exact),
+        (["trace", "--exact", *discrete], exact),
+        (["efron-stein", *discrete], exact),
+        (["monotonicity", "--nodes", "256", "--n-max", "2"], {"densities", "operators", "inequalities"}),
+        (["bounds", "--spec", "discrete:0=0.5,1=0.5"], every),
+        (["verify-all", "--nodes", "256", "--n-max", "2"], every),
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from clt_spectra.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('clt_spectra.'))]))\n"
+    )
+    got, want = {}, {}
+    for argv, modules in cases:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=_fresh_env(), capture_output=True, text=True)
+        assert out.returncode == 0, (argv, out.stderr)
+        got[" ".join(argv)] = json.loads(out.stdout)
+        want[" ".join(argv)] = [0, sorted(f"clt_spectra.{m}" for m in modules | {"cli", "report"})]
+    assert got == want
 
 
 def test_cli_trace_fine_grid_runs_in_linear_memory():
