@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .densities import DistributionSpec, _discrete_arrays
 from .operators import CHOLESKY_BLOCK, KRYLOV_GUARD, SPECTRUM_HEAD, SpectrumResult, ThetaResult, theta_from_spectrum
-from .operators import _check_memory, _eigensystem, _hull, gram_matrix
+from .operators import _bands, _check_memory, _eigensystem, _hull, _packed_size, gram_matrix
 
 __all__ = [
     "DiscretePMF",
@@ -258,19 +258,19 @@ class ExactOperator:
         """The Gram matrix of ``rows`` as an ``ExactGram``, read through the pairs by the Krylov ``budget``'s solve.
 
         Checked first against ``avail`` for what the certified head solve
-        holds besides S: the entries' column order, the certificate's factor
-        rows, h (h + CHOLESKY_BLOCK) / 2 doubles, five arrays the size of
-        the largest block row's pairs, and four copies of the h x width *
-        blocks Krylov basis (the basis, its products and their grown
-        copies). The dense S is checked for only where the fallback forms it
-        (``operators._gram``).
+        holds: the entries' column order, the packed lower rows the
+        certificate factors, h (h + CHOLESKY_BLOCK) / 2 doubles, five arrays
+        the size of the largest block row's pairs, and four copies of the h
+        x width * blocks Krylov basis (the basis, its products and their
+        grown copies). The dense S is checked for only where the fallback
+        forms it (``operators._gram``).
         """
         index = self.index[rows]
         h = len(index)
         counts = np.bincount(index.ravel(), minlength=len(self.total.atoms))
         row_pairs = np.add.reduceat(counts[index].sum(axis=1), np.arange(0, h, CHOLESKY_BLOCK))
         width, blocks = budget
-        need = 8 * (index.size + h * (h + CHOLESKY_BLOCK) // 2 + 5 * int(row_pairs.max()) + 4 * h * width * blocks)
+        need = 8 * (index.size + _packed_size(h) + 5 * int(row_pairs.max()) + 4 * h * width * blocks)
         self._check_memory(f"the certified Krylov solve of {h} rows from their column-sharing pairs", need, avail)
         return ExactGram(self, rows, np.argsort(index, axis=None, kind="stable"), counts)
 
@@ -288,7 +288,8 @@ class ExactGram:
     the column-sharing pairs whose left row lies in [a, b) (``_row_pairs``,
     from ``order``, the entries sorted by column, and ``counts``, the
     entries of each column), bit for bit those rows of
-    ``ExactOperator.gram``; only one block's pairs exist at a time.
+    ``ExactOperator.gram``, and ``lower_rows()`` writes every block row
+    into the packed array the certificate factors.
     """
 
     op: ExactOperator
@@ -326,6 +327,20 @@ class ExactGram:
         out[...] = 0.0
         np.add.at(out.reshape(-1), left, weight[keep])
         return out
+
+    def lower_rows(self) -> NDArray[np.float64]:
+        """S's lower block rows, packed (``operators._bands``), each written by ``block_row``, for the certificate.
+
+        Only one block's pairs exist at a time, beside the one array the
+        rows share: freed one by one, block rows went back to the system
+        and were faulted in again by the next solve (1300 to 2300 page
+        faults per 1365-row solve against about 80).
+        """
+        h = self.shape[0]
+        data = np.empty(_packed_size(h))
+        for a, b, row in _bands(data, h):
+            self.block_row(a, b, row)
+        return data
 
 
 def _row_pairs(
@@ -422,7 +437,8 @@ def exact_spectrum(p: DiscretePMF, n: int, m: int = 1) -> SpectrumResult:
     as ``health["tail_bound"]``. That solve never forms the Gram matrix: it
     reads its products and the certificate's block rows from the pairs
     (``ExactOperator.gram_pairs``), whose memory is checked first, and holds
-    about h^2 / 2 doubles of factor rows at most. Only a certificate that
+    at most S's packed lower rows, about h^2 / 2 doubles, which the
+    certificate factors in place. Only a certificate that
     fails sends the block to eigh, and only there is the Gram matrix formed
     (``ExactOperator.gram``) and its eigensolve's memory checked, refusing
     as every dense block does. Every other block (lattices, small blocks)

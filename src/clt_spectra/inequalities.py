@@ -202,8 +202,7 @@ def _parts_from_central_moments(m: list[float], k: int, e_h_sq_override: float |
     c[0] -= M[k]
     c[1] -= a
     e_cstar_direct = sum(c[l] * c[j] * m[l + j] for l in range(k + 1) for j in range(k + 1))
-    scale = max(abs(e_h_sq), 1.0)
-    if e_cstar <= 1e-12 * scale:
+    if e_cstar <= 1e-12 * abs(e_h_sq):  # relative: moments of order 2k scale as sigma^(2k)
         raise ValueError("moment bound unavailable: degenerate projection (E(C*h)^2 <= 0)")
     return MomentBoundParts(
         k=k,

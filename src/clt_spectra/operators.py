@@ -30,17 +30,22 @@ r x r core is diagonalized and nothing N^2-sized exists; otherwise that core
 names a Krylov budget and start block, and an exact operator whose sums
 never coincide names its own. (3) Krylov: grid and exact blocks share one
 block Krylov solve for the top K eigenpairs, which reads S through its
-products X S and its lower block rows S[a:b, :b]. A grid kernel forms S
-(tile by tile from strips of B's rows) and gives both from it; an exact
-operator gives both from its non-zero pairs without S (discrete.ExactGram).
-(4) Cross-check or certificate: a grid spectrum asked for all its
-eigenvalues (``spectrum``'s default, for callers that sum or count them)
-takes them from eigvalsh and keeps the Krylov pairs where their values
+products X S, and one certificate, which factors S's lower block rows
+S[a:b, :b] packed in one array of about h^2 / 2 doubles. A grid spectrum
+asked for all its eigenvalues (``spectrum``'s default, for callers that sum
+or count them) forms the dense S, which eigvalsh needs; a grid head solve
+writes only the packed rows (tile by tile from strips of B's rows,
+``PackedGram``) and takes its products from them; an exact operator takes
+its products from its non-zero pairs and fills the packed rows from them
+after the Krylov run (discrete.ExactGram). Each checks memory for what it
+holds. (4) Cross-check or certificate: the full grid spectrum takes every
+eigenvalue from eigvalsh and keeps the Krylov pairs where their values
 match it; any other block keeps only its K pairs, under a Cholesky
-certificate that no eigenvalue past them was missed (theta, the CLI, all
-but one battery pair). (5) Dense eigh: a block whose budget does not fit,
-whose Krylov run does not converge or whose check fails is solved by eigh,
-on S formed afresh, its eigensolve's memory checked just before.
+certificate, factored in place over the packed rows, that no eigenvalue
+past them was missed (theta, the CLI, all but one battery pair). (5) Dense
+eigh: a block whose budget does not fit, whose Krylov run does not
+converge or whose check fails is solved by eigh, on S formed afresh once
+the packed rows are freed, its eigensolve's memory checked just before.
 """
 from __future__ import annotations
 
@@ -136,7 +141,10 @@ KRYLOV_MIN_BLOCKS = 6
 CHOLESKY_BLOCK = 64
 
 # A grid kernel writes its Gram matrix tile by tile from strips of B's rows
-# (``ConditionalKernel.gram``), GRAM_STRIP rows each. Measured on four gamma
+# (``ConditionalKernel._gram_tiles``), GRAM_STRIP rows each, into the dense S
+# of a full solve or a fallback (``gram``) or into the packed lower rows of a
+# head solve (``gram_packed``); a multiple of CHOLESKY_BLOCK, so each strip
+# covers whole bands of the packed rows. Measured on four gamma
 # blocks of h = 597 to 2217 rows (2-vCPU SkylakeX, OpenBLAS, 2 threads), 256
 # took 6.6 to 76 ms, 128 5.5 to 83 ms (45 against 32 ms at h = 1248), 512 6.2
 # to 89 ms and 64 up to 1.7 times as long as 256; one product of the whole
@@ -146,13 +154,14 @@ GRAM_STRIP = 256
 # Past the rank probe, the eigensolve needs about 8 SOLVE_SQUARES h^2 bytes on
 # its worst (dense eigh) path: the h x h Gram matrix S, eigh's copy of S, its
 # 2 h^2 workspace, its eigenvectors and the reversed copy of those. It is
-# checked just before S is formed (``_gram``): by a grid kernel before its
-# Krylov solve, and by every block again where eigh must run on S formed
-# afresh, the only place an exact block with a Krylov budget forms it. A
-# refused solve pays no Gram product (the grid Gram's two row strips are
-# checked with S, freed before the solve). The
-# peak-RSS rise measured around one dense-path spectrum call, S included, is
-# 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four exact operators at (5, 4) and
+# checked just before S is formed (``_gram``): by a full grid solve before its
+# Krylov run (eigvalsh copies S), and by every block where eigh must run on S
+# formed afresh, the only place a head solve, grid or exact, forms S. A head
+# solve checks only what it holds instead (``ConditionalKernel.gram_packed``,
+# ``discrete.ExactOperator.gram_pairs``). A refused solve pays no Gram
+# product (the grid Gram's two row strips are checked with S, freed before
+# the solve). The peak-RSS rise measured around one dense-path spectrum call,
+# S included, is 8 (5.1 to 5.7) h^2 for h = 715 to 2380 (four exact operators at (5, 4) and
 # five gamma and uniform grid kernels), so the check stands 5-17% above it.
 SOLVE_SQUARES = 6
 
@@ -218,6 +227,55 @@ class KernelFactor:
         return self.dy * np.correlate(self.ds * z, self.p_t, "valid")
 
 
+def _packed_size(h: int) -> int:
+    """Doubles in the packed lower block rows of an h x h matrix (``_bands``), about h (h + CHOLESKY_BLOCK) / 2."""
+    nb = CHOLESKY_BLOCK
+    return sum((min(a + nb, h) - a) * min(a + nb, h) for a in range(0, h, nb))
+
+
+def _bands(data: NDArray[np.float64], h: int):
+    """(a, b, the view of S[a:b, :b]) for each band of CHOLESKY_BLOCK rows of the packed lower block rows ``data``.
+
+    Band [a, b) starts past the full bands above it, nb (nb + 2 nb + ... + a) = a (a + nb) / 2 values.
+    """
+    nb = CHOLESKY_BLOCK
+    for a in range(0, h, nb):
+        b = min(a + nb, h)
+        off = a * (a + nb) // 2
+        yield a, b, data[off : off + (b - a) * b].reshape(b - a, b)
+
+
+@dataclass(frozen=True)
+class PackedGram:
+    """A symmetric h x h matrix S held as its lower block rows S[a:b, :b], packed (``_bands``): about h^2 / 2 doubles.
+
+    ``X @ S`` for a block of rows X takes, band by band, one product for
+    the band's part of S on and below the diagonal, X[:, a:b] S[a:b, :b],
+    and one for its transpose above it, X[:, :a] S[a:b, :a]^T.
+    ``lower_rows()`` hands the buffer itself to the certificate, which
+    factors it in place.
+    """
+
+    data: NDArray[np.float64]
+    h: int
+
+    __array_ufunc__ = None  # ``X @ S`` with an array X calls ``__rmatmul__``
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.h, self.h
+
+    def __rmatmul__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        out = np.zeros(X.shape)
+        for a, b, band in _bands(self.data, self.h):
+            out[:, :b] += X[:, a:b] @ band
+            out[:, a:b] += X[:, :a] @ band[:, :a].T
+        return out
+
+    def lower_rows(self) -> NDArray[np.float64]:
+        return self.data
+
+
 @dataclass
 class ConditionalKernel:
     """Discretized kernel linking the S_m grid (rows) to the S_n grid (columns).
@@ -226,10 +284,13 @@ class ConditionalKernel:
     and ``ds`` = sqrt(w_s / p_n), 0 on masked columns. ``table[i, k]`` =
     p_{S_{n-m}}(s_k - y_i) is a read-only Toeplitz view over p_t, and the
     factor ``B`` = dy table ds is a ``KernelFactor``, applied by correlations
-    against p_t and never stored as an array. The Gram matrix of a block of
-    B's rows is written tile by tile from strips of those rows (``gram``);
-    its diagonal and single rows come from correlations against p_t alone
-    (``gram_diag``, ``gram_row``).
+    against p_t and never stored as an array. The Gram matrix S of a block
+    of B's rows is written tile by tile from strips of those rows
+    (``_gram_tiles``): the dense S (``gram``), which only a full solve and
+    the eigh fallback form, or, for a head solve, its lower block rows
+    packed in about h^2 / 2 doubles (``gram_packed``). Its diagonal and
+    single rows come from correlations against p_t alone (``gram_diag``,
+    ``gram_row``).
     """
 
     summand: GridDensity  # law of S_m, the y-grid
@@ -253,47 +314,93 @@ class ConditionalKernel:
     def B(self) -> KernelFactor:
         return KernelFactor(self.dy, self.partial.values, self.ds)
 
-    def gram(self, rows: slice, avail: int | None = None) -> NDArray[np.float64]:
-        """The Gram matrix S = B[rows] B[rows]^T, written tile by tile from strips of GRAM_STRIP rows.
+    def _gram_tiles(self, rows: slice):
+        """The tiles of B[rows] B[rows]^T on and above its diagonal, formed from strips of GRAM_STRIP rows.
 
-        With [t0, t1) the positive span of p_t, row i of B is 0 outside the
-        columns [i + t0, i + t1), so the strip of rows [a, b) is the
-        C-contiguous array of the elementwise products dy_i table[i, k] ds_k
-        over its columns [a + t0, b - 1 + t1) alone. Its diagonal tile is the
-        strip times its transpose (numpy's syrk, which mirrors the triangle);
-        against each later strip, one gemm over the columns the two share
-        gives the tile above the diagonal, and its transpose the tile below,
-        so S is exactly symmetric. Both products write into S. S is banded:
-        S[i, j] = 0 once |i - j| >= t1 - t0, and strips that share no column
-        leave their tiles 0. Checked for S and two strips against ``avail``
-        (``_check_memory``); no h x c block of B exists.
+        Yields (a, b, c, d, left, right) with S[a:b, c:d] = left @ right.T,
+        c >= a, rows counted from ``rows.start``. With [t0, t1) the positive
+        span of p_t, row i of B is 0 outside the columns [i + t0, i + t1),
+        so the strip of rows [a, b) is the C-contiguous array of the
+        elementwise products dy_i table[i, k] ds_k over its columns
+        [a + t0, b - 1 + t1) alone. Its diagonal tile is the strip times its
+        transpose (numpy's syrk, which mirrors the triangle, so the tile is
+        exactly symmetric); against each later strip, one gemm over the
+        columns the two share gives the tile above the diagonal. S is
+        banded: S[i, j] = 0 once |i - j| >= t1 - t0, and the tiles of strips
+        that share no column, never yielded, are 0. Two strips exist at a
+        time; no h x c block of B does. A tile's rows start at a multiple of
+        GRAM_STRIP, hence of CHOLESKY_BLOCK.
         """
         table = self.table
         span = _hull(self.partial.values > 0)
         width = span.stop - span.start  # columns one row touches
         r0, h = rows.start, rows.stop - rows.start
         nb = min(GRAM_STRIP, h)
-        self._check_memory(
-            f"a {h} x {h} Gram matrix and two {nb}-row strips", 8 * (h * h + 2 * nb * (nb + width - 1)), avail
-        )
 
-        def strip(a: int, b: int, lo: int, hi: int) -> NDArray[np.float64]:
-            block = self.dy[a:b, None] * table[a:b, lo:hi]
+        def strip(a: int, b: int, hi: int) -> NDArray[np.float64]:
+            lo = r0 + a + span.start
+            block = self.dy[r0 + a : r0 + b, None] * table[r0 + a : r0 + b, lo:hi]
             block *= self.ds[lo:hi]
             return block
 
+        for a in range(0, h, nb):
+            b = min(a + nb, h)
+            hi = r0 + b - 1 + span.stop
+            top = strip(a, b, hi)
+            yield a, b, a, b, top, top
+            for c in range(b, min(h, b - 1 + width), nb):  # later strips that share a column
+                yield a, b, c, min(c + nb, h), top[:, c - a :], strip(c, min(c + nb, h), hi)
+
+    def _strip_doubles(self, h: int) -> tuple[int, int]:
+        """The rows of ``_gram_tiles``'s strips for an h-row block, and the doubles two strips take."""
+        span = _hull(self.partial.values > 0)
+        nb = min(GRAM_STRIP, h)
+        return nb, 2 * nb * (nb + span.stop - span.start - 1)
+
+    def gram(self, rows: slice, avail: int | None = None) -> NDArray[np.float64]:
+        """The Gram matrix S = B[rows] B[rows]^T, each tile of ``_gram_tiles`` written into S.
+
+        A tile above the diagonal is written in place and its transpose
+        below it, so S is exactly symmetric. Checked for S and two strips
+        against ``avail`` (``_check_memory``).
+        """
+        h = rows.stop - rows.start
+        nb, strips = self._strip_doubles(h)
+        self._check_memory(f"a {h} x {h} Gram matrix and two {nb}-row strips", 8 * (h * h + strips), avail)
         S = np.zeros((h, h))
-        for a in range(r0, rows.stop, nb):
-            b = min(a + nb, rows.stop)
-            top = strip(a, b, a + span.start, b - 1 + span.stop)
-            np.matmul(top, top.T, out=S[a - r0 : b - r0, a - r0 : b - r0])
-            for c in range(b, min(rows.stop, b - 1 + width), nb):  # later strips that share a column
-                d = min(c + nb, rows.stop)
-                lo, hi = c + span.start, b - 1 + span.stop
-                tile = S[a - r0 : b - r0, c - r0 : d - r0]
-                np.matmul(top[:, c - a :], strip(c, d, lo, hi).T, out=tile)
-                S[c - r0 : d - r0, a - r0 : b - r0] = tile.T
+        for a, b, c, d, left, right in self._gram_tiles(rows):
+            tile = np.matmul(left, right.T, out=S[a:b, c:d])
+            if c > a:
+                S[c:d, a:b] = tile.T
         return S
+
+    def gram_packed(self, rows: slice, budget: tuple[int, int], avail: int | None = None) -> PackedGram:
+        """``gram(rows)``'s lower block rows as a ``PackedGram``, for the Krylov ``budget``'s solve and its certificate.
+
+        Each tile of ``_gram_tiles`` is formed in one tile-sized array and
+        its transpose written into the bands of its columns' rows (the
+        diagonal tile's lower part into its own), so the bands hold
+        ``gram``'s bytes; h x h is never allocated. Checked first against
+        ``avail`` for what the certified head solve holds: the packed rows,
+        h (h + CHOLESKY_BLOCK) / 2 doubles, two strips and the tile, and
+        four copies of the h x width * blocks Krylov basis (the basis, its
+        products and their grown copies). The dense S is checked for only
+        where the fallback forms it (``_gram``).
+        """
+        h = rows.stop - rows.start
+        nb, strips = self._strip_doubles(h)
+        width, blocks = budget
+        need = 8 * (_packed_size(h) + strips + nb * nb + 4 * h * width * blocks)
+        self._check_memory(f"the certified Krylov solve of {h} rows from their packed Gram rows", need, avail)
+        data = np.zeros(_packed_size(h))
+        bands = list(_bands(data, h))
+        buf = np.empty((nb, nb))
+        for a, b, c, d, left, right in self._gram_tiles(rows):
+            tile = np.matmul(left, right.T, out=buf[: b - a, : d - c])
+            for r, e, band in bands[c // CHOLESKY_BLOCK : -(-d // CHOLESKY_BLOCK)]:
+                stop = min(b, e)  # b past the diagonal tile, the band's own end on it
+                band[:, a:stop] = tile[: stop - a, r - c : e - c].T
+        return PackedGram(data, h)
 
     def gram_diag(self, rows: slice) -> NDArray[np.float64]:
         """The diagonal of ``gram(rows)`` without S, dy_i^2 (ds^2 * p_t^2)_i; ``trace_T`` sums it over every row.
@@ -618,8 +725,9 @@ def _block_krylov_top(
     The basis is held as rows (X S is the faster
     product) that grow a block at a time, up to ``blocks`` blocks: one that
     has not converged by then returns None. ``S`` is a dense array or an
-    operator that computes X @ S for a block of rows X without S
-    (``discrete.ExactGram``).
+    operator that computes X @ S for a block of rows X without the dense S:
+    from S's packed lower rows (``PackedGram``) or an exact operator's
+    pairs (``discrete.ExactGram``).
     """
     h, g = Y.shape
     cap = blocks * g
@@ -652,44 +760,28 @@ def _block_krylov_top(
         X = np.linalg.qr(X.T)[0].T
 
 
-def _certify_tail(S, V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: float) -> bool:
+def _certify_tail(lower: NDArray[np.float64], V: NDArray[np.float64], ritz: NDArray[np.float64], sigma: float) -> bool:
     """Whether sigma I - (S - V diag(ritz) V^T) is positive definite, which proves lambda_{K+1}(S) < sigma.
 
     S - V diag(ritz) V^T + (the rank-K PSD V diag(ritz) V^T) = S, so by Weyl
     lambda_{K+1}(S) <= lambda_max(S - V diag(ritz) V^T) < sigma once the
-    Cholesky factor exists. It is formed a block row of CHOLESKY_BLOCK rows
-    at a time: the row block of the shifted matrix is built from S's block
-    row S[a:b, :b] and the rank-K term, reduced against the blocks above it
-    (forward substitution through the inverses of the diagonal blocks), and
-    its diagonal block factored by ``np.linalg.cholesky``, which raises
-    where the matrix is not positive definite (a NaN included). ``S`` is a
-    dense array or an operator that writes its block rows
-    (``discrete.ExactGram.block_row``). A dense S is consumed: each block
-    row is reduced in place over S's lower triangle, which ends as the
-    factor, pass or fail, and the caller forms S afresh should eigh need it.
-    An operator's block rows are written into one array, each reduced in
-    place there as the factor's rows: about h^2 / 2 doubles.
+    Cholesky factor exists. ``lower`` holds S's lower block rows S[a:b, :b]
+    of CHOLESKY_BLOCK rows, packed (``_bands``), and is consumed: each block
+    row of the shifted matrix is formed in place from S's and one product
+    for the rank-K term, reduced against the blocks above it (forward
+    substitution through the inverses of the diagonal blocks), and its
+    diagonal block factored by ``np.linalg.cholesky``, which raises where
+    the matrix is not positive definite (a NaN included). The buffer ends
+    as the factor's rows, pass or fail, and the caller forms S afresh should
+    eigh need it.
     """
-    h, nb = S.shape[0], CHOLESKY_BLOCK
-    dense = isinstance(S, np.ndarray)
-    # an operator's factor rows share one allocation: freed one by one, row blocks went back to the system and
-    # were faulted in again by the next solve (1300 to 2300 page faults per 1365-row solve against about 80)
-    factor = None if dense else np.empty(sum((min(a + nb, h) - a) * min(a + nb, h) for a in range(0, h, nb)))
+    nb = CHOLESKY_BLOCK
     VR = V * ritz
     inv_t: list[NDArray[np.float64]] = []  # inverse transposes of the factor's diagonal blocks
     done: list[NDArray[np.float64]] = []  # the factor's block rows, L[a:b, :b]
     try:
-        for a in range(0, h, nb):
-            b = min(a + nb, h)
-            if dense:  # one product for the rank-K term, as many BLAS calls as block rows
-                row = S[a:b, :b]
-                np.subtract(VR[a:b] @ V[:b].T, row, out=row)
-            else:
-                off = a * (a + nb) // 2  # the full block rows above, nb (nb + 2 nb + ... + a) values
-                row = factor[off : off + (b - a) * b].reshape(b - a, b)
-                np.negative(S.block_row(a, b, row), out=row)
-                for c in range(0, b, nb):  # the rank-K term a column block at a time, so no second row block exists
-                    row[:, c : c + nb] += VR[a:b] @ V[c : c + nb].T
+        for a, b, row in _bands(lower, len(V)):
+            np.subtract(VR[a:b] @ V[:b].T, row, out=row)
             idx = np.arange(b - a)
             row[idx, a + idx] += sigma
             for c, inv, above in zip(range(0, a, nb), inv_t, done):
@@ -732,8 +824,11 @@ def _certified_krylov(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], str, dict] | None:
     """The certified top eigenpairs of the PSD ``S`` from a block Krylov solve, the solver and its record, or None.
 
-    ``S`` is a dense array or an operator that gives the solve its products
-    X @ S and the certificate its block rows (``discrete.ExactGram``). The
+    ``S`` is the dense S of a ``full`` solve, or for any other an operator
+    that gives the solve its products X @ S and the certificate S's packed
+    lower block rows (``lower_rows()``): a grid head solve's ``PackedGram``,
+    which hands over the rows its products read, or an exact operator's
+    ``discrete.ExactGram``, which fills them from its pairs only now. The
     solve (``_block_krylov_top``, the top SPECTRUM_HEAD) runs on the
     (width, blocks) ``budget`` from the start block ``start``, filled up to
     width columns with fixed pseudo-random ones. A run that converges is
@@ -744,9 +839,10 @@ def _certified_krylov(
       RITZ_RESID_TOL * lambda_max, which catches a Krylov space that skipped
       an eigenvalue ("ritz": all h eigenvalues, ascending, and the top K
       eigenvectors);
-    - any other must pass ``_certify_tail`` at sigma = theta_K - (theta_K -
-      theta_{K+1}) / 4, and returns only the K certified eigenvalues and
-      their vectors ("krylov"), with sigma as ``tail_bound`` in the record.
+    - any other must pass ``_certify_tail`` on the packed rows at sigma =
+      theta_K - (theta_K - theta_{K+1}) / 4, and returns only the K
+      certified eigenvalues and their vectors ("krylov"), with sigma as
+      ``tail_bound`` in the record.
       Sigma stays strictly below theta_K (the Ritz gap is wider than
       CLUSTER_TOL), and lambda_K >= theta_K by interlacing, so lambda_{K+1}
       < sigma also proves that no eigenvalue of the top K was missed. The
@@ -756,8 +852,8 @@ def _certified_krylov(
       one block with theta_{K+1} = 0.055, so the midpoint 0.0875 lies under
       lambda_{K+1} = 0.1 and sigma = 0.104 does not.
     Both records carry the solve's ``ritz_residual`` and ``krylov_blocks``.
-    A run that does not converge, or a check that fails, returns None; a
-    dense S that reached the certificate is then consumed.
+    A run that does not converge, or a check that fails, returns None; the
+    packed rows a certificate reached are then consumed.
     """
     h = S.shape[0]
     width, blocks = budget
@@ -771,7 +867,8 @@ def _certified_krylov(
         lam = np.linalg.eigvalsh(S)
         return (lam, V, "ritz", record) if np.abs(ritz - lam[-len(ritz) :]).max() <= RITZ_RESID_TOL * lam[-1] else None
     sigma = ritz[0] - 0.25 * (ritz[0] - below)
-    return (ritz, V, "krylov", {"tail_bound": float(sigma), **record}) if _certify_tail(S, V, ritz, sigma) else None
+    certified = _certify_tail(S.lower_rows(), V, ritz, sigma)
+    return (ritz, V, "krylov", {"tail_bound": float(sigma), **record}) if certified else None
 
 
 def _gram(op, rows: slice, avail: int | None) -> NDArray[np.float64]:
@@ -792,12 +889,12 @@ def _eigensystem(
     """Eigensolve of the Gram matrix B B^T of ``op`` with trivial-mode classification.
 
     ``op`` is any operator that gives the Gram matrix of the rows ``rows`` of
-    its symmetrizing factor ``B`` (``gram(rows, avail)``), checks memory
-    (``_check_memory(part, need, avail)``) and carries its ``n``, ``m`` and
-    ``health``: the grid kernel (written tile by tile from strips of its
-    rows) or the exact operator (scattered from its sum-index pairs, or the
-    block product where they pile up), which is handed its Krylov
-    ``budget``. ``mass`` is the quadrature mass of the S_m law at ``nodes``.
+    its symmetrizing factor ``B`` (``gram(rows, avail)``) and a head solve's
+    Krylov operand, checks memory (``_check_memory(part, need, avail)``) and
+    carries its ``n``, ``m`` and ``health``: the grid kernel (written tile
+    by tile from strips of its rows) or the exact operator (scattered from
+    its sum-index pairs, or the block product where they pile up), which is
+    handed its Krylov ``budget``. ``mass`` is the quadrature mass of the S_m law at ``nodes``.
     A row of ``B`` with zero mass is zero, hence an exact null mode, so only
     the rows spanning ``mass > 0`` are solved. Every memory check of the call
     measures against one reading of the memory left, ``avail``. The solve
@@ -814,18 +911,23 @@ def _eigensystem(
        (``_probe_budget``). An exact operator is handed its ``budget``
        (``discrete._krylov_budget``'s, or None) and has no start block.
     3. Krylov. Where the budget fits (``_krylov_fits``), ``_certified_krylov``
-       solves S: the grid kernel's formed S (``_gram``), or an exact
-       operator's ``gram_pairs(rows, budget, avail)``, a
-       ``discrete.ExactGram`` that gives the products X S and the
-       certificate's block rows from its pairs without S, its own memory
-       (factor rows, pair buffers, Krylov basis) checked first.
+       solves S. A ``full`` solve (grid only) forms the dense S (``_gram``,
+       the eigensolve's SOLVE_SQUARES h^2 checked first), which eigvalsh
+       reads. A head solve never forms it: the grid kernel's
+       ``gram_packed(rows, budget, avail)`` writes S's packed lower block
+       rows and gives the products X S from them, and an exact operator's
+       ``gram_pairs(rows, budget, avail)``, a ``discrete.ExactGram``, gives
+       them from its pairs; each checks first only what it holds (packed
+       rows, strips or pair buffers, and the Krylov basis).
     4. Cross-check or certificate. A converged run of a ``full`` solve is
        checked against eigvalsh ("ritz"), any other by ``_certify_tail``
-       ("krylov"); the certificate consumes a dense S.
+       ("krylov"), which factors the packed rows in place: the grid's
+       own, or an exact operator's filled from its pairs after the run.
     5. Dense eigh. A budget that does not fit, a run that does not converge
        or a check that fails leaves the block to ``np.linalg.eigh``
-       ("dense"), on a Gram matrix formed afresh (``_gram``, which checks the
-       eigensolve's SOLVE_SQUARES h^2 first).
+       ("dense"), on a Gram matrix formed afresh once the packed rows are
+       freed (``_gram``, which checks the eigensolve's SOLVE_SQUARES h^2
+       first: a head solve's only check of it).
     One zero eigenvalue per row outside
     the block goes at the tail and the eigenvectors are 0 on those rows, so
     the result is that of the full matrix; on the low-rank path the h - r
@@ -851,14 +953,18 @@ def _eigensystem(
         op._check_memory(f"the rank probe of {h} rows", 8 * PROBE_COPIES * RANK_PROBE_MAX * h, avail)
         L, traces = _low_rank_factor(op.gram_diag(rows), lambda p: op.gram_row(rows, p))
         mu, U = _core_eigh(L)
+        del L  # its RANK_PROBE_MAX rows are not held through the solve
         if traces[-1] <= RANK_TRACE_TOL * traces[0]:
             found = mu, U, "low-rank", {}
         else:
             budget, start = _probe_budget(mu, U, h)
     if found is None and _krylov_fits(budget, h):
-        S = _gram(op, rows, avail) if grid else op.gram_pairs(rows, budget, avail)
+        if full:  # eigvalsh reads the dense S
+            S = _gram(op, rows, avail)
+        else:
+            S = (op.gram_packed if grid else op.gram_pairs)(rows, budget, avail)
         found = _certified_krylov(S, full, budget, start)
-        del S  # a certificate consumes a dense S: eigh gets S formed afresh, with no second h x h array alive
+        del S  # a certificate consumes the packed rows: eigh gets S formed afresh, alone
     if found is None:
         lam, phi = np.linalg.eigh(_gram(op, rows, avail))
         solver, record = "dense", {}
@@ -915,8 +1021,9 @@ def spectrum(kernel: ConditionalKernel, full: bool = True) -> SpectrumResult:
     returned, for callers that sum or count past the head: a block whose
     Krylov run converges takes eigvalsh and keeps the Krylov vectors where
     they match it ("ritz"). Without it such a block returns only its K
-    certified head eigenvalues ("krylov", with ``tail_bound``). A low-rank
-    block, and one that falls back to eigh, returns all of them either way.
+    certified head eigenvalues ("krylov", with ``tail_bound``), solved from
+    S's packed lower rows without forming S. A low-rank block, and one that
+    falls back to eigh, returns all of them either way.
     """
     p_m = kernel.summand
     return _eigensystem(kernel, p_m.weights() * p_m.values, p_m.nodes, full=full)

@@ -243,6 +243,15 @@ def test_pair_maps_match_the_dense_product(pmf, n, m):
         assert abs(lhs - rhs) <= 1e-14
 
 
+def _packed(S):
+    """The ``operators.PackedGram`` of a dense S: its lower block rows, the form a head solve's certificate reads."""
+    h = len(S)
+    data = np.empty(operators._packed_size(h))
+    for a, b, band in operators._bands(data, h):
+        band[...] = S[a:b, :b]
+    return operators.PackedGram(data, h)
+
+
 def _sizes(pmf, n, m):
     """|S_m|, |S_{n-m}|, |S_n| and the column-sharing pair count P of the exact operator."""
     op = exact_operator(pmf, n, m)
@@ -328,7 +337,7 @@ def test_generic_block_takes_the_certified_krylov_path():
         cluster = U[:, :1] if k == 0 else U[:, 1:12]
         assert np.linalg.norm(block[:, k] - cluster @ (cluster.T @ block[:, k])) <= 1e-12
 
-    vals, V, solver, record = operators._certified_krylov(S.copy(), False, (16, 5), np.empty((len(S), 0)))
+    vals, V, solver, record = operators._certified_krylov(_packed(S), False, (16, 5), np.empty((len(S), 0)))
     assert solver == "krylov" and record.keys() == {"tail_bound", "ritz_residual", "krylov_blocks"}
     assert record["krylov_blocks"] == sp.health["krylov_blocks"]
     assert abs(record["tail_bound"] - sp.health["tail_bound"]) <= 1e-13
@@ -358,8 +367,10 @@ def test_exact_head_solve_matches_the_dense_gram_path(monkeypatch):
     """Products and block rows from the pairs give the dense Gram matrix's head solve: eigenvalues and tail bound within
     1e-13, the same K, solver, block count and trivial indices."""
     sp = exact_spectrum(GENERIC12, 5, 4)
-    # the dense Gram matrix's path: the same solve on the formed S
-    monkeypatch.setattr(discrete.ExactOperator, "gram_pairs", lambda self, rows, budget, avail: self.gram(rows, avail))
+    # the formed Gram matrix's path: the same solve on the packed rows of the formed S
+    monkeypatch.setattr(
+        discrete.ExactOperator, "gram_pairs", lambda self, rows, budget, avail: _packed(self.gram(rows, avail))
+    )
     ref = exact_spectrum(GENERIC12, 5, 4)
     assert (sp.solver, sp.k, sp.trivial_indices) == (ref.solver, ref.k, ref.trivial_indices) == ("krylov", 12, (0, 11))
     assert len(sp.eigenvalues) == len(ref.eigenvalues)

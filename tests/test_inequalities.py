@@ -1,5 +1,6 @@
 """Bound constructors, chi-square oracles, and the rate formulas."""
 
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from clt_spectra import (
     theta_upper_from_sigma,
 )
 from clt_spectra import inequalities
+from clt_spectra.cli import run
 from clt_spectra.densities import trapezoid_weights
 from clt_spectra.inequalities import CHI2_QUAD_NODES, CHI2_QUAD_WIDTH, _pair_expectation
 
@@ -105,6 +107,31 @@ def test_moment_bound_projection_routes_agree():
     parts = theta_moment_parts(moments(d, kmax=3), 3)
     rel = abs(parts.e_cstar_h_sq - parts.e_cstar_h_sq_direct) / parts.e_cstar_h_sq
     assert rel <= 1e-9
+
+
+def test_moment_bound_does_not_depend_on_the_scale():
+    """The refusal of a degenerate projection is relative to E h^2, whose order-2k moments scale as sigma^(2k): the
+    gaussian bounds 3 at k = 3 and 19 / 13 at k = 4 hold at sigma = 1e-3, 1 and 1e3 alike."""
+    for sigma in (1e-3, 1.0, 1e3):
+        d = build_density(DistributionSpec.gaussian(sigma), GridConfig(node_count=1024))
+        for k, bound in ((3, 3.0), (4, 19.0 / 13.0)):
+            assert theta_moment_parts(moments(d, kmax=k), k).bound == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "small,unit",
+    [("gaussian:sigma=0.001", "gaussian:sigma=1"), ("uniform:a=-0.001,b=0.001", "uniform:a=-1,b=1")],
+    ids=["gaussian", "uniform"],
+)
+def test_bounds_command_gives_the_same_battery_at_a_small_scale(small, unit, capsys):
+    """``bounds`` on a law scaled by 1e-3 exits 0 with the unit law's reports, failures and skips."""
+    docs = []
+    for spec in (small, unit):
+        assert run(["bounds", "--spec", spec]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    names = [[r["name"] for r in doc["reports"]] for doc in docs]
+    assert names[0] == names[1] and len(names[0]) in (48, 32)
+    assert docs[0]["summary"] == docs[1]["summary"]
 
 
 def test_moment_bound_quadrature_route():

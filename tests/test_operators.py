@@ -1,5 +1,6 @@
 """Conditional-expectation kernels: spectra, adjointness, trace, trivial modes."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from clt_spectra import (
     trapezoid_weights,
 )
 from clt_spectra import operators
+from clt_spectra.cli import run
 from clt_spectra.operators import SpectrumResult, classify_trivial
 
 CFG = GridConfig(node_count=1024)
@@ -351,11 +353,23 @@ def _row_probe(S):
     return operators._low_rank_factor(S.diagonal(), S.__getitem__)[0]
 
 
+def _packed(S):
+    """The ``PackedGram`` of a dense S: its lower block rows, the form a head solve and its certificate read."""
+    h = len(S)
+    data = np.empty(operators._packed_size(h))
+    for a, b, band in operators._bands(data, h):
+        band[...] = S[a:b, :b]
+    return operators.PackedGram(data, h)
+
+
 def _probe_solve(S, full, L):
     """The certified Krylov step on the budget and start block that the probe factor L of S gives, as ``_eigensystem``
-    runs it, or None where that budget does not fit: None leaves S to eigh."""
+    runs it (on the dense S for a full solve, on its packed rows for a head solve), or None where that budget does not
+    fit: None leaves S to eigh."""
     budget, start = operators._probe_budget(*operators._core_eigh(L), len(S))
-    return operators._certified_krylov(S, full, budget, start) if operators._krylov_fits(budget, len(S)) else None
+    if not operators._krylov_fits(budget, len(S)):
+        return None
+    return operators._certified_krylov(S if full else _packed(S), full, budget, start)
 
 
 def test_ritz_gate_sends_flat_and_degenerate_spectra_to_eigh():
@@ -406,7 +420,7 @@ def test_krylov_certificate_catches_a_cluster_wider_than_the_block(monkeypatch):
     S, _ = _psd_with_spectrum(lam_true)
     certified, certify = [], operators._certify_tail
     monkeypatch.setattr(operators, "_certify_tail", lambda *args: certified.append(certify(*args)) or certified[-1])
-    assert operators._certified_krylov(S, False, (16, 5), np.empty((h, 0))) is None
+    assert operators._certified_krylov(_packed(S), False, (16, 5), np.empty((h, 0))) is None
     assert certified == [False]
 
 
@@ -580,20 +594,105 @@ def test_a_block_too_small_to_probe_reaches_eigh():
     assert operators._probe_budget(*operators._core_eigh(np.empty((0, 3))), 3)[0] == (operators.KRYLOV_GUARD, 0)
 
 
-def test_head_spectrum_holds_one_gram_matrix():
-    """Gamma beta = 4 at (3, 2) on 1024 nodes (h = 1140): the head solve's numpy arrays peak below 1.5 h^2 doubles, S
-    and the probe's arrays included, so no second h x h array exists (a dense fallback's eigenvectors would be one).
-    LAPACK's own workspace is not traced; the eigvalsh test above covers that copy."""
-    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), CFG), 3, 2, CFG)
+@pytest.mark.parametrize(
+    "beta,n,m,nodes,bound", [(4.0, 3, 2, 1024, 1.1), (2.5, 4, 3, 2048, 0.85)], ids=["gamma4-3-2-1024", "gamma2.5-4-3-2048"]
+)
+def test_grid_head_solve_peaks_below_the_gram_matrix(beta, n, m, nodes, bound):
+    """Gamma beta = 4 at (3, 2) on 1024 nodes (h = 1139, the battery's block) and beta = 2.5 at (4, 3) on 2048 (h =
+    2838) are solved from S's packed lower rows: the traced peak of a head spectrum stays below 1.1 and 0.85 * 8 h^2
+    bytes, where the formed S alone took 8 h^2 and the calls peaked at 1.48 and 1.24 * 8 h^2. The second call is
+    traced, so nothing the first one cached counts."""
+    cfg = GridConfig(node_count=nodes)
+    kern = build_kernel(build_density(DistributionSpec.gamma(beta), cfg), n, m, cfg)
     h = np.count_nonzero(kern.summand.values > 0)
+    spectrum(kern, full=False)
     tracemalloc.start()
     try:
         sp = spectrum(kern, full=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sp.solver == "krylov"
-    assert 8 * h * h < peak < 1.5 * 8 * h * h
+    assert sp.solver == "krylov" and h == {1024: 1139, 2048: 2838}[nodes]
+    assert peak < bound * 8 * h * h
+
+
+GRID_HEAD_ARGV = ["theta", "--spec", "gamma:beta=4", "--n", "3", "--m", "2", "--nodes", "2048"]
+
+
+def test_grid_head_solve_runs_where_the_dense_fallback_would_not_fit(monkeypatch, capsys):
+    """With room for the packed rows' solve but not the dense eigensolve, the head solve of gamma beta = 4 at (3, 2) on
+    the CLI's 2048-node grid (h = 1378) runs without forming S, as a library call and as the CLI's theta; a block that
+    reaches the fallback is refused before S exists, with the grid's exit-1 message. Without room for the packed rows
+    alone, which need more than the rank probe there, it is refused before they are allocated."""
+    cfg = GridConfig(node_count=2048)
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), cfg, n_hint=3), 3, 2, cfg)  # the CLI's kernel
+    h = np.count_nonzero(kern.summand.values > 0)
+    assert h == 1378 and 8 * operators.PROBE_COPIES * operators.RANK_PROBE_MAX * h < 8 * operators._packed_size(h)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: 8 * operators.SOLVE_SQUARES * h * h - 1)
+    gram = operators.ConditionalKernel.gram
+
+    def refuse(self, *args):
+        raise AssertionError("the Gram matrix was formed")
+
+    monkeypatch.setattr(operators.ConditionalKernel, "gram", refuse)
+    assert spectrum(kern, full=False).solver == "krylov"
+    assert run(GRID_HEAD_ARGV) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["solver"] == "krylov"
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_certify_tail", lambda *args: False)
+        with pytest.raises(ValueError, match=f"grid too large for memory.*eigensolve of a {h} x {h} Gram matrix"):
+            spectrum(kern, full=False)
+        assert run(GRID_HEAD_ARGV) == 1
+        assert "too large for memory" in capsys.readouterr().err
+    monkeypatch.setattr(operators.ConditionalKernel, "gram", gram)
+    packed = 8 * operators._packed_size(h)
+    monkeypatch.setattr(operators, "_available_bytes", lambda: packed - 1)  # below the packed rows alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"grid too large for memory.*certified Krylov solve of {h} rows"):
+            spectrum(kern, full=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < packed / 2
+
+
+@pytest.mark.parametrize("beta,n,m", [(4.0, 3, 2), (1.0, 3, 2), (2.5, 4, 3)], ids=["gamma4-3-2", "gamma1-3-2", "gamma2.5-4-3"])
+def test_grid_head_solve_matches_eigh_of_the_gram_matrix(beta, n, m, monkeypatch):
+    """The head solve from the packed rows, which never calls ``gram``, against eigh of ``gram``'s S (1024 nodes): the
+    K head eigenvalues within 1e-13, the same trivial indices, and eigh's lambda_{K+1} below the tail bound."""
+    kern = build_kernel(build_density(DistributionSpec.gamma(beta), CFG), n, m, CFG)
+    rows = operators._hull(kern.summand.values > 0)
+    mass = (kern.summand.weights() * kern.summand.values)[rows]
+    lam, U = np.linalg.eigh(kern.gram(rows))
+    lam, U = lam[::-1], U[:, ::-1]
+
+    def refuse(self, *args):
+        raise AssertionError("the Gram matrix was formed")
+
+    monkeypatch.setattr(operators.ConditionalKernel, "gram", refuse)
+    sp = spectrum(kern, full=False)
+    K = len(sp.eigenvalues)
+    assert sp.solver == "krylov" and sp.k == K >= operators.SPECTRUM_HEAD
+    assert np.abs(sp.eigenvalues - np.clip(lam[:K], 0.0, 1.0)).max() <= 1e-13
+    e_const = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass))
+    e_lin = np.sqrt(mass) * (kern.summand.nodes[rows] - mass @ kern.summand.nodes[rows])
+    e_lin /= np.linalg.norm(e_lin)
+    assert classify_trivial(lam[:K], U[:, :K], e_const, e_lin)[:2] == sp.trivial_indices
+    assert lam[K] < sp.health["tail_bound"] < lam[K - 1]
+
+
+def test_packed_gram_holds_the_gram_matrix_lower_rows():
+    """``gram_packed`` writes ``gram``'s bytes into the packed lower rows, through the tile loop they share, and X @ S
+    from its bands is the dense product to 1e-15 (gamma beta = 4 at (3, 2): h = 1139, five strips and 18 bands)."""
+    kern = build_kernel(build_density(DistributionSpec.gamma(4.0), CFG), 3, 2, CFG)
+    rows = operators._hull(kern.summand.values > 0)
+    S, P = kern.gram(rows), kern.gram_packed(rows, (16, 5))
+    h = len(S)
+    assert P.shape == S.shape and len(P.data) == operators._packed_size(h) < 0.53 * h * h
+    assert np.array_equal(P.data, _packed(S).data)
+    X = np.random.default_rng(3).standard_normal((12, h))
+    assert np.abs(X @ P - X @ S).max() <= 1e-15 * np.abs(X).sum(axis=1).max() * np.abs(S).max()
 
 
 GRAM_CASES = [(spec, n, m, 512) for spec, n, m in BLOCK_CASES] + [
